@@ -12,7 +12,11 @@
 #      (UVMD_FUZZ_SEEDS overrides the per-mode seed count, default
 #      200); failing reproducers are preserved in
 #      build/fuzz-artifacts/,
-#   6. a perf smoke stage (release build): bench_host_perf emits
+#   6. results byte-stability (release build): every results-producing
+#      bench_* harness regenerates its CSVs at --jobs N, and
+#      scripts/check_results.py fails on any byte of drift from the
+#      committed results/ and names the drifting files,
+#   7. a perf smoke stage (release build): bench_host_perf emits
 #      BENCH_perf.json, which is gated against the committed
 #      BENCH_baseline.json by scripts/perf_gate.py (throughput and
 #      wall-clock within a tolerance band, allocs_per_iter may never
@@ -70,6 +74,9 @@ fi
 echo "== configure + build (release) =="
 cmake --preset release
 cmake --build --preset release -j "$JOBS"
+
+echo "== results byte-stability (release build) =="
+python3 scripts/check_results.py --build build-release --jobs "$JOBS"
 
 echo "== perf smoke (release build) =="
 build-release/bench/bench_host_perf --quick --jobs "$JOBS" \

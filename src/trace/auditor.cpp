@@ -11,24 +11,41 @@ Auditor::auditOf(const uvm::VaBlock &block)
 }
 
 void
+Auditor::OpenCounts::add(const uvm::PageMask &pages)
+{
+    uvm::PageMask carry = pages;
+    for (uvm::PageMask &plane : planes_) {
+        uvm::PageMask next = plane & carry;
+        plane ^= carry;
+        carry = next;
+        if (carry.none())
+            return;
+    }
+    if (carry.any())
+        planes_.push_back(carry);
+}
+
+std::uint64_t
+Auditor::OpenCounts::take(const uvm::PageMask &pages)
+{
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < planes_.size(); ++i) {
+        uvm::PageMask &plane = planes_[i];
+        sum += (plane & pages).count() << i;
+        plane &= ~pages;
+    }
+    while (!planes_.empty() && planes_.back().none())
+        planes_.pop_back();
+    return sum;
+}
+
+void
 Auditor::onTransfer(const uvm::VaBlock &block,
                     const uvm::PageMask &pages, Direction dir,
                     uvm::TransferCause /*cause*/)
 {
     BlockAudit &audit = auditOf(block);
-    auto &open = dir == Direction::kHostToDevice ? audit.open_h2d
-                                                 : audit.open_d2h;
-    // Pages that already have an open transfer of this direction get
-    // a second one: track the extras in the (rare) overflow map.
-    uvm::PageMask dup = open & pages;
-    if (dup.any()) {
-        auto &extra = dir == Direction::kHostToDevice
-                          ? audit.extra_h2d
-                          : audit.extra_d2h;
-        mem::forEachSetPage(dup,
-                            [&](std::uint32_t p) { ++extra[p]; });
-    }
-    open |= pages;
+    (dir == Direction::kHostToDevice ? audit.h2d : audit.d2h).add(pages);
     open_bytes_ += pages.count() * mem::kSmallPageSize;
 }
 
@@ -58,38 +75,8 @@ void
 Auditor::closeAudit(BlockAudit &audit, const uvm::PageMask &pages,
                     bool required)
 {
-    uvm::PageMask h = audit.open_h2d & pages;
-    uvm::PageMask d = audit.open_d2h & pages;
-    if (h.none() && d.none())
-        return;
-
-    std::uint64_t h_pages = h.count();
-    std::uint64_t d_pages = d.count();
-    if (!audit.extra_h2d.empty()) {
-        for (auto eit = audit.extra_h2d.begin();
-             eit != audit.extra_h2d.end();) {
-            if (pages.test(eit->first)) {
-                h_pages += eit->second;
-                eit = audit.extra_h2d.erase(eit);
-            } else {
-                ++eit;
-            }
-        }
-    }
-    if (!audit.extra_d2h.empty()) {
-        for (auto eit = audit.extra_d2h.begin();
-             eit != audit.extra_d2h.end();) {
-            if (pages.test(eit->first)) {
-                d_pages += eit->second;
-                eit = audit.extra_d2h.erase(eit);
-            } else {
-                ++eit;
-            }
-        }
-    }
-
-    sim::Bytes hb = h_pages * mem::kSmallPageSize;
-    sim::Bytes db = d_pages * mem::kSmallPageSize;
+    sim::Bytes hb = audit.h2d.take(pages) * mem::kSmallPageSize;
+    sim::Bytes db = audit.d2h.take(pages) * mem::kSmallPageSize;
     if (required) {
         required_h2d_ += hb;
         required_d2h_ += db;
@@ -98,8 +85,6 @@ Auditor::closeAudit(BlockAudit &audit, const uvm::PageMask &pages,
         redundant_d2h_ += db;
     }
     open_bytes_ -= hb + db;
-    audit.open_h2d &= ~pages;
-    audit.open_d2h &= ~pages;
 }
 
 void

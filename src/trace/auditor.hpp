@@ -20,16 +20,22 @@
  * evict dead data out and back, then overwrite — counts both as
  * redundant.  This is the instrumentation behind Figure 3's
  * "actually required" series.
+ *
+ * A page can collect many open transfers of one direction before its
+ * value is read or dies (radix thrash moves the same dead page out
+ * and back on nearly every pass), so each block counts open transfers
+ * per page and direction, in bit-sliced PageMask planes: opening and
+ * closing cost a few whole-mask operations per plane, never a loop
+ * over pages.
  */
 
 #ifndef UVMD_TRACE_AUDITOR_HPP
 #define UVMD_TRACE_AUDITOR_HPP
 
-#include <array>
-#include <map>
 #include <cstdint>
 #include <unordered_map>
 
+#include "sim/arena.hpp"
 #include "sim/stats.hpp"
 #include "uvm/observer.hpp"
 
@@ -97,16 +103,29 @@ class Auditor : public uvm::TransferObserver
 
   private:
     /**
-     * Per-block open-transfer state.  The common case (at most one
-     * open transfer per page and direction) lives in bitmaps; the
-     * rare page with several open transfers of the same direction
-     * keeps its extra count in the overflow maps.
+     * Per-page open-transfer counts of one block and direction, bit
+     * sliced: planes_[i] holds bit i of every page's count.  add()
+     * ripples a carry up the planes; take() sums
+     * popcount(planes_[i] & pages) << i.  No plane is kept above the
+     * highest nonzero bit, so a block whose pages each have at most
+     * one open transfer holds a single inline plane.
      */
+    class OpenCounts
+    {
+      public:
+        /** Add one to the count of every page in @p pages. */
+        void add(const uvm::PageMask &pages);
+
+        /** Sum of the counts of @p pages; resets those counts to 0. */
+        std::uint64_t take(const uvm::PageMask &pages);
+
+      private:
+        sim::SmallVec<uvm::PageMask, 1> planes_;
+    };
+
     struct BlockAudit {
-        uvm::PageMask open_h2d;
-        uvm::PageMask open_d2h;
-        std::map<std::uint32_t, std::uint32_t> extra_h2d;
-        std::map<std::uint32_t, std::uint32_t> extra_d2h;
+        OpenCounts h2d;
+        OpenCounts d2h;
     };
 
     BlockAudit &auditOf(const uvm::VaBlock &block);

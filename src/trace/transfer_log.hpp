@@ -1,8 +1,9 @@
 /**
  * @file
  * Event-log instrumentation: an ordered record of every migration,
- * skip, discard and free the driver performs, and a multiplexer so
- * several observers (auditor, advisor, log) can watch one driver.
+ * skip, discard and free the driver performs.  To watch one driver
+ * with the log and other observers (auditor, advisor, oracle), attach
+ * them all through uvm::ObserverMux.
  *
  * The log is what you diff when a policy change moves traffic around:
  * each entry carries the event ordinal, the block base, page count,
@@ -16,99 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "sim/arena.hpp"
 #include "uvm/observer.hpp"
 
 namespace uvmd::trace {
-
-/** Fans driver events out to several observers, in order. */
-class ObserverMux : public uvm::TransferObserver
-{
-  public:
-    void
-    add(uvm::TransferObserver *obs)
-    {
-        observers_.push_back(obs);
-        single_ = observers_.size() == 1 ? observers_[0] : nullptr;
-    }
-
-    void
-    onTransfer(const uvm::VaBlock &b, const uvm::PageMask &p,
-               interconnect::Direction d, uvm::TransferCause c) override
-    {
-        if (single_) {
-            single_->onTransfer(b, p, d, c);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onTransfer(b, p, d, c);
-    }
-
-    void
-    onTransferSkipped(const uvm::VaBlock &b, const uvm::PageMask &p,
-                      interconnect::Direction d,
-                      uvm::TransferCause c) override
-    {
-        if (single_) {
-            single_->onTransferSkipped(b, p, d, c);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onTransferSkipped(b, p, d, c);
-    }
-
-    void
-    onAccess(const uvm::VaBlock &b, const uvm::PageMask &p, bool r,
-             bool w, uvm::ProcessorId where) override
-    {
-        if (single_) {
-            single_->onAccess(b, p, r, w, where);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onAccess(b, p, r, w, where);
-    }
-
-    void
-    onDiscard(const uvm::VaBlock &b, const uvm::PageMask &p) override
-    {
-        if (single_) {
-            single_->onDiscard(b, p);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onDiscard(b, p);
-    }
-
-    void
-    onFree(const uvm::VaBlock &b, const uvm::PageMask &p) override
-    {
-        if (single_) {
-            single_->onFree(b, p);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onFree(b, p);
-    }
-
-    void
-    onFault(uvm::FaultEvent e, mem::VirtAddr base,
-            std::uint32_t pages) override
-    {
-        if (single_) {
-            single_->onFault(e, base, pages);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onFault(e, base, pages);
-    }
-
-  private:
-    sim::SmallVec<uvm::TransferObserver *, 4> observers_;
-    /** Non-null iff exactly one observer is attached (the common
-     *  case): forward directly, no fan-out loop. */
-    uvm::TransferObserver *single_ = nullptr;
-};
 
 /** Records transfer-level events in order. */
 class TransferLog : public uvm::TransferObserver

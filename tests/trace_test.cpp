@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the trace tooling beyond the auditor: the report table
- * formatter, the transfer log, and the observer multiplexer.
+ * formatter, the transfer log, and the log sharing a driver with
+ * other observers through uvm::ObserverMux.
  */
 
 #include <gtest/gtest.h>
@@ -63,7 +64,7 @@ class TraceLogTest : public ::testing::Test
     uvm::UvmDriver drv_;
     TransferLog log_;
     Auditor auditor_;
-    ObserverMux mux_;
+    uvm::ObserverMux mux_;
     sim::SimTime t_ = 0;
 };
 
@@ -123,6 +124,65 @@ TEST_F(TraceLogTest, MuxFeedsAllObservers)
     // Both observers saw the same transfer.
     EXPECT_EQ(log_.size(), 1u);
     EXPECT_EQ(auditor_.requiredH2d(), kBigPageSize);
+}
+
+/** Counts the state-machine hooks the transfer log ignores. */
+struct StateHookCounter : uvm::TransferObserver {
+    void onTransfer(const uvm::VaBlock &, const uvm::PageMask &,
+                    interconnect::Direction, uvm::TransferCause) override
+    {}
+    void onTransferSkipped(const uvm::VaBlock &, const uvm::PageMask &,
+                           interconnect::Direction,
+                           uvm::TransferCause) override
+    {}
+    void onAccess(const uvm::VaBlock &, const uvm::PageMask &, bool,
+                  bool, ProcessorId) override
+    {}
+    void onDiscard(const uvm::VaBlock &, const uvm::PageMask &) override
+    {}
+    void onFree(const uvm::VaBlock &, const uvm::PageMask &) override {}
+    void onMap(const uvm::VaBlock &, const uvm::PageMask &,
+               ProcessorId) override
+    {
+        ++maps;
+    }
+    void onUnmap(const uvm::VaBlock &, const uvm::PageMask &,
+                 ProcessorId) override
+    {
+        ++unmaps;
+    }
+    void onDiscardStateChange(const uvm::VaBlock &, const uvm::PageMask &,
+                              bool) override
+    {
+        ++discard_state_changes;
+    }
+    void onQueueMove(const uvm::VaBlock &, mem::QueueKind,
+                     mem::QueueKind) override
+    {
+        ++queue_moves;
+    }
+
+    int maps = 0;
+    int unmaps = 0;
+    int discard_state_changes = 0;
+    int queue_moves = 0;
+};
+
+TEST_F(TraceLogTest, MuxForwardsStateMachineHooks)
+{
+    // An oracle riding beside the log must see the mapping, discard
+    // state and queue events too, not only the transfers.
+    StateHookCounter counter;
+    mux_.add(&counter);
+    mem::VirtAddr a = drv_.allocManaged(kBigPageSize, "a");
+    t_ = drv_.hostAccess(a, kBigPageSize, AccessKind::kWrite, t_);
+    t_ = drv_.prefetch(a, kBigPageSize, ProcessorId::gpu(0), t_);
+    t_ = drv_.discard(a, kBigPageSize, uvm::DiscardMode::kEager, t_);
+    EXPECT_GT(counter.maps, 0);
+    EXPECT_GT(counter.unmaps, 0);
+    EXPECT_GT(counter.discard_state_changes, 0);
+    EXPECT_GT(counter.queue_moves, 0);
+    EXPECT_EQ(log_.size(), 2u);  // the prefetch and the discard
 }
 
 TEST_F(TraceLogTest, CsvDump)
