@@ -28,6 +28,13 @@
  *                    same pages on nearly every transfer); wall_ms is
  *                    the fastest of a few repetitions, since a shared
  *                    host can only slow a run down
+ *   e2e_verify       a slice of the CI verify campaign end to end:
+ *                    runVerifiedScenario with content checks over
+ *                    fuzz seeds 1-50, fault injection off and on; the
+ *                    run whose host time is set by the backing store's
+ *                    page payloads; wall_ms is the fastest of a few
+ *                    repetitions; also reports the oracle checks and
+ *                    the heap allocations per script
  *
  * Usage: bench_host_perf [--jobs N] [--out FILE] [--quick]
  */
@@ -47,14 +54,17 @@
 #include "dl_sweep.hpp"
 #include "sim/thread_pool.hpp"
 #include "sweep_runner.hpp"
+#include "verify/fuzzer.hpp"
+#include "verify/verified_run.hpp"
 #include "workloads/radix_sort.hpp"
 
 // ------------------------------------------------------------------
 // Allocation counting: every heap allocation in this binary bumps one
 // relaxed atomic, so the driver_discard stage can report the heap
 // traffic of a warmed steady-state cycle (allocs_per_iter; the gate
-// fails on any increase from 0).  The counting cost is one relaxed
-// increment per allocation — negligible against malloc itself.
+// fails on any increase from 0) and e2e_verify its allocations per
+// script.  The counting cost is one relaxed increment per
+// allocation — negligible against malloc itself.
 // ------------------------------------------------------------------
 
 namespace {
@@ -491,6 +501,46 @@ benchE2eRadix(int reps)
     return res;
 }
 
+BenchResult
+benchE2eVerify(int reps)
+{
+    BenchResult res;
+    res.name = "e2e_verify";
+    std::vector<std::string> scripts;
+    for (bool faults : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 50; ++seed)
+            scripts.push_back(fuzz::generateScenario(seed, faults));
+    }
+    std::uint64_t checks = 0;
+    std::uint64_t allocs = 0;
+    for (int i = 0; i < reps; ++i) {
+        checks = 0;
+        std::uint64_t allocs_before =
+            g_alloc_count.load(std::memory_order_relaxed);
+        Clock::time_point start = Clock::now();
+        for (const std::string &script : scripts) {
+            verify::VerifyResult r = verify::runVerifiedScenario(script);
+            if (!r.ok()) {
+                std::fprintf(stderr, "e2e_verify: %s: %s\n",
+                             verify::toString(r.outcome),
+                             r.message.c_str());
+                std::exit(1);
+            }
+            checks += r.checks;
+        }
+        double ms = msSince(start);
+        allocs = g_alloc_count.load(std::memory_order_relaxed) -
+                 allocs_before;
+        res.wall_ms = i == 0 ? ms : std::min(res.wall_ms, ms);
+    }
+    res.metrics = {
+        {"checks", static_cast<double>(checks)},
+        {"allocs_per_script",
+         static_cast<double>(allocs) / scripts.size()},
+    };
+    return res;
+}
+
 void
 writeJson(const std::string &path, int jobs, bool quick,
           const std::vector<BenchResult> &benches)
@@ -567,6 +617,7 @@ main(int argc, char **argv)
     if (jobs > 1)
         benches.push_back(benchDlSweep(jobs, quick));
     benches.push_back(benchE2eRadix(quick ? 3 : 5));
+    benches.push_back(benchE2eVerify(quick ? 3 : 5));
 
     trace::Table table("Host perf (wall-clock of the simulator)");
     table.header({"Bench", "Wall (ms)", "Key metric"});

@@ -11,9 +11,11 @@ Gate semantics (docs/performance.md, "Regression gate"):
     and is only compared when both files were produced in the same
     mode (`--quick` vs full) — wall times of different modes are not
     comparable.
-  - `allocs_per_iter` is a hard counter, not a timing: any increase
-    over the baseline fails regardless of tolerance (the whole point
-    of the zero-allocation steady state is that this stays at 0).
+  - Allocation counts (names starting with `allocs_per_`) are hard
+    counters, not timings: any increase over the baseline fails
+    regardless of tolerance (the zero-allocation steady state keeps
+    `allocs_per_iter` at 0; `allocs_per_script` catches a return to
+    deep-copied backing-store payloads).
   - Benches present in the baseline but missing from the current run
     fail (a silently-dropped bench is a coverage regression); new
     benches in the current run are ignored (they gate once
@@ -94,11 +96,11 @@ def main(argv):
             if not isinstance(bv, (int, float)) or \
                not isinstance(cv, (int, float)):
                 continue
-            if key == "allocs_per_iter":
+            if key.startswith("allocs_per_"):
                 compared += 1
                 if cv > bv:
                     regressions.append(
-                        f"{name}: allocs_per_iter {cv} vs baseline "
+                        f"{name}: {key} {cv} vs baseline "
                         f"{bv} (any increase fails)")
             elif key.endswith("_per_sec") or key == "speedup":
                 compared += 1

@@ -4,21 +4,30 @@
 
 namespace uvmd::mem {
 
-BackingStore::Payload *
-BackingStore::slotOf(PageCopies &pc, CopySlot slot) const
+namespace {
+
+constexpr std::size_t
+at(CopySlot slot)
 {
-    return slot == CopySlot::kHost ? pc.host.get() : pc.device.get();
+    return static_cast<std::size_t>(slot);
+}
+
+}  // namespace
+
+BackingStore::BackingStore(bool enabled)
+    : enabled_(enabled),
+      zero_(enabled ? std::make_shared<Payload>() : nullptr)
+{
 }
 
 BackingStore::Payload &
-BackingStore::ensure(std::uint64_t page_no, CopySlot slot)
+BackingStore::writable(std::uint64_t page_no, CopySlot slot)
 {
-    PageCopies &pc = pages_[page_no];
-    auto &ptr = slot == CopySlot::kHost ? pc.host : pc.device;
-    if (!ptr) {
-        ptr = std::make_unique<Payload>();
-        ptr->fill(0);
-    }
+    PayloadPtr &ptr = pages_[page_no][at(slot)];
+    if (!ptr)
+        ptr = std::make_shared<Payload>();
+    else if (ptr.use_count() > 1)
+        ptr = std::make_shared<Payload>(*ptr);
     return *ptr;
 }
 
@@ -28,12 +37,9 @@ BackingStore::write(VirtAddr va, const void *data, std::size_t len,
 {
     if (!enabled_)
         return;
-    if (pageIndexInBlock(va) !=
-            pageIndexInBlock(va + len - 1) &&
-        smallPageNumber(va) != smallPageNumber(va + len - 1)) {
+    if (smallPageNumber(va) != smallPageNumber(va + len - 1))
         sim::panic("BackingStore::write crosses a 4KB page boundary");
-    }
-    Payload &p = ensure(smallPageNumber(va), slot);
+    Payload &p = writable(smallPageNumber(va), slot);
     std::memcpy(p.data() + va % kSmallPageSize, data, len);
 }
 
@@ -48,12 +54,8 @@ BackingStore::read(VirtAddr va, void *out, std::size_t len,
     if (smallPageNumber(va) != smallPageNumber(va + len - 1))
         sim::panic("BackingStore::read crosses a 4KB page boundary");
     auto it = pages_.find(smallPageNumber(va));
-    if (it == pages_.end()) {
-        std::memset(out, 0, len);
-        return;
-    }
-    const Payload *p = slot == CopySlot::kHost ? it->second.host.get()
-                                               : it->second.device.get();
+    const Payload *p =
+        it == pages_.end() ? nullptr : it->second[at(slot)].get();
     if (!p) {
         std::memset(out, 0, len);
         return;
@@ -66,7 +68,7 @@ BackingStore::zeroPage(VirtAddr va, CopySlot slot)
 {
     if (!enabled_)
         return;
-    ensure(smallPageNumber(va), slot).fill(0);
+    pages_[smallPageNumber(va)][at(slot)] = zero_;
 }
 
 void
@@ -74,17 +76,9 @@ BackingStore::copyPage(VirtAddr va, CopySlot from, CopySlot to)
 {
     if (!enabled_)
         return;
-    std::uint64_t page_no = smallPageNumber(va);
-    auto it = pages_.find(page_no);
-    if (it == pages_.end() || !slotOf(it->second, from)) {
-        // Source never materialized: reads as zeros, so the copy does.
-        ensure(page_no, to).fill(0);
-        return;
-    }
-    // ensure() can rehash the map; re-find the source afterwards.
-    Payload &dst = ensure(page_no, to);
-    Payload *src = slotOf(pages_[page_no], from);
-    dst = *src;
+    PageCopies &pc = pages_[smallPageNumber(va)];
+    // A never-materialized source reads as zeros, so the copy does.
+    pc[at(to)] = pc[at(from)] ? pc[at(from)] : zero_;
 }
 
 void
@@ -95,11 +89,9 @@ BackingStore::dropPage(VirtAddr va, CopySlot slot)
     auto it = pages_.find(smallPageNumber(va));
     if (it == pages_.end())
         return;
-    if (slot == CopySlot::kHost)
-        it->second.host.reset();
-    else
-        it->second.device.reset();
-    if (!it->second.host && !it->second.device)
+    PageCopies &pc = it->second;
+    pc[at(slot)].reset();
+    if (!pc[0] && !pc[1])
         pages_.erase(it);
 }
 
@@ -107,22 +99,15 @@ bool
 BackingStore::hasPage(VirtAddr va, CopySlot slot) const
 {
     auto it = pages_.find(smallPageNumber(va));
-    if (it == pages_.end())
-        return false;
-    return slot == CopySlot::kHost ? it->second.host != nullptr
-                                   : it->second.device != nullptr;
+    return it != pages_.end() && it->second[at(slot)] != nullptr;
 }
 
 std::size_t
 BackingStore::materializedPages() const
 {
     std::size_t n = 0;
-    for (const auto &kv : pages_) {
-        if (kv.second.host)
-            ++n;
-        if (kv.second.device)
-            ++n;
-    }
+    for (const auto &kv : pages_)
+        n += (kv.second[0] != nullptr) + (kv.second[1] != nullptr);
     return n;
 }
 

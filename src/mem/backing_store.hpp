@@ -18,6 +18,13 @@
  * the device copy.  Residency is exclusive in UVM, so at most one GPU
  * holds a copy at a time and a single device slot suffices even with
  * multiple GPUs.
+ *
+ * Payloads are copy-on-write.  A simulated migration (copyPage) makes
+ * the destination slot share the source's buffer, and a simulated
+ * zero-fill (zeroPage) points the slot at the store's one all-zero
+ * page, so neither moves 4 KB on the host.  Only a write to a shared
+ * buffer (the zero page included) clones it first; a write to an
+ * unshared buffer goes in place.
  */
 
 #ifndef UVMD_MEM_BACKING_STORE_HPP
@@ -39,7 +46,7 @@ enum class CopySlot : std::uint8_t { kHost, kDevice };
 class BackingStore
 {
   public:
-    explicit BackingStore(bool enabled) : enabled_(enabled) {}
+    explicit BackingStore(bool enabled);
 
     bool enabled() const { return enabled_; }
 
@@ -70,21 +77,29 @@ class BackingStore
     /** True if the page holding @p va has a materialized @p slot copy. */
     bool hasPage(VirtAddr va, CopySlot slot) const;
 
-    /** Number of materialized 4 KB payloads (for memory accounting). */
+    /**
+     * Number of materialized (page, slot) copies, for memory
+     * accounting.  Counts slots, not distinct buffers: two slots
+     * sharing one payload count twice, as if each held its own.
+     */
     std::size_t materializedPages() const;
 
   private:
     using Payload = std::array<std::uint8_t, kSmallPageSize>;
+    using PayloadPtr = std::shared_ptr<Payload>;
 
-    struct PageCopies {
-        std::unique_ptr<Payload> host;
-        std::unique_ptr<Payload> device;
-    };
+    /** A page's two copies, indexed by CopySlot; either may share its
+     *  buffer with the other slot or with the store's zero page. */
+    using PageCopies = std::array<PayloadPtr, 2>;
 
-    Payload *slotOf(PageCopies &pc, CopySlot slot) const;
-    Payload &ensure(std::uint64_t page_no, CopySlot slot);
+    /** The @p slot buffer of page @p page_no, made unshared (cloned
+     *  if shared, zero-filled if absent) so it can be written. */
+    Payload &writable(std::uint64_t page_no, CopySlot slot);
 
     bool enabled_;
+    /** The all-zero payload every zeroed slot shares (null when the
+     *  store is disabled); never written. */
+    PayloadPtr zero_;
     std::unordered_map<std::uint64_t, PageCopies> pages_;
 };
 

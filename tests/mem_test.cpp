@@ -2,11 +2,18 @@
  * @file
  * Unit tests for the memory substrate: alignment helpers, the chunk
  * allocator (capacity, reservation, exhaustion), the intrusive page
- * queues, the backing store's copy-slot semantics, and the zero
- * engine cost model.
+ * queues, the backing store's copy-slot semantics (including
+ * copy-on-write aliasing, checked against a deep-copy reference), and
+ * the zero engine cost model.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cstring>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "mem/backing_store.hpp"
 #include "mem/chunk_allocator.hpp"
@@ -14,6 +21,7 @@
 #include "mem/page_queues.hpp"
 #include "mem/zero_engine.hpp"
 #include "sim/logging.hpp"
+#include "sim/random.hpp"
 
 namespace uvmd::mem {
 namespace {
@@ -204,6 +212,241 @@ TEST(BackingStore, ZeroPage)
     std::uint64_t out = 1;
     bs.read(0x3000, &out, sizeof(out), CopySlot::kHost);
     EXPECT_EQ(out, 0u);
+}
+
+TEST(BackingStoreDeathTest, WriteAcrossPagesPanics)
+{
+    BackingStore bs(true);
+    std::vector<std::uint8_t> data(kBigPageSize + 1, 0xab);
+    // Ends on neighbouring pages.
+    EXPECT_DEATH(bs.write(kSmallPageSize - 1, data.data(), 2,
+                          CopySlot::kHost),
+                 "crosses a 4KB page boundary");
+    // Ends exactly one 2 MB block apart: same page index in their
+    // blocks, different pages.
+    EXPECT_DEATH(bs.write(kSmallPageSize, data.data(), data.size(),
+                          CopySlot::kHost),
+                 "crosses a 4KB page boundary");
+}
+
+TEST(BackingStore, CopyThenWriteLeavesTheOtherSlot)
+{
+    for (CopySlot written : {CopySlot::kHost, CopySlot::kDevice}) {
+        BackingStore bs(true);
+        std::uint64_t v = 41, w = 42, out = 0;
+        bs.write(0x5000, &v, sizeof(v), CopySlot::kHost);
+        bs.copyPage(0x5000, CopySlot::kHost, CopySlot::kDevice);
+        bs.write(0x5000, &w, sizeof(w), written);
+        CopySlot other = written == CopySlot::kHost ? CopySlot::kDevice
+                                                    : CopySlot::kHost;
+        bs.read(0x5000, &out, sizeof(out), written);
+        EXPECT_EQ(out, 42u);
+        bs.read(0x5000, &out, sizeof(out), other);
+        EXPECT_EQ(out, 41u);
+    }
+}
+
+TEST(BackingStore, WriteToAZeroedPageLeavesOtherZeroedPages)
+{
+    BackingStore bs(true);
+    bs.zeroPage(0x1000, CopySlot::kHost);
+    bs.zeroPage(0x2000, CopySlot::kDevice);
+    bs.copyPage(0x9000, CopySlot::kHost, CopySlot::kDevice);  // absent
+    std::uint32_t v = 7;
+    bs.write(0x1000, &v, sizeof(v), CopySlot::kHost);
+    bs.zeroPage(0x3000, CopySlot::kHost);
+
+    std::uint32_t out = 0;
+    bs.read(0x1000, &out, sizeof(out), CopySlot::kHost);
+    EXPECT_EQ(out, 7u);
+    std::array<std::uint8_t, kSmallPageSize> page{};
+    std::array<std::uint8_t, kSmallPageSize> zeros{};
+    for (VirtAddr va : {0x2000, 0x9000}) {
+        bs.read(va, page.data(), page.size(), CopySlot::kDevice);
+        EXPECT_EQ(page, zeros);
+    }
+    bs.read(0x3000, page.data(), page.size(), CopySlot::kHost);
+    EXPECT_EQ(page, zeros);
+}
+
+TEST(BackingStore, DroppingASharingSlotKeepsTheOther)
+{
+    BackingStore bs(true);
+    std::uint64_t v = 99, out = 0;
+    bs.write(0x6000, &v, sizeof(v), CopySlot::kDevice);
+    bs.copyPage(0x6000, CopySlot::kDevice, CopySlot::kHost);
+    bs.dropPage(0x6000, CopySlot::kDevice);
+    EXPECT_FALSE(bs.hasPage(0x6000, CopySlot::kDevice));
+    bs.read(0x6000, &out, sizeof(out), CopySlot::kHost);
+    EXPECT_EQ(out, 99u);
+    // The survivor is now unshared; writing it must not resurrect the
+    // dropped slot.
+    std::uint64_t w = 100;
+    bs.write(0x6000, &w, sizeof(w), CopySlot::kHost);
+    bs.read(0x6000, &out, sizeof(out), CopySlot::kDevice);
+    EXPECT_EQ(out, 0u);
+    EXPECT_EQ(bs.materializedPages(), 1u);
+}
+
+TEST(BackingStore, CopyRoundTripsKeepContent)
+{
+    BackingStore bs(true);
+    std::array<std::uint8_t, kSmallPageSize> in{}, out{};
+    for (std::size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    bs.write(0x7000, in.data(), in.size(), CopySlot::kHost);
+    for (int trip = 0; trip < 100; ++trip) {
+        bs.copyPage(0x7000, CopySlot::kHost, CopySlot::kDevice);
+        bs.dropPage(0x7000, CopySlot::kHost);
+        bs.copyPage(0x7000, CopySlot::kDevice, CopySlot::kHost);
+        if (trip % 2)
+            bs.dropPage(0x7000, CopySlot::kDevice);
+    }
+    for (CopySlot s : {CopySlot::kHost, CopySlot::kDevice}) {
+        if (!bs.hasPage(0x7000, s))
+            continue;
+        bs.read(0x7000, out.data(), out.size(), s);
+        EXPECT_EQ(out, in);
+    }
+    EXPECT_TRUE(bs.hasPage(0x7000, CopySlot::kHost));
+}
+
+TEST(BackingStore, MaterializedPagesCountsSlotsNotBuffers)
+{
+    BackingStore bs(true);
+    std::uint8_t b = 1;
+    bs.write(0x1000, &b, 1, CopySlot::kHost);
+    bs.copyPage(0x1000, CopySlot::kHost, CopySlot::kDevice);  // shared
+    bs.zeroPage(0x2000, CopySlot::kHost);                     // zero page
+    bs.zeroPage(0x3000, CopySlot::kDevice);                   // zero page
+    bs.copyPage(0x4000, CopySlot::kHost, CopySlot::kDevice);  // absent src
+    EXPECT_EQ(bs.materializedPages(), 5u);
+    bs.dropPage(0x1000, CopySlot::kHost);
+    bs.dropPage(0x5000, CopySlot::kHost);  // never materialized
+    EXPECT_EQ(bs.materializedPages(), 4u);
+}
+
+/**
+ * Deep-copy reference for the backing store: one independent 4 KB
+ * array per materialized (page, slot), copied byte for byte.
+ */
+class ReferenceStore
+{
+  public:
+    using Page = std::array<std::uint8_t, kSmallPageSize>;
+
+    void
+    write(VirtAddr va, const std::uint8_t *data, std::size_t len,
+          CopySlot slot)
+    {
+        Page &p = pages_[{smallPageNumber(va), slot}];  // zero if new
+        std::memcpy(p.data() + va % kSmallPageSize, data, len);
+    }
+
+    void
+    read(VirtAddr va, std::uint8_t *out, std::size_t len,
+         CopySlot slot) const
+    {
+        auto it = pages_.find({smallPageNumber(va), slot});
+        if (it == pages_.end())
+            std::memset(out, 0, len);
+        else
+            std::memcpy(out, it->second.data() + va % kSmallPageSize, len);
+    }
+
+    void zeroPage(VirtAddr va, CopySlot slot)
+    {
+        pages_[{smallPageNumber(va), slot}].fill(0);
+    }
+
+    void
+    copyPage(VirtAddr va, CopySlot from, CopySlot to)
+    {
+        Page src{};
+        read(va - va % kSmallPageSize, src.data(), src.size(), from);
+        pages_[{smallPageNumber(va), to}] = src;
+    }
+
+    void dropPage(VirtAddr va, CopySlot slot)
+    {
+        pages_.erase({smallPageNumber(va), slot});
+    }
+
+    bool hasPage(VirtAddr va, CopySlot slot) const
+    {
+        return pages_.count({smallPageNumber(va), slot}) != 0;
+    }
+
+    std::size_t materializedPages() const { return pages_.size(); }
+
+  private:
+    std::map<std::pair<std::uint64_t, CopySlot>, Page> pages_;
+};
+
+TEST(BackingStore, MatchesDeepCopyReferenceOnRandomOps)
+{
+    // Pages in three 2 MB blocks, so same-index pages of different
+    // blocks are exercised too.
+    const std::uint64_t page_nos[] = {0, 1, 2, 511, 512, 513, 1024, 1537};
+    const CopySlot slots[] = {CopySlot::kHost, CopySlot::kDevice};
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        sim::Rng rng(seed);
+        BackingStore bs(true);
+        ReferenceStore ref;
+        std::vector<std::uint8_t> buf(kSmallPageSize), want(kSmallPageSize);
+        for (int op = 0; op < 10'000; ++op) {
+            VirtAddr page_va = page_nos[rng.below(8)] * kSmallPageSize;
+            CopySlot slot = slots[rng.below(2)];
+            std::size_t off = rng.below(kSmallPageSize);
+            std::size_t len = 1 + rng.below(kSmallPageSize - off);
+            VirtAddr va = page_va + off;
+            switch (rng.below(5)) {
+              case 0:
+                for (std::size_t i = 0; i < len; ++i)
+                    buf[i] = static_cast<std::uint8_t>(rng.next());
+                bs.write(va, buf.data(), len, slot);
+                ref.write(va, buf.data(), len, slot);
+                break;
+              case 1:
+                bs.read(va, buf.data(), len, slot);
+                ref.read(va, want.data(), len, slot);
+                ASSERT_EQ(0, std::memcmp(buf.data(), want.data(), len))
+                    << "op " << op;
+                break;
+              case 2:
+                bs.zeroPage(va, slot);
+                ref.zeroPage(va, slot);
+                break;
+              case 3: {
+                CopySlot to = slots[rng.below(2)];
+                bs.copyPage(va, slot, to);
+                ref.copyPage(va, slot, to);
+                break;
+              }
+              default:
+                bs.dropPage(va, slot);
+                ref.dropPage(va, slot);
+                break;
+            }
+            ASSERT_EQ(bs.materializedPages(), ref.materializedPages())
+                << "op " << op;
+            for (std::uint64_t pn : page_nos) {
+                for (CopySlot s : slots) {
+                    ASSERT_EQ(bs.hasPage(pn * kSmallPageSize, s),
+                              ref.hasPage(pn * kSmallPageSize, s))
+                        << "op " << op << " page " << pn;
+                }
+            }
+        }
+        for (std::uint64_t pn : page_nos) {
+            for (CopySlot s : slots) {
+                bs.read(pn * kSmallPageSize, buf.data(), buf.size(), s);
+                ref.read(pn * kSmallPageSize, want.data(), want.size(), s);
+                EXPECT_EQ(buf, want) << "page " << pn;
+            }
+        }
+    }
 }
 
 TEST(ZeroEngine, CostScalesWithSize)
