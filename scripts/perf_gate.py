@@ -11,11 +11,13 @@ Gate semantics (docs/performance.md, "Regression gate"):
     and is only compared when both files were produced in the same
     mode (`--quick` vs full) — wall times of different modes are not
     comparable.
-  - Allocation counts (names starting with `allocs_per_`) are hard
-    counters, not timings: any increase over the baseline fails
-    regardless of tolerance (the zero-allocation steady state keeps
+  - Exact work counters — allocation counts (names starting with
+    `allocs_per_`) and `blocks_walked` — are deterministic counts,
+    not timings: any increase over the baseline fails regardless of
+    tolerance (the zero-allocation steady state keeps
     `allocs_per_iter` at 0; `allocs_per_script` catches a return to
-    deep-copied backing-store payloads).
+    deep-copied backing-store payloads; `blocks_walked` catches a
+    return to per-block walks for fully resident ranges).
   - Benches present in the baseline but missing from the current run
     fail (a silently-dropped bench is a coverage regression); new
     benches in the current run are ignored (they gate once
@@ -41,6 +43,10 @@ def load(path):
 
 def bench_map(doc):
     return {b["name"]: b for b in doc.get("benches", [])}
+
+
+def is_exact_counter(key):
+    return key.startswith("allocs_per_") or key == "blocks_walked"
 
 
 def is_quick(doc):
@@ -96,7 +102,7 @@ def main(argv):
             if not isinstance(bv, (int, float)) or \
                not isinstance(cv, (int, float)):
                 continue
-            if key.startswith("allocs_per_"):
+            if is_exact_counter(key):
                 compared += 1
                 if cv > bv:
                     regressions.append(

@@ -9,7 +9,9 @@
  *   - unused:    FIFO of leftover chunks that hold no live data and
  *                can be reclaimed without a transfer;
  *   - used:      pseudo-LRU of chunks actively backing va_blocks
- *                (touched to MRU on fault/prefetch);
+ *                (touched to MRU on fault/prefetch; a run of blocks
+ *                already adjacent in touch order moves as one
+ *                spliceToBack);
  *   - discarded: FIFO added by this work; chunks whose contents were
  *                discarded.  Kept in FIFO order to maximize the chance
  *                a re-access recovers the chunk before reclamation.
@@ -124,6 +126,33 @@ class IntrusiveList
     {
         remove(elem);
         pushBack(elem);
+    }
+
+    /**
+     * Move the segment [first, last] to the tail in O(1), keeping its
+     * internal order: the same list as moveToBack on each element of
+     * the segment from first to last.
+     * @pre first..last is a contiguous run on this list, first not
+     *      after last.
+     */
+    void
+    spliceToBack(T *first, T *last)
+    {
+        auto &fl = first->*LinkMember;
+        auto &ll = last->*LinkMember;
+        if (fl.on != kind_ || ll.on != kind_)
+            sim::panic("IntrusiveList: segment not on this queue");
+        if (last == tail_)
+            return;
+        if (fl.prev)
+            (fl.prev->*LinkMember).next = ll.next;
+        else
+            head_ = ll.next;
+        (ll.next->*LinkMember).prev = fl.prev;
+        (tail_->*LinkMember).next = first;
+        fl.prev = tail_;
+        ll.next = nullptr;
+        tail_ = last;
     }
 
   private:

@@ -20,16 +20,13 @@ DiscardAdvisor::attribute(const uvm::VaBlock &block, Fn &&fn)
     if (wasted == 0 && skipped == 0)
         return;
 
-    RangeStats &stats = ranges_[block.range_id];
+    RangeStats &stats = ranges_[block.range->id];
     stats.wasted += wasted;
     stats.skipped += skipped;
     if (wasted > 0)
         ++stats.dead_cycles;
-    if (stats.name.empty()) {
-        uvm::VaRange *range = driver_.vaSpace().rangeOf(block.base);
-        stats.name = range ? range->name
-                           : "range#" + std::to_string(block.range_id);
-    }
+    if (stats.name.empty())
+        stats.name = block.range->name;
 }
 
 void

@@ -1,5 +1,8 @@
 #include "trace/auditor.hpp"
 
+#include <algorithm>
+#include <bit>
+
 namespace uvmd::trace {
 
 using interconnect::Direction;
@@ -7,7 +10,7 @@ using interconnect::Direction;
 Auditor::BlockAudit &
 Auditor::auditOf(const uvm::VaBlock &block)
 {
-    return blocks_[block.base / mem::kBigPageSize];
+    return blocks_[block.blockIndex()];
 }
 
 void
@@ -47,6 +50,10 @@ Auditor::onTransfer(const uvm::VaBlock &block,
     BlockAudit &audit = auditOf(block);
     (dir == Direction::kHostToDevice ? audit.h2d : audit.d2h).add(pages);
     open_bytes_ += pages.count() * mem::kSmallPageSize;
+    std::uint64_t key = block.blockIndex();
+    if (key / 64 >= open_.size())
+        open_.resize(key / 64 + 1, 0);
+    open_[key / 64] |= std::uint64_t{1} << key % 64;
 }
 
 void
@@ -65,10 +72,13 @@ void
 Auditor::close(const uvm::VaBlock &block, const uvm::PageMask &pages,
                bool required)
 {
-    auto it = blocks_.find(block.base / mem::kBigPageSize);
-    if (it == blocks_.end())
+    std::uint64_t key = block.blockIndex();
+    if (!isOpen(key))
         return;
-    closeAudit(it->second, pages, required);
+    BlockAudit &audit = blocks_.find(key)->second;
+    closeAudit(audit, pages, required);
+    if (audit.h2d.empty() && audit.d2h.empty())
+        open_[key / 64] &= ~(std::uint64_t{1} << key % 64);
 }
 
 void
@@ -103,6 +113,34 @@ Auditor::onAccess(const uvm::VaBlock &block, const uvm::PageMask &pages,
 }
 
 void
+Auditor::onAccessRun(uvm::VaBlock *const *blocks, std::size_t n,
+                     bool is_read, bool is_write,
+                     uvm::ProcessorId /*where*/)
+{
+    // onAccess over each block's valid pages, visiting only the
+    // blocks whose open bit is set: the run's blocks have consecutive
+    // indices, so a word of the bitmap covers 64 of them.
+    if ((!is_read && !is_write) || n == 0)
+        return;
+    std::uint64_t first = blocks[0]->blockIndex();
+    std::uint64_t end = std::min<std::uint64_t>(first + n,
+                                                open_.size() * 64);
+    for (std::uint64_t k = first; k < end;) {
+        std::uint64_t word = open_[k / 64] >> k % 64;
+        if (word == 0) {
+            k = (k / 64 + 1) * 64;
+            continue;
+        }
+        k += std::countr_zero(word);
+        if (k >= end)
+            break;
+        const uvm::VaBlock &block = *blocks[k - first];
+        close(block, block.valid, /*required=*/is_read);
+        ++k;
+    }
+}
+
+void
 Auditor::onDiscard(const uvm::VaBlock &block, const uvm::PageMask &pages)
 {
     close(block, pages, /*required=*/false);
@@ -129,6 +167,7 @@ Auditor::finalize()
     all.set();
     for (auto &kv : blocks_)
         closeAudit(kv.second, all, /*required=*/false);
+    std::fill(open_.begin(), open_.end(), 0);
 }
 
 }  // namespace uvmd::trace

@@ -26,7 +26,9 @@
  * and back on nearly every pass), so each block counts open transfers
  * per page and direction, in bit-sliced PageMask planes: opening and
  * closing cost a few whole-mask operations per plane, never a loop
- * over pages.
+ * over pages.  A dense bit per block records whether it has any open
+ * transfer at all, so the common access to a block with nothing open
+ * costs one bit test, not a hash lookup.
  */
 
 #ifndef UVMD_TRACE_AUDITOR_HPP
@@ -34,6 +36,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/arena.hpp"
 #include "sim/stats.hpp"
@@ -55,6 +58,9 @@ class Auditor : public uvm::TransferObserver
     void onAccess(const uvm::VaBlock &block, const uvm::PageMask &pages,
                   bool is_read, bool is_write,
                   uvm::ProcessorId where) override;
+    void onAccessRun(uvm::VaBlock *const *blocks, std::size_t n,
+                     bool is_read, bool is_write,
+                     uvm::ProcessorId where) override;
     void onDiscard(const uvm::VaBlock &block,
                    const uvm::PageMask &pages) override;
     void onFree(const uvm::VaBlock &block,
@@ -119,6 +125,8 @@ class Auditor : public uvm::TransferObserver
         /** Sum of the counts of @p pages; resets those counts to 0. */
         std::uint64_t take(const uvm::PageMask &pages);
 
+        bool empty() const { return planes_.empty(); }
+
       private:
         sim::SmallVec<uvm::PageMask, 1> planes_;
     };
@@ -137,7 +145,18 @@ class Auditor : public uvm::TransferObserver
     void closeAudit(BlockAudit &audit, const uvm::PageMask &pages,
                     bool required);
 
+    /** Is the open bit of the block with index @p key set? */
+    bool
+    isOpen(std::uint64_t key) const
+    {
+        return key / 64 < open_.size() && (open_[key / 64] >> key % 64) & 1;
+    }
+
+    /** Keyed by VaBlock::blockIndex(). */
     std::unordered_map<std::uint64_t, BlockAudit> blocks_;
+    /** Bit blockIndex() set iff that block's BlockAudit has an open
+     *  transfer. */
+    std::vector<std::uint64_t> open_;
     sim::Bytes required_h2d_ = 0;
     sim::Bytes required_d2h_ = 0;
     sim::Bytes redundant_h2d_ = 0;

@@ -34,10 +34,26 @@ UvmDriver::gpuAccess(GpuId id, const std::vector<Access> &accesses,
     TransferEngine::BatchScope batch(*xfer_);
     std::uint32_t batch_fill = 0;
     for (const Access &a : accesses) {
-        va_space_.forEachBlock(
-            a.addr, a.size, [&](VaBlock &b, const PageMask &m) {
-                t = gpuTouchBlock(b, m, a.kind, id, t, &batch_fill);
-            });
+        VaRange *range = wholeRange(a.addr, a.size);
+        if (range && range->resident_on == id) {
+            // Every block would take the TLB-hit path below, which
+            // charges no time: one MRU splice and one run event do
+            // the same work.
+            gpu(id).queues.usedQueue().spliceToBack(
+                range->blocks.front(), range->blocks.back());
+            if (observer_)
+                observer_->onAccessRun(range->blocks.data(),
+                                       range->blocks.size(),
+                                       reads(a.kind), writes(a.kind),
+                                       ProcessorId::gpu(id));
+            continue;
+        }
+        SummaryWalk walk(*this, range, id);
+        walkBlocks(a.addr, a.size, [&](VaBlock &b, const PageMask &m) {
+            t = gpuTouchBlock(b, m, a.kind, id, t, &batch_fill);
+            walk.check(b);
+        });
+        walk.finish();
     }
     return t;
 }
@@ -48,7 +64,6 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
                          std::uint32_t *batch_fill)
 {
     sim::SimTime t = start;
-    GpuState &g = gpu(id);
 
     PageMask resident_here =
         (block.has_gpu_chunk && block.owner_gpu == id)
@@ -81,8 +96,7 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
             // The hardware cannot report this write, so the driver's
             // discard state intentionally stays as-is.
         }
-        if (block.link.on == mem::QueueKind::kUsed)
-            g.queues.touchUsed(&block);
+        touchUsed(block);
         notifyAccess(block, m, kind, ProcessorId::gpu(id));
         return t;
     }
@@ -150,8 +164,7 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
 
     t = mapOnGpu(block, m, id, t, /*big_ok=*/m == block.valid);
     requeueAfterDiscardStateChange(block);
-    if (block.link.on == mem::QueueKind::kUsed)
-        g.queues.touchUsed(&block);
+    touchUsed(block);
     notifyAccess(block, m, kind, ProcessorId::gpu(id));
     return t;
 }
@@ -164,8 +177,7 @@ UvmDriver::hostAccess(mem::VirtAddr addr, sim::Bytes size,
     // A host access walk is one transfer batch (write-backs of
     // adjacent GPU-resident blocks may coalesce).
     TransferEngine::BatchScope batch(*xfer_);
-    va_space_.forEachBlock(addr, size, [&](VaBlock &b,
-                                           const PageMask &m) {
+    walkBlocks(addr, size, [&](VaBlock &b, const PageMask &m) {
         PageMask on_gpu = m & b.resident_gpu;
         if (on_gpu.any())
             t = migrateToCpu(b, on_gpu, TransferCause::kCpuFault, t);

@@ -26,8 +26,7 @@ UvmDriver::memAdvise(mem::VirtAddr addr, sim::Bytes size,
     std::uint8_t bit = static_cast<std::uint8_t>(1u << id);
     cnt_.mem_advise_calls.inc();
 
-    va_space_.forEachBlock(addr, size, [&](VaBlock &b,
-                                           const PageMask &m) {
+    walkBlocks(addr, size, [&](VaBlock &b, const PageMask &m) {
         (void)m;  // hints apply at block granularity
         switch (advice) {
           case MemAdvise::kSetAccessedBy:

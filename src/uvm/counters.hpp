@@ -82,7 +82,8 @@ struct DriverCounters {
               g.internCounter("access_counter_migrations")),
           remote_mappings(g.internCounter("remote_mappings")),
           remote_read_bytes(g.internCounter("remote_read_bytes")),
-          remote_write_bytes(g.internCounter("remote_write_bytes"))
+          remote_write_bytes(g.internCounter("remote_write_bytes")),
+          blocks_walked(g.internCounter("blocks_walked"))
     {}
 
     sim::Counter &managed_allocs;
@@ -119,6 +120,10 @@ struct DriverCounters {
     sim::Counter &remote_mappings;
     sim::Counter &remote_read_bytes;
     sim::Counter &remote_write_bytes;
+    /** Blocks visited by the driver's per-block walks (access,
+     *  prefetch, discard, host access, advise); whole-range fast
+     *  paths add 0.  An exact count of host work. */
+    sim::Counter &blocks_walked;
 };
 
 /**

@@ -27,8 +27,7 @@ UvmDriver::discard(mem::VirtAddr addr, sim::Bytes size,
                                  : cnt_.discard_calls_lazy)
         .inc();
     sim::SimTime t = start;
-    va_space_.forEachBlock(addr, size, [&](VaBlock &b,
-                                           const PageMask &m) {
+    walkBlocks(addr, size, [&](VaBlock &b, const PageMask &m) {
         bool full = m == b.valid;
         if (!full && !cfg_.partial_discard_splits &&
             b.gpu_mapping_big) {

@@ -427,6 +427,20 @@ UvmDriver::collectInvariantViolations()
           case mem::QueueKind::kNone:
             break;
         }
+        if (const VaRange *r = b.range; r->resident_on != kNoGpu) {
+            std::size_t i = (b.base - r->base) / mem::kBigPageSize;
+            const VaBlock *next =
+                i + 1 < r->blocks.size() ? r->blocks[i + 1] : nullptr;
+            PageMask off = b.valid & ~(b.resident_gpu & b.mapped_gpu);
+            if (!b.has_gpu_chunk || b.owner_gpu != r->resident_on ||
+                off.any() || b.discarded.any() ||
+                b.link.on != mem::QueueKind::kUsed ||
+                (next && b.link.next != next))
+                add("range-summary-stale", &b, count(off | b.discarded),
+                    "range '" + r->name + "' claims gpu" +
+                        std::to_string(r->resident_on) +
+                        " residency the block does not have");
+        }
     });
     for (std::size_t i = 0; i < gpus_.size(); ++i) {
         const mem::ChunkAllocator &alloc = gpus_[i]->allocator;
@@ -466,6 +480,7 @@ UvmDriver::checkInvariants()
 void
 UvmDriver::markDiscarded(VaBlock &block, const PageMask &mask)
 {
+    dropSummary(block);
     PageMask delta = mask & ~block.discarded;
     block.discarded |= mask;
     if (observer_ && delta.any())
@@ -487,6 +502,7 @@ UvmDriver::setQueue(VaBlock &block, mem::QueueKind kind)
     mem::QueueKind from = block.link.on;
     if (from == kind)
         return;
+    dropSummary(block);
     Queues &q = gpu(block.owner_gpu).queues;
     if (kind == mem::QueueKind::kNone)
         q.unlink(&block);
@@ -494,6 +510,21 @@ UvmDriver::setQueue(VaBlock &block, mem::QueueKind kind)
         q.placeOn(&block, kind);
     if (observer_)
         observer_->onQueueMove(block, from, kind);
+}
+
+VaRange *
+UvmDriver::wholeRange(mem::VirtAddr addr, sim::Bytes size)
+{
+    VaRange *range = va_space_.rangeOf(addr);
+    return range && range->base == addr && range->size == size ? range
+                                                               : nullptr;
+}
+
+void
+UvmDriver::SummaryWalk::finish()
+{
+    if (range_ && last_ == range_->blocks.back())
+        range_->resident_on = gpu_;
 }
 
 }  // namespace uvmd::uvm

@@ -478,6 +478,94 @@ class UvmDriver
      *  position on re-discard.  Reports actual moves. */
     void setQueue(VaBlock &block, mem::QueueKind kind);
 
+    /** va_space_.forEachBlock, counted in blocks_walked. */
+    void
+    walkBlocks(mem::VirtAddr addr, sim::Bytes size,
+               sim::FunctionRef<void(VaBlock &, const PageMask &)> fn)
+    {
+        cnt_.blocks_walked.inc(va_space_.forEachBlock(addr, size, fn));
+    }
+
+    /** Touch @p block to the MRU end of its used queue, if it is on
+     *  it (per-block walks; drops the range summary). */
+    void
+    touchUsed(VaBlock &block)
+    {
+        if (block.link.on != mem::QueueKind::kUsed)
+            return;
+        gpus_[block.owner_gpu]->queues.touchUsed(&block);
+        dropSummary(block);
+    }
+
+    // ---- whole-range summary (VaRange::resident_on) ----
+
+    /** The range that [addr, addr+size) covers exactly, or nullptr. */
+    VaRange *wholeRange(mem::VirtAddr addr, sim::Bytes size);
+
+    /** Clear the summary of @p block's range.  setQueue (actual
+     *  moves), markDiscarded, unmapFromGpu and touchUsed call this;
+     *  GPU residency is never lost without one of them, because a
+     *  summarised block is fully mapped and migrations unmap first. */
+    void
+    dropSummary(VaBlock &block)
+    {
+        block.range->resident_on = kNoGpu;
+        SummaryWalk *walk = summary_walk_;
+        if (walk && walk->range_ == block.range && walk->last_ &&
+            block.base <= walk->last_->base)
+            walk->range_ = nullptr;
+    }
+
+    /**
+     * A walk over a whole range that may set its summary.  check()
+     * runs on each block right after its touch, while it is still in
+     * cache; finish() sets resident_on when every block qualified and
+     * none of the checked blocks changed later in the walk (e.g. was
+     * evicted to make room for a later one), which dropSummary()
+     * reports by clearing `range_`.  No second pass over the blocks.
+     */
+    class SummaryWalk
+    {
+      public:
+        /** @param range nullptr for a partial span (nothing to set). */
+        SummaryWalk(UvmDriver &drv, VaRange *range, GpuId gpu)
+            : drv_(drv), range_(range), gpu_(gpu)
+        {
+            drv_.summary_walk_ = this;
+        }
+        ~SummaryWalk() { drv_.summary_walk_ = nullptr; }
+        SummaryWalk(const SummaryWalk &) = delete;
+        SummaryWalk &operator=(const SummaryWalk &) = delete;
+
+        void
+        check(const VaBlock &b)
+        {
+            if (!range_)
+                return;
+            mem::VirtAddr want =
+                last_ ? last_->base + mem::kBigPageSize : range_->base;
+            bool ok = b.base == want && b.has_gpu_chunk &&
+                      b.owner_gpu == gpu_ && b.resident_gpu == b.valid &&
+                      b.mapped_gpu == b.valid && b.discarded.none() &&
+                      b.link.on == mem::QueueKind::kUsed &&
+                      (!last_ || b.link.prev == last_);
+            if (ok)
+                last_ = &b;
+            else
+                range_ = nullptr;
+        }
+
+        void finish();
+
+      private:
+        friend class UvmDriver;
+        UvmDriver &drv_;
+        VaRange *range_;
+        GpuId gpu_;
+        /** Last block that qualified (the walk is in address order). */
+        const VaBlock *last_ = nullptr;
+    };
+
     /** Report one iteration of a retry loop to the progress sink. */
     void reportProgress(const char *phase, sim::SimTime now)
     {
@@ -499,6 +587,7 @@ class UvmDriver
     sim::ProgressSink *progress_sink_ = nullptr;
     std::uint64_t invariant_violations_ = 0;
     std::unique_ptr<TransferEngine> xfer_;
+    SummaryWalk *summary_walk_ = nullptr;
 };
 
 }  // namespace uvmd::uvm

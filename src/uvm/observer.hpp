@@ -64,6 +64,20 @@ class TransferObserver
                           bool is_read, bool is_write,
                           ProcessorId where) = 0;
 
+    /** A whole-range access of @p n blocks — one range's blocks,
+     *  adjacent and in address order — all of whose valid pages were
+     *  already resident and mapped at @p where.  The default reports
+     *  each block through onAccess, in order, so an observer sees
+     *  exactly what the per-block walk would report. */
+    virtual void
+    onAccessRun(VaBlock *const *blocks, std::size_t n, bool is_read,
+                bool is_write, ProcessorId where)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            onAccess(*blocks[i], blocks[i]->valid, is_read, is_write,
+                     where);
+    }
+
     /** Pages discarded by either directive. */
     virtual void onDiscard(const VaBlock &block,
                            const PageMask &pages) = 0;
@@ -196,6 +210,18 @@ class ObserverMux : public TransferObserver
         }
         for (auto *o : observers_)
             o->onAccess(block, pages, is_read, is_write, where);
+    }
+
+    void
+    onAccessRun(VaBlock *const *blocks, std::size_t n, bool is_read,
+                bool is_write, ProcessorId where) override
+    {
+        if (single_) {
+            single_->onAccessRun(blocks, n, is_read, is_write, where);
+            return;
+        }
+        for (auto *o : observers_)
+            o->onAccessRun(blocks, n, is_read, is_write, where);
     }
 
     void

@@ -42,6 +42,7 @@ UvmDriver::unmapFromGpu(VaBlock &block, const PageMask &pages,
     PageMask to_unmap = pages & block.mapped_gpu;
     if (to_unmap.none())
         return start;
+    dropSummary(block);
     block.mapped_gpu &= ~to_unmap;
     if (block.gpu_mapping_big && block.mapped_gpu.any()) {
         // Partial unmap of a big mapping splits it into 4 KB PTEs.

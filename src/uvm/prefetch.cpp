@@ -27,12 +27,25 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
     sim::SimTime t = maybeInjectChunkFault(start);
     cnt_.prefetch_calls.inc();
 
+    VaRange *range = dst.isGpu() ? wholeRange(addr, size) : nullptr;
+    if (range && range->resident_on == dst.gpuIndex()) {
+        // Every block would be a pure recency touch (below): charge
+        // them all and move the whole run to the MRU end at once.
+        std::size_t n = range->blocks.size();
+        t += static_cast<sim::SimDuration>(n) * cfg_.recency_touch_cost;
+        cnt_.prefetch_recency_only.inc(n);
+        gpu(range->resident_on)
+            .queues.usedQueue()
+            .spliceToBack(range->blocks.front(), range->blocks.back());
+        return t;
+    }
+
     // One prefetch call is one transfer batch: runs spanning adjacent
     // blocks may coalesce into single DMA descriptors.
     TransferEngine::BatchScope batch(*xfer_);
+    SummaryWalk walk(*this, range, dst.gpuIndex());
 
-    va_space_.forEachBlock(addr, size, [&](VaBlock &b,
-                                           const PageMask &m) {
+    walkBlocks(addr, size, [&](VaBlock &b, const PageMask &m) {
         if (dst.isGpu()) {
             GpuId id = dst.gpuIndex();
             PageMask on_gpu =
@@ -99,8 +112,8 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
             }
 
             requeueAfterDiscardStateChange(b);
-            if (b.link.on == mem::QueueKind::kUsed)
-                gpu(id).queues.touchUsed(&b);
+            touchUsed(b);
+            walk.check(b);
         } else {
             // Prefetch to the CPU.
             PageMask on_gpu = m & b.resident_gpu;
@@ -126,6 +139,7 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
             requeueAfterDiscardStateChange(b);
         }
     });
+    walk.finish();
     return t;
 }
 

@@ -24,6 +24,8 @@
 
 namespace uvmd::uvm {
 
+struct VaRange;
+
 /** Per-block bitmap with one bit per 4 KB page. */
 using PageMask = std::bitset<mem::kPagesPerBlock>;
 
@@ -46,8 +48,8 @@ struct VaBlock {
     /** Block base virtual address (2 MB aligned). */
     mem::VirtAddr base = 0;
 
-    /** Owning managed range (for bookkeeping/debug). */
-    std::uint32_t range_id = 0;
+    /** Owning managed range (set by VaSpace; outlives the block). */
+    VaRange *range = nullptr;
 
     /** Pages of this block actually covered by the owning range
      *  (ranges need not be multiples of 2 MB). */

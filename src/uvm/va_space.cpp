@@ -15,7 +15,9 @@ VaSpace::createRange(sim::Bytes size, std::string name)
     sim::Bytes span = mem::alignUp(size, mem::kBigPageSize);
     next_base_ += span + mem::kBigPageSize;  // guard block between ranges
 
-    VaRange range{id, base, size, std::move(name), {}};
+    VaRange &range =
+        ranges_.emplace(id, VaRange{id, base, size, std::move(name), {}})
+            .first->second;
     std::size_t nblocks = span / mem::kBigPageSize;
     range.blocks.reserve(nblocks);
     // Keys are monotonic (bump allocator), so the dense index only
@@ -27,66 +29,59 @@ VaSpace::createRange(sim::Bytes size, std::string name)
     for (std::size_t i = 0; i < nblocks; ++i) {
         VaBlock *block = arena_.create();
         block->base = base + i * mem::kBigPageSize;
-        block->range_id = id;
+        block->range = &range;
         block->valid = maskForRange(block->base, base, size);
         block_index_[block->base / mem::kBigPageSize - kFirstKey] =
             block;
         range.blocks.push_back(block);
     }
     live_blocks_ += nblocks;
-    range_by_base_.emplace(base, id);
-    ranges_.emplace(id, std::move(range));
     return base;
 }
 
 void
 VaSpace::destroyRange(mem::VirtAddr base)
 {
-    auto bit = range_by_base_.find(base);
-    if (bit == range_by_base_.end())
+    VaRange *range = rangeOf(base);
+    if (!range || range->base != base)
         sim::fatal("VaSpace::destroyRange: unknown base address");
-    auto rit = ranges_.find(bit->second);
-    for (VaBlock *block : rit->second.blocks) {
+    for (VaBlock *block : range->blocks) {
         block_index_[block->base / mem::kBigPageSize - kFirstKey] =
             nullptr;
         arena_.destroy(block);
     }
-    live_blocks_ -= rit->second.blocks.size();
+    live_blocks_ -= range->blocks.size();
     cached_block_ = nullptr;
-    ranges_.erase(rit);
-    range_by_base_.erase(bit);
+    ranges_.erase(range->id);
 }
 
-VaRange *
-VaSpace::rangeOf(mem::VirtAddr addr)
-{
-    VaBlock *block = blockOf(addr);
-    if (!block)
-        return nullptr;
-    auto it = ranges_.find(block->range_id);
-    return it == ranges_.end() ? nullptr : &it->second;
-}
-
-void
+std::size_t
 VaSpace::forEachBlock(mem::VirtAddr addr, sim::Bytes size,
                       sim::FunctionRef<void(VaBlock &,
                                             const PageMask &)> fn)
 {
     if (size == 0)
-        return;
+        return 0;
     mem::VirtAddr cur = mem::alignDown(addr, mem::kBigPageSize);
     mem::VirtAddr end = addr + size;
-    for (; cur < end; cur += mem::kBigPageSize) {
+    std::size_t visited = 0;
+    for (; cur < end; cur += mem::kBigPageSize, ++visited) {
         VaBlock *block = blockOf(cur);
         if (!block) {
             sim::fatal("VaSpace::forEachBlock: address 0x" +
                        std::to_string(cur) + " is not managed");
+        }
+        // Only the first and last blocks can be cut by the span.
+        if (cur >= addr && cur + mem::kBigPageSize <= end) {
+            fn(*block, block->valid);
+            continue;
         }
         PageMask mask = maskForRange(block->base, addr, size) &
                         block->valid;
         if (mask.any())
             fn(*block, mask);
     }
+    return visited;
 }
 
 void

@@ -19,7 +19,6 @@
 
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/arena.hpp"
@@ -28,13 +27,25 @@
 
 namespace uvmd::uvm {
 
+/** No GPU: the value of VaRange::resident_on while no summary holds. */
+inline constexpr GpuId kNoGpu = -1;
+
 struct VaRange {
     std::uint32_t id;
     mem::VirtAddr base;
     sim::Bytes size;
     std::string name;
-    /** Arena-owned; destroyed with the range. */
+    /** Arena-owned, in address order; destroyed with the range. */
     std::vector<VaBlock *> blocks;
+
+    /**
+     * Whole-range summary, owned by the driver.  When not kNoGpu,
+     * every valid page of every block is resident and mapped on that
+     * GPU, no page is discarded, and the blocks sit next to each
+     * other, in address order, on that GPU's used queue — so a
+     * whole-range touch is one splice, not one walk step per block.
+     */
+    GpuId resident_on = kNoGpu;
 };
 
 class VaSpace
@@ -53,7 +64,12 @@ class VaSpace
     void destroyRange(mem::VirtAddr base);
 
     /** Range containing @p addr, or nullptr. */
-    VaRange *rangeOf(mem::VirtAddr addr);
+    VaRange *
+    rangeOf(mem::VirtAddr addr)
+    {
+        VaBlock *block = blockOf(addr);
+        return block ? block->range : nullptr;
+    }
 
     /** Block containing @p addr, or nullptr if unmanaged. */
     VaBlock *
@@ -81,16 +97,19 @@ class VaSpace
     /**
      * Invoke @p fn for every block overlapping [addr, addr+size),
      * in address order, with the per-block page mask restricted to
-     * the intersection of the span and the block's valid pages.
+     * the intersection of the span and the block's valid pages
+     * (interior blocks get `valid` itself).
      * @pre the whole span lies within managed ranges.
+     * @return the number of blocks visited.
      *
      * Takes a FunctionRef (not std::function): this runs under every
      * driver operation, and the non-owning view avoids a wrapper
      * construction per call.
      */
-    void forEachBlock(mem::VirtAddr addr, sim::Bytes size,
-                      sim::FunctionRef<void(VaBlock &,
-                                            const PageMask &)> fn);
+    std::size_t forEachBlock(mem::VirtAddr addr, sim::Bytes size,
+                             sim::FunctionRef<void(VaBlock &,
+                                                   const PageMask &)>
+                                 fn);
 
     /** Invoke @p fn for every block of every range (invariant checks,
      *  whole-space statistics, eviction-candidate scans), in
@@ -113,8 +132,8 @@ class VaSpace
     // allocator never reuses addresses) ascending base address:
     // forEachBlockAll must be deterministic for eviction scans and
     // invariant dumps.
+    // std::map nodes are stable, so VaBlock::range stays valid.
     std::map<std::uint32_t, VaRange> ranges_;
-    std::unordered_map<mem::VirtAddr, std::uint32_t> range_by_base_;
     /** Dense block index: slot i covers the 2 MB page at key
      *  kFirstKey + i.  Grows with the bump allocator's high-water
      *  mark; holes are nullptr. */

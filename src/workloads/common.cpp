@@ -39,6 +39,7 @@ harvest(RunResult &result, cuda::Runtime &rt, trace::Auditor &auditor)
     result.transfer_retries = drv.counters().get("transfer_retries");
     result.pages_retired = drv.counters().get("pages_retired");
     result.oom_fallbacks = drv.counters().get("oom_fallbacks");
+    result.blocks_walked = drv.counters().get("blocks_walked");
 }
 
 }  // namespace uvmd::workloads

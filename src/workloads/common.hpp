@@ -143,6 +143,9 @@ struct RunResult {
     std::uint64_t pages_retired = 0;
     std::uint64_t oom_fallbacks = 0;
 
+    /** Blocks visited by the driver's per-block walks (host work). */
+    std::uint64_t blocks_walked = 0;
+
     sim::Bytes
     trafficTotal() const
     {

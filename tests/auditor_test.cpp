@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 #include "sim/logging.hpp"
 #include "test_util.hpp"
@@ -151,6 +152,54 @@ TEST_F(AuditorUnitTest, FinalizeClosesLeftoversAsRedundant)
     auditor_.finalize();
     EXPECT_EQ(auditor_.openBytes(), 0u);
     EXPECT_EQ(auditor_.redundantH2d(), kBigPageSize);
+}
+
+// The run hook must classify exactly as one onAccess per block, over
+// runs that start and end mid-word of the open-block bitmap and leave
+// whole words empty.
+TEST(AuditorRunTest, AccessRunMatchesPerBlockAccesses)
+{
+    std::vector<VaBlock> blocks(200);
+    std::vector<VaBlock *> run;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        blocks[i].base = (60 + i) * kBigPageSize;
+        blocks[i].valid = fullMask();
+        run.push_back(&blocks[i]);
+    }
+    blocks.back().valid = uvm::makeMask(0, 9);
+    for (bool is_read : {true, false}) {
+        Auditor per_block, whole;
+        for (std::size_t i : {0u, 3u, 4u, 67u, 68u, 131u, 199u}) {
+            for (Auditor *a : {&per_block, &whole}) {
+                a->onTransfer(blocks[i], fullMask(),
+                              Direction::kHostToDevice,
+                              TransferCause::kPrefetch);
+                a->onTransfer(blocks[i], uvm::makeMask(0, 3),
+                              Direction::kDeviceToHost,
+                              TransferCause::kEviction);
+            }
+        }
+        // A run that starts and ends inside the transferred blocks.
+        for (std::size_t i = 3; i < 132; ++i)
+            per_block.onAccess(blocks[i], blocks[i].valid, is_read,
+                               !is_read, ProcessorId::gpu(0));
+        whole.onAccessRun(run.data() + 3, 129, is_read, !is_read,
+                          ProcessorId::gpu(0));
+        EXPECT_EQ(whole.requiredTotal(), per_block.requiredTotal());
+        EXPECT_EQ(whole.redundantTotal(), per_block.redundantTotal());
+        EXPECT_EQ(whole.openBytes(), per_block.openBytes());
+        EXPECT_GT(whole.openBytes(), 0u);
+        // Then all 200: blocks 0 and 199 close too (199 only over
+        // its ten valid pages).
+        whole.onAccessRun(run.data(), run.size(), is_read, !is_read,
+                          ProcessorId::gpu(0));
+        for (VaBlock *b : run)
+            per_block.onAccess(*b, b->valid, is_read, !is_read,
+                               ProcessorId::gpu(0));
+        EXPECT_EQ(whole.requiredTotal(), per_block.requiredTotal());
+        EXPECT_EQ(whole.redundantTotal(), per_block.redundantTotal());
+        EXPECT_EQ(whole.openBytes(), per_block.openBytes());
+    }
 }
 
 TEST_F(AuditorUnitTest, SkippedTransfersAreCountedSeparately)

@@ -1,0 +1,390 @@
+/**
+ * @file
+ * The whole-range hit path: VaRange::resident_on and the O(1) used-
+ * queue splice that replaces a per-block recency walk.
+ *
+ *  - IntrusiveList::spliceToBack equals n moveToBack calls over the
+ *    same segment, at the head, at the tail, over the whole list and
+ *    on a single element.
+ *  - The summary is set by a whole-range walk, served by the fast
+ *    paths, dropped by a sub-range touch, and a stale one is flagged
+ *    by the range-summary-stale invariant.
+ *  - Differential order test: one driver receives whole-range
+ *    accesses, prefetches and discards (and so takes the fast paths);
+ *    a second receives the same operations split per block, which
+ *    never can.  Partial-range operations go to both.  After every
+ *    operation the three page queues must list the same blocks in
+ *    the same order, and every block must have the same residency,
+ *    mapping and discard masks.  A summary left stale by a missing
+ *    clear splices the wrong segment and shows up here as a
+ *    reordered used queue.
+ */
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "mem/page_queues.hpp"
+#include "sim/random.hpp"
+#include "test_util.hpp"
+#include "uvm/driver.hpp"
+
+namespace uvmd::uvm {
+namespace {
+
+using mem::kBigPageSize;
+using mem::kSmallPageSize;
+
+// ------------------------------------------------------------------
+// spliceToBack
+// ------------------------------------------------------------------
+
+struct Node {
+    int id = 0;
+    mem::QueueLink<Node> link;
+};
+
+using NodeList = mem::IntrusiveList<Node, &Node::link>;
+
+std::vector<int>
+order(const NodeList &list)
+{
+    std::vector<int> out;
+    for (Node *n = list.front(); n; n = list.next(n))
+        out.push_back(n->id);
+    return out;
+}
+
+/** Backward walk: catches a broken prev chain the forward one hides. */
+std::vector<int>
+reverseOrder(const NodeList &list)
+{
+    std::vector<int> out;
+    for (Node *n = list.back(); n; n = n->link.prev)
+        out.push_back(n->id);
+    return out;
+}
+
+/** Splice [first, last] of a 6-element list and compare with moving
+ *  the same elements to the back one by one. */
+void
+expectSpliceMatchesMoves(int first, int last)
+{
+    constexpr int kN = 6;
+    Node a[kN], b[kN];
+    NodeList la(mem::QueueKind::kUsed), lb(mem::QueueKind::kUsed);
+    for (int i = 0; i < kN; ++i) {
+        a[i].id = b[i].id = i;
+        la.pushBack(&a[i]);
+        lb.pushBack(&b[i]);
+    }
+    la.spliceToBack(&a[first], &a[last]);
+    for (int i = first; i <= last; ++i)
+        lb.moveToBack(&b[i]);
+    EXPECT_EQ(order(la), order(lb)) << "segment " << first << ".."
+                                    << last;
+    EXPECT_EQ(reverseOrder(la), reverseOrder(lb));
+    EXPECT_EQ(la.size(), lb.size());
+    EXPECT_EQ(la.front()->id, lb.front()->id);
+    EXPECT_EQ(la.back()->id, lb.back()->id);
+}
+
+TEST(SpliceToBack, AtHeadMatchesMoves) { expectSpliceMatchesMoves(0, 2); }
+
+TEST(SpliceToBack, AtTailMatchesMoves) { expectSpliceMatchesMoves(3, 5); }
+
+TEST(SpliceToBack, WholeListMatchesMoves)
+{
+    expectSpliceMatchesMoves(0, 5);
+}
+
+TEST(SpliceToBack, SingleElementMatchesMoves)
+{
+    expectSpliceMatchesMoves(0, 0);
+    expectSpliceMatchesMoves(2, 2);
+    expectSpliceMatchesMoves(5, 5);
+}
+
+TEST(SpliceToBack, MiddleMatchesMoves) { expectSpliceMatchesMoves(1, 3); }
+
+// ------------------------------------------------------------------
+// The summary itself
+// ------------------------------------------------------------------
+
+class RangeSummaryTest : public ::testing::Test
+{
+  protected:
+    RangeSummaryTest() : drv_(test::tinyConfig(8), test::testLink()) {}
+
+    std::uint64_t walked() const
+    {
+        return drv_.counters().get("blocks_walked");
+    }
+
+    UvmDriver drv_;
+    sim::SimTime t_ = 0;
+};
+
+TEST_F(RangeSummaryTest, WholeRangeWalkSetsItAndFastPathsWalkNothing)
+{
+    sim::Bytes size = 3 * kBigPageSize + 5 * kSmallPageSize;
+    mem::VirtAddr a = drv_.allocManaged(size, "a");
+    VaRange *range = drv_.vaSpace().rangeOf(a);
+    EXPECT_EQ(range->resident_on, kNoGpu);
+
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    EXPECT_EQ(range->resident_on, 0);
+    EXPECT_EQ(walked(), 4u);
+
+    // Both fast paths: no block visited, the recency charge intact.
+    std::uint64_t recency = drv_.counters().get("prefetch_recency_only");
+    sim::SimTime before = t_;
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    EXPECT_EQ(t_ - before, 4 * drv_.config().recency_touch_cost);
+    EXPECT_EQ(drv_.counters().get("prefetch_recency_only"), recency + 4);
+    t_ = drv_.gpuAccess(0, {{a, size, AccessKind::kRead}}, t_);
+    EXPECT_EQ(walked(), 4u);
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+}
+
+TEST_F(RangeSummaryTest, SubRangeTouchDropsIt)
+{
+    sim::Bytes size = 3 * kBigPageSize;
+    mem::VirtAddr a = drv_.allocManaged(size, "a");
+    VaRange *range = drv_.vaSpace().rangeOf(a);
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    ASSERT_EQ(range->resident_on, 0);
+
+    // The middle block moves to the MRU end alone: the range is no
+    // longer one segment of the used queue.
+    t_ = drv_.gpuAccess(
+        0, {{a + kBigPageSize, kBigPageSize, AccessKind::kRead}}, t_);
+    EXPECT_EQ(range->resident_on, kNoGpu);
+
+    // The next whole-range walk restores both order and summary.
+    t_ = drv_.gpuAccess(0, {{a, size, AccessKind::kRead}}, t_);
+    EXPECT_EQ(range->resident_on, 0);
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+}
+
+TEST_F(RangeSummaryTest, DiscardAndPartialResidencyDropIt)
+{
+    sim::Bytes size = 2 * kBigPageSize;
+    mem::VirtAddr a = drv_.allocManaged(size, "a");
+    VaRange *range = drv_.vaSpace().rangeOf(a);
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    t_ = drv_.discard(a, size, DiscardMode::kLazy, t_);
+    EXPECT_EQ(range->resident_on, kNoGpu);
+
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    ASSERT_EQ(range->resident_on, 0);
+    t_ = drv_.hostAccess(a, kSmallPageSize, AccessKind::kRead, t_);
+    EXPECT_EQ(range->resident_on, kNoGpu);
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+}
+
+TEST_F(RangeSummaryTest, StaleSummaryIsAnInvariantViolation)
+{
+    mem::VirtAddr a = drv_.allocManaged(2 * kBigPageSize, "a");
+    drv_.vaSpace().rangeOf(a)->resident_on = 0;  // nothing is resident
+    std::vector<InvariantViolation> v = drv_.collectInvariantViolations();
+    ASSERT_EQ(v.size(), 2u);
+    EXPECT_EQ(v[0].code, "range-summary-stale");
+    EXPECT_EQ(v[0].pages, mem::kPagesPerBlock);
+}
+
+// ------------------------------------------------------------------
+// Differential order test
+// ------------------------------------------------------------------
+
+/** Everything the fast paths must leave exactly as the walk would. */
+void
+expectSameState(UvmDriver &whole, UvmDriver &split, int gpus,
+                const std::string &where)
+{
+    for (GpuId g = 0; g < gpus; ++g) {
+        auto bases = [](UvmDriver::Queues::List &q) {
+            std::vector<mem::VirtAddr> out;
+            for (VaBlock *b = q.front(); b; b = q.next(b))
+                out.push_back(b->base);
+            return out;
+        };
+        UvmDriver::Queues &qw = whole.queues(g);
+        UvmDriver::Queues &qs = split.queues(g);
+        ASSERT_EQ(bases(qw.usedQueue()), bases(qs.usedQueue()))
+            << where << ": used queue of gpu" << g;
+        ASSERT_EQ(bases(qw.unusedQueue()), bases(qs.unusedQueue()))
+            << where << ": unused queue of gpu" << g;
+        ASSERT_EQ(bases(qw.discardedQueue()), bases(qs.discardedQueue()))
+            << where << ": discarded queue of gpu" << g;
+    }
+    std::vector<const VaBlock *> blocks;
+    whole.vaSpace().forEachBlockAll(
+        [&](VaBlock &b) { blocks.push_back(&b); });
+    std::size_t i = 0;
+    split.vaSpace().forEachBlockAll([&](VaBlock &s) {
+        ASSERT_LT(i, blocks.size());
+        const VaBlock &w = *blocks[i++];
+        std::string at = where + " block " + w.describe();
+        ASSERT_EQ(w.base, s.base) << at;
+        EXPECT_EQ(w.owner_gpu, s.owner_gpu) << at;
+        EXPECT_EQ(w.resident_cpu, s.resident_cpu) << at;
+        EXPECT_EQ(w.resident_gpu, s.resident_gpu) << at;
+        EXPECT_EQ(w.mapped_cpu, s.mapped_cpu) << at;
+        EXPECT_EQ(w.mapped_gpu, s.mapped_gpu) << at;
+        EXPECT_EQ(w.discarded, s.discarded) << at;
+        EXPECT_EQ(w.discarded_lazily, s.discarded_lazily) << at;
+    });
+    EXPECT_EQ(i, blocks.size()) << where;
+    for (const char *name :
+         {"prefetch_recency_only", "prefetch_migrated_pages",
+          "gpu_faulted_pages", "evictions_used", "evictions_discarded",
+          "discarded_pages"}) {
+        EXPECT_EQ(whole.counters().get(name), split.counters().get(name))
+            << where << ": " << name;
+    }
+    std::vector<InvariantViolation> v = whole.collectInvariantViolations();
+    ASSERT_TRUE(v.empty()) << where << ": " << v.front().code << ": "
+                           << v.front().detail;
+}
+
+TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
+{
+    sim::setLogLevel(sim::LogLevel::kQuiet);
+    std::uint64_t walked_whole = 0, walked_split = 0;
+    for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+        sim::Rng rng(seed);
+        // 3-6 chunks per GPU: a 4-block range may not fit, so a
+        // whole-range walk can evict its own, already checked, blocks.
+        UvmConfig cfg = test::tinyConfig(3 + rng.below(4));
+        cfg.backed = false;
+        cfg.num_gpus = 1 + static_cast<int>(rng.below(2));
+        UvmDriver whole(cfg, test::testLink());
+        UvmDriver split(cfg, test::testLink());
+
+        // 2-4 ranges of 2-4 blocks; some end mid-block.
+        struct Span {
+            mem::VirtAddr addr;
+            sim::Bytes size;
+        };
+        std::vector<Span> ranges;
+        std::size_t nranges = 2 + rng.below(3);
+        for (std::size_t r = 0; r < nranges; ++r) {
+            sim::Bytes size = (2 + rng.below(3)) * kBigPageSize;
+            if (rng.below(2))
+                size -= (1 + rng.below(511)) * kSmallPageSize;
+            std::string name = "r" + std::to_string(r);
+            mem::VirtAddr a = whole.allocManaged(size, name);
+            ASSERT_EQ(split.allocManaged(size, name), a);
+            ranges.push_back({a, size});
+        }
+        // The per-block pieces of a range, in address order.
+        auto blocksOf = [](const Span &r) {
+            std::vector<Span> out;
+            for (mem::VirtAddr b = r.addr; b < r.addr + r.size;
+                 b += kBigPageSize) {
+                out.push_back(
+                    {b, std::min<sim::Bytes>(kBigPageSize,
+                                             r.addr + r.size - b)});
+            }
+            return out;
+        };
+        // A page-granular strict sub-span of a range.
+        auto subSpan = [&](const Span &r) {
+            std::uint64_t pages = r.size / kSmallPageSize;
+            std::uint64_t first = rng.below(pages);
+            std::uint64_t n = 1 + rng.below(pages - first);
+            if (first == 0 && n == pages)
+                n -= 1 + rng.below(pages - 1);
+            return Span{r.addr + first * kSmallPageSize,
+                        n * kSmallPageSize};
+        };
+        auto randomKind = [&] {
+            return static_cast<AccessKind>(rng.below(3));
+        };
+
+        sim::SimTime tw = 0, ts = 0;
+        for (int op = 0; op < 40; ++op) {
+            const Span &r = ranges[rng.below(ranges.size())];
+            GpuId g = static_cast<GpuId>(rng.below(cfg.num_gpus));
+            std::string where = "seed " + std::to_string(seed) + " op " +
+                                std::to_string(op);
+            switch (rng.below(9)) {
+              case 0:
+              case 1:
+              case 2: {  // whole-range kernel access
+                AccessKind kind = randomKind();
+                tw = whole.gpuAccess(g, {{r.addr, r.size, kind}}, tw);
+                std::vector<Access> per_block;
+                for (const Span &b : blocksOf(r))
+                    per_block.push_back({b.addr, b.size, kind});
+                ts = split.gpuAccess(g, per_block, ts);
+                break;
+              }
+              case 3:
+              case 4: {  // whole-range prefetch, mostly to a GPU
+                ProcessorId dst = rng.below(5) ? ProcessorId::gpu(g)
+                                               : ProcessorId::cpu();
+                tw = whole.prefetch(r.addr, r.size, dst, tw);
+                for (const Span &b : blocksOf(r))
+                    ts = split.prefetch(b.addr, b.size, dst, ts);
+                break;
+              }
+              case 5: {  // whole-range discard
+                DiscardMode mode = rng.below(2) ? DiscardMode::kLazy
+                                                : DiscardMode::kEager;
+                tw = whole.discard(r.addr, r.size, mode, tw);
+                for (const Span &b : blocksOf(r))
+                    ts = split.discard(b.addr, b.size, mode, ts);
+                break;
+              }
+              case 6: {  // sub-range kernel access, to both
+                Span s = subSpan(r);
+                AccessKind kind = randomKind();
+                tw = whole.gpuAccess(g, {{s.addr, s.size, kind}}, tw);
+                ts = split.gpuAccess(g, {{s.addr, s.size, kind}}, ts);
+                break;
+              }
+              case 7: {  // sub-range prefetch or discard, to both
+                Span s = subSpan(r);
+                if (rng.below(2)) {
+                    tw = whole.prefetch(s.addr, s.size,
+                                        ProcessorId::gpu(g), tw);
+                    ts = split.prefetch(s.addr, s.size,
+                                        ProcessorId::gpu(g), ts);
+                } else {
+                    DiscardMode mode = rng.below(2) ? DiscardMode::kLazy
+                                                    : DiscardMode::kEager;
+                    tw = whole.discard(s.addr, s.size, mode, tw);
+                    ts = split.discard(s.addr, s.size, mode, ts);
+                }
+                break;
+              }
+              case 8: {  // host access, whole or partial, to both
+                Span s = rng.below(2) ? r : subSpan(r);
+                AccessKind kind = randomKind();
+                tw = whole.hostAccess(s.addr, s.size, kind, tw);
+                ts = split.hostAccess(s.addr, s.size, kind, ts);
+                break;
+              }
+            }
+            expectSameState(whole, split, cfg.num_gpus, where);
+            if (::testing::Test::HasFatalFailure() ||
+                ::testing::Test::HasNonfatalFailure())
+                break;
+        }
+        walked_whole += whole.counters().get("blocks_walked");
+        walked_split += split.counters().get("blocks_walked");
+        if (::testing::Test::HasFailure())
+            break;
+    }
+    sim::setLogLevel(sim::LogLevel::kNormal);
+    // The whole-range driver took fast paths often enough to matter;
+    // the per-block driver never can (every range has 2+ blocks).
+    EXPECT_LT(walked_whole * 10, walked_split * 9)
+        << walked_whole << " vs " << walked_split;
+}
+
+}  // namespace
+}  // namespace uvmd::uvm
