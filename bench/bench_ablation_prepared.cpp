@@ -18,7 +18,6 @@ using namespace uvmd;
 struct Outcome {
     sim::SimDuration elapsed;
     std::uint64_t rezero_ops;
-    sim::Bytes zero_bytes;
 };
 
 Outcome
@@ -49,7 +48,6 @@ runScenario(bool track)
     Outcome out;
     out.elapsed = rt.now() - start;
     out.rezero_ops = rt.driver().counters().get("chunk_rezero_ops");
-    out.zero_bytes = rt.driver().counters().get("zero_bytes");
     return out;
 }
 

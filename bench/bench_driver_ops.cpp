@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <string>
 #include <unordered_map>
 
 #include "interconnect/link.hpp"
@@ -204,55 +203,21 @@ BM_ForEachBlock(benchmark::State &state)
 BENCHMARK(BM_ForEachBlock);
 
 // ----------------------------------------------------------------
-// Stat counters: an interned sim::Counter & against the name-keyed
-// lookups it replaced — the plain map walk, and the worst pre-PR
-// offender, which also built a std::string key per event.
+// Stat counters: one increment of a counter-table row.
 // ----------------------------------------------------------------
 
 void
-BM_CounterInterned(benchmark::State &state)
+BM_CounterRowIncrement(benchmark::State &state)
 {
-    sim::StatGroup stats;
-    sim::Counter &c = stats.internCounter("bench_counter");
+    uvm::UvmStats stats;
+    std::uint64_t &row = stats[uvm::UvmStat::bytes_h2d_gpu_fault];
     for (auto _ : state) {
-        c.inc();
-        benchmark::DoNotOptimize(c);
+        ++row;
+        benchmark::DoNotOptimize(row);
         benchmark::ClobberMemory();
     }
 }
-BENCHMARK(BM_CounterInterned);
-
-void
-BM_CounterNameLookup(benchmark::State &state)
-{
-    sim::StatGroup stats;
-    for (auto _ : state) {
-        sim::Counter &c = stats.counter("bench_counter");
-        c.inc();
-        benchmark::DoNotOptimize(c);
-        benchmark::ClobberMemory();
-    }
-}
-BENCHMARK(BM_CounterNameLookup);
-
-void
-BM_CounterNameLookupKeyBuild(benchmark::State &state)
-{
-    sim::StatGroup stats;
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-        // The retired per-transfer pattern: concatenate a cause
-        // suffix, then look the key up.
-        const char *cause =
-            uvm::toString(static_cast<uvm::TransferCause>(i++ % 4));
-        sim::Counter &c =
-            stats.counter(std::string("bytes_h2d.") + cause);
-        c.inc();
-        benchmark::DoNotOptimize(c);
-        benchmark::ClobberMemory();
-    }
-}
-BENCHMARK(BM_CounterNameLookupKeyBuild);
+BENCHMARK(BM_CounterRowIncrement);
 
 void
 BM_ResidentAccessFastPath(benchmark::State &state)

@@ -34,10 +34,7 @@ measurePrefetch(interconnect::LinkSpec link, sim::Bytes size,
     sim::SimTime start = rt.now();
     rt.prefetchAsync(buf, size, uvm::ProcessorId::gpu(0));
     rt.synchronize();
-    std::uint64_t descs = rt.driver()
-                              .counters()
-                              .counter("dma_descriptors")
-                              .value();
+    std::uint64_t descs = rt.driver().counters().get("dma_descriptors");
     return {static_cast<double>(size) / (rt.now() - start), descs};
 }
 

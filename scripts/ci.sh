@@ -12,11 +12,15 @@
 #      (UVMD_FUZZ_SEEDS overrides the per-mode seed count, default
 #      200); failing reproducers are preserved in
 #      build/fuzz-artifacts/,
-#   6. results byte-stability (release build): every results-producing
+#   6. the end-to-end benchmark smoke test: e2ebench/smoke_test.py
+#      builds e2ebench/uvmd_e2e.cpp on its own against src/ and checks
+#      every workload in both trace modes, so a library change that
+#      breaks the benchmark fails here,
+#   7. results byte-stability (release build): every results-producing
 #      bench_* harness regenerates its CSVs at --jobs N, and
 #      scripts/check_results.py fails on any byte of drift from the
 #      committed results/ and names the drifting files,
-#   7. a perf smoke stage (release build): bench_host_perf emits
+#   8. a perf smoke stage (release build): bench_host_perf emits
 #      BENCH_perf.json, which is gated against the committed
 #      BENCH_baseline.json by scripts/perf_gate.py (throughput and
 #      wall-clock within a tolerance band, allocs_per_iter may never
@@ -74,6 +78,9 @@ fi
 echo "== configure + build (release) =="
 cmake --preset release
 cmake --build --preset release -j "$JOBS"
+
+echo "== end-to-end benchmark smoke test =="
+python3 e2ebench/smoke_test.py
 
 echo "== results byte-stability (release build) =="
 python3 scripts/check_results.py --build build-release --jobs "$JOBS"

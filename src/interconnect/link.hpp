@@ -32,7 +32,15 @@
 #include "sim/resource.hpp"
 #include "sim/stats.hpp"
 
+#define UVMD_LINK_STATS(X, X2)                                          \
+    X(bytes_h2d)                                                        \
+    X(transfers_h2d)                                                    \
+    X(bytes_d2h)                                                        \
+    X(transfers_d2h)
+
 namespace uvmd::interconnect {
+
+UVMD_STAT_TABLE(LinkStat, LinkStats, UVMD_LINK_STATS);
 
 class Link
 {
@@ -83,11 +91,11 @@ class Link
     accountTraffic(sim::Bytes bytes, Direction dir)
     {
         if (dir == Direction::kHostToDevice) {
-            bytes_h2d_.inc(bytes);
-            transfers_h2d_.inc();
+            stats_[LinkStat::bytes_h2d] += bytes;
+            ++stats_[LinkStat::transfers_h2d];
         } else {
-            bytes_d2h_.inc(bytes);
-            transfers_d2h_.inc();
+            stats_[LinkStat::bytes_d2h] += bytes;
+            ++stats_[LinkStat::transfers_d2h];
         }
     }
 
@@ -101,12 +109,12 @@ class Link
 
     sim::Bytes totalBytes() const
     {
-        return bytes_h2d_.value() + bytes_d2h_.value();
+        return bytesH2d() + bytesD2h();
     }
-    sim::Bytes bytesH2d() const { return bytes_h2d_.value(); }
-    sim::Bytes bytesD2h() const { return bytes_d2h_.value(); }
+    sim::Bytes bytesH2d() const { return stats_[LinkStat::bytes_h2d]; }
+    sim::Bytes bytesD2h() const { return stats_[LinkStat::bytes_d2h]; }
 
-    const sim::StatGroup &stats() const { return stats_; }
+    sim::StatGroup stats() const { return stats_.group(); }
 
     void
     reset()
@@ -118,15 +126,7 @@ class Link
   private:
     LinkSpec spec_;
     DmaScheduler sched_;
-    sim::StatGroup stats_;
-    // Interned traffic handles: accountTraffic sits on every transfer.
-    // Hidden until the first byte moves, so idle links keep dumping
-    // an empty stat group.  (Links are built in place and never
-    // copied; reference members are safe here.)
-    sim::Counter &bytes_h2d_{stats_.internCounter("bytes_h2d")};
-    sim::Counter &transfers_h2d_{stats_.internCounter("transfers_h2d")};
-    sim::Counter &bytes_d2h_{stats_.internCounter("bytes_d2h")};
-    sim::Counter &transfers_d2h_{stats_.internCounter("transfers_d2h")};
+    LinkStats stats_;
 };
 
 }  // namespace uvmd::interconnect

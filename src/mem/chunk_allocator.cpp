@@ -44,7 +44,7 @@ ChunkAllocator::tryAllocChunk()
     if (freeChunks() == 0)
         return false;
     ++allocated_chunks_;
-    chunk_allocs_.inc();
+    ++stats_[AllocStat::chunk_allocs];
     return true;
 }
 
@@ -54,7 +54,7 @@ ChunkAllocator::freeChunk()
     if (allocated_chunks_ == 0)
         sim::panic("ChunkAllocator: free with no allocated chunks");
     --allocated_chunks_;
-    chunk_frees_.inc();
+    ++stats_[AllocStat::chunk_frees];
 }
 
 void
@@ -64,7 +64,7 @@ ChunkAllocator::retireAllocatedChunk()
         sim::panic("ChunkAllocator: retire with no allocated chunks");
     --allocated_chunks_;
     ++retired_chunks_;
-    chunks_retired_.inc();
+    ++stats_[AllocStat::chunks_retired];
 }
 
 }  // namespace uvmd::mem

@@ -19,7 +19,14 @@
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
+#define UVMD_ALLOC_STATS(X, X2)                                         \
+    X(chunk_allocs)                                                     \
+    X(chunk_frees)                                                      \
+    X(chunks_retired)
+
 namespace uvmd::mem {
+
+UVMD_STAT_TABLE(AllocStat, AllocStats, UVMD_ALLOC_STATS);
 
 class ChunkAllocator
 {
@@ -96,23 +103,15 @@ class ChunkAllocator
      */
     void retireAllocatedChunk();
 
-    /** Allocation statistics (chunk_allocs, chunk_frees,
-     *  chunks_retired). */
-    const sim::StatGroup &stats() const { return stats_; }
+    /** Allocation statistics (UVMD_ALLOC_STATS). */
+    sim::StatGroup stats() const { return stats_.group(); }
 
   private:
     std::uint64_t total_chunks_;
     std::uint64_t allocated_chunks_ = 0;
     std::uint64_t reserved_chunks_ = 0;
     std::uint64_t retired_chunks_ = 0;
-    sim::StatGroup stats_;
-    // Interned handles: chunk churn is per-migration hot.  Hidden
-    // until the first alloc/free/retire so fresh allocators still
-    // dump an empty stat group.
-    sim::Counter &chunk_allocs_{stats_.internCounter("chunk_allocs")};
-    sim::Counter &chunk_frees_{stats_.internCounter("chunk_frees")};
-    sim::Counter &chunks_retired_{
-        stats_.internCounter("chunks_retired")};
+    AllocStats stats_;
 };
 
 }  // namespace uvmd::mem

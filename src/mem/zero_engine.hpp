@@ -17,7 +17,13 @@
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
+#define UVMD_ZERO_STATS(X, X2)                                          \
+    X(zero_ops)                                                         \
+    X(zero_bytes)
+
 namespace uvmd::mem {
+
+UVMD_STAT_TABLE(ZeroStat, ZeroStats, UVMD_ZERO_STATS);
 
 class ZeroEngine
 {
@@ -34,20 +40,17 @@ class ZeroEngine
     sim::SimDuration
     zeroCost(sim::Bytes bytes)
     {
-        zero_ops_.inc();
-        zero_bytes_.inc(bytes);
+        ++stats_[ZeroStat::zero_ops];
+        stats_[ZeroStat::zero_bytes] += bytes;
         return setup_ + sim::transferTime(bytes, bandwidth_gbps_);
     }
 
-    const sim::StatGroup &stats() const { return stats_; }
-    sim::StatGroup &stats() { return stats_; }
+    sim::StatGroup stats() const { return stats_.group(); }
 
   private:
     double bandwidth_gbps_;
     sim::SimDuration setup_;
-    sim::StatGroup stats_;
-    sim::Counter &zero_ops_{stats_.internCounter("zero_ops")};
-    sim::Counter &zero_bytes_{stats_.internCounter("zero_bytes")};
+    ZeroStats stats_;
 };
 
 }  // namespace uvmd::mem

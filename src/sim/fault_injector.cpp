@@ -1,6 +1,7 @@
 #include "sim/fault_injector.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "sim/logging.hpp"
 
@@ -43,13 +44,6 @@ FaultInjector::FaultInjector(const FaultPlan &plan)
                          [](const LinkFaultEvent &a, const LinkFaultEvent &b) {
                              return a.after_descriptors < b.after_descriptors;
                          });
-        // Pre-register the tallies so reconciliation tests can read
-        // them even when a kind never fires.
-        tally_.counter("dma_faults");
-        tally_.counter("chunk_faults");
-        tally_.counter("alloc_faults");
-        tally_.counter("link_degrades");
-        tally_.counter("engines_offlined");
     }
 }
 
@@ -61,7 +55,7 @@ bool FaultInjector::dmaDescriptorFails()
     if (!rng_.chance(plan_.dma_fault_rate)) {
         return false;
     }
-    dma_faults_.inc();
+    ++tally_[FaultStat::dma_faults];
     return true;
 }
 
@@ -73,7 +67,7 @@ bool FaultInjector::allocFails()
     if (!rng_.chance(plan_.alloc_fail_rate)) {
         return false;
     }
-    alloc_faults_.inc();
+    ++tally_[FaultStat::alloc_faults];
     return true;
 }
 
@@ -85,7 +79,7 @@ bool FaultInjector::chunkFails()
     if (!rng_.chance(plan_.chunk_retire_rate)) {
         return false;
     }
-    chunk_faults_.inc();
+    ++tally_[FaultStat::chunk_faults];
     return true;
 }
 
@@ -117,11 +111,11 @@ int FaultInjector::noteLinkEventApplied(const LinkFaultEvent &ev)
 {
     int tallied = 0;
     if (ev.bandwidth_factor < 1.0) {
-        link_degrades_.inc();
+        ++tally_[FaultStat::link_degrades];
         ++tallied;
     }
     if (ev.offline_engine >= 0) {
-        engines_offlined_.inc();
+        ++tally_[FaultStat::engines_offlined];
         ++tallied;
     }
     return tallied;
@@ -129,11 +123,8 @@ int FaultInjector::noteLinkEventApplied(const LinkFaultEvent &ev)
 
 std::uint64_t FaultInjector::totalInjected() const
 {
-    std::uint64_t total = 0;
-    for (const std::string &name : tally_.counterNames()) {
-        total += tally_.get(name);
-    }
-    return total;
+    const std::span<const std::uint64_t> v = tally_.group().values();
+    return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
 }
 
 }  // namespace uvmd::sim

@@ -28,7 +28,16 @@
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
+#define UVMD_FAULT_STATS(X, X2)                                         \
+    X(dma_faults)                                                       \
+    X(chunk_faults)                                                     \
+    X(alloc_faults)                                                     \
+    X(link_degrades)                                                    \
+    X(engines_offlined)
+
 namespace uvmd::sim {
+
+UVMD_STAT_TABLE(FaultStat, FaultStats, UVMD_FAULT_STATS);
 
 /** The kinds of faults the injector can produce. */
 enum class FaultKind : std::uint8_t {
@@ -154,9 +163,8 @@ class FaultInjector
     // The injector's own book
     // ------------------------------------------------------------
 
-    /** Per-kind tallies: dma_faults, chunk_faults, alloc_faults,
-     *  link_degrades, engines_offlined. */
-    const StatGroup &tally() const { return tally_; }
+    /** Per-kind tallies (UVMD_FAULT_STATS). */
+    StatGroup tally() const { return tally_.group(); }
 
     /** Total faults injected (all kinds). */
     std::uint64_t totalInjected() const;
@@ -164,16 +172,7 @@ class FaultInjector
   private:
     FaultPlan plan_;
     Rng rng_{1};
-    StatGroup tally_;
-    // Interned tally handles (hidden until a fault actually fires;
-    // the enabled-injector constructor makes them visible up front so
-    // reconciliation tests can always read them).
-    Counter &dma_faults_{tally_.internCounter("dma_faults")};
-    Counter &chunk_faults_{tally_.internCounter("chunk_faults")};
-    Counter &alloc_faults_{tally_.internCounter("alloc_faults")};
-    Counter &link_degrades_{tally_.internCounter("link_degrades")};
-    Counter &engines_offlined_{
-        tally_.internCounter("engines_offlined")};
+    FaultStats tally_;
     std::size_t next_link_event_ = 0;
 };
 

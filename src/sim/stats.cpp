@@ -1,66 +1,32 @@
 #include "sim/stats.hpp"
 
+#include "sim/logging.hpp"
+
 namespace uvmd::sim {
 
-std::vector<std::string>
-StatGroup::counterNames() const
+std::uint64_t
+StatGroup::get(std::string_view name) const
 {
-    std::vector<std::string> names;
-    names.reserve(counters_.size());
-    for (const auto &kv : counters_)
-        if (kv.second.live())
-            names.push_back(kv.first);
-    return names;
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &kv : counters_)
-        kv.second.reset();
-    for (auto &kv : dists_)
-        kv.second.reset();
+    for (std::size_t i = 0; i < names_.size(); ++i)
+        if (names_[i] == name)
+            return values_[i];
+    panic("StatGroup: no counter named '" + std::string(name) + "'");
 }
 
 void
 StatGroup::dump(std::ostream &os, const std::string &prefix) const
 {
-    for (const auto &kv : counters_)
-        if (kv.second.live())
-            os << prefix << kv.first << " " << kv.second.value() << "\n";
-    for (const auto &kv : dists_) {
-        const auto &d = kv.second;
-        os << prefix << kv.first << "::count " << d.count() << "\n";
-        os << prefix << kv.first << "::mean " << d.mean() << "\n";
-        os << prefix << kv.first << "::min " << d.min() << "\n";
-        os << prefix << kv.first << "::max " << d.max() << "\n";
-    }
+    for (std::size_t i = 0; i < names_.size(); ++i)
+        os << prefix << names_[i] << " " << values_[i] << "\n";
 }
 
 void
 StatGroup::dumpJson(std::ostream &os) const
 {
-    // Names are subsystem-chosen identifiers (dotted paths), so no
-    // string escaping is needed.
+    // Names are C identifiers, possibly dotted, so need no escaping.
     os << "{";
-    bool first = true;
-    for (const auto &kv : counters_) {
-        if (!kv.second.live())
-            continue;
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"" << kv.first << "\":" << kv.second.value();
-    }
-    for (const auto &kv : dists_) {
-        if (!first)
-            os << ",";
-        first = false;
-        const auto &d = kv.second;
-        os << "\"" << kv.first << "\":{\"count\":" << d.count()
-           << ",\"mean\":" << d.mean() << ",\"min\":" << d.min()
-           << ",\"max\":" << d.max() << "}";
-    }
+    for (std::size_t i = 0; i < names_.size(); ++i)
+        os << (i ? "," : "") << "\"" << names_[i] << "\":" << values_[i];
     os << "}";
 }
 

@@ -1,170 +1,101 @@
 /**
  * @file
- * A small named-statistics framework.
+ * Fixed counter tables.
  *
- * Subsystems register scalar counters and distributions in a StatGroup;
- * groups nest by name ("uvm.gpu0.bytes_h2d").  Benches and tests read
- * stats back by name, and a group can dump itself as text in the gem5
- * stats-file style.
+ * Each subsystem declares its counters once, one line per counter, in
+ * an X-macro list, and UVMD_STAT_TABLE turns the list into an enum,
+ * a name array and a StatTable: a plain std::uint64_t array indexed by
+ * that enum.  Hot paths bump a row directly (`stats[Id::x] += n`).
+ * Benches and tests read rows back by name through a StatGroup view,
+ * which also dumps every row as text ("prefix.name value" lines, gem5
+ * stats-file style) or as one JSON object.
  */
 
 #ifndef UVMD_SIM_STATS_HPP
 #define UVMD_SIM_STATS_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <iterator>
 #include <ostream>
+#include <span>
 #include <string>
-#include <vector>
-
-#include "sim/time.hpp"
+#include <string_view>
 
 namespace uvmd::sim {
 
-/**
- * A monotonically accumulating scalar statistic.
- *
- * A counter is either *live* (appears in dumps and name listings) or
- * *hidden* (pre-registered via StatGroup::internCounter but never
- * touched).  Any write makes it live, so interning hot counters ahead
- * of time does not change what a dump looks like.
- */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void
-    inc(std::uint64_t by = 1)
-    {
-        value_ += by;
-        live_ = true;
-    }
-
-    void
-    set(std::uint64_t v)
-    {
-        value_ = v;
-        live_ = true;
-    }
-
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-    bool live() const { return live_; }
-
-  private:
-    friend class StatGroup;
-
-    std::uint64_t value_ = 0;
-    bool live_ = true;
-};
-
-/** Simple min/max/mean/count distribution. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        if (count_ == 0 || v < min_) min_ = v;
-        if (count_ == 0 || v > max_) max_ = v;
-        sum_ += v;
-        ++count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double sum() const { return sum_; }
-
-    void
-    reset()
-    {
-        min_ = max_ = sum_ = 0.0;
-        count_ = 0;
-    }
-
-  private:
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
-
-/**
- * A flat registry of named counters and distributions.
- *
- * Names are dotted paths chosen by the owning subsystem.  Lookup
- * creates on first use, so readers and writers need no registration
- * handshake.
- */
+/** Read-only view of one counter table: row names and their values,
+ *  in declaration order. */
 class StatGroup
 {
   public:
-    /** Name-based lookup-or-create; the counter is (or becomes) live. */
-    Counter &
-    counter(const std::string &name)
-    {
-        Counter &c = counters_[name];
-        c.live_ = true;
-        return c;
-    }
+    StatGroup(std::span<const std::string_view> names,
+              std::span<const std::uint64_t> values)
+        : names_(names), values_(values)
+    {}
 
-    Distribution &dist(const std::string &name) { return dists_[name]; }
+    std::span<const std::string_view> names() const { return names_; }
+    std::span<const std::uint64_t> values() const { return values_; }
 
-    /**
-     * Resolve a counter into a long-lived reference without making it
-     * visible.  Hot paths intern their counters once at construction
-     * and increment through the reference; the counter only shows up
-     * in dumps/listings after its first write, so interning is
-     * observationally identical to lazy registration.  References stay
-     * valid for the StatGroup's lifetime (std::map nodes are stable).
-     */
-    Counter &
-    internCounter(const std::string &name)
-    {
-        auto [it, inserted] = counters_.try_emplace(name);
-        if (inserted)
-            it->second.live_ = false;
-        return it->second;
-    }
+    /** The value of row @p name; panics if the table has no such row. */
+    std::uint64_t get(std::string_view name) const;
 
-    /** Read a counter without creating it (0 if absent or untouched). */
-    std::uint64_t
-    get(const std::string &name) const
-    {
-        auto it = counters_.find(name);
-        return it == counters_.end() || !it->second.live()
-                   ? 0
-                   : it->second.value();
-    }
-
-    bool
-    has(const std::string &name) const
-    {
-        auto it = counters_.find(name);
-        return it != counters_.end() && it->second.live();
-    }
-
-    /** All counter names in sorted order (for dumps and tests). */
-    std::vector<std::string> counterNames() const;
-
-    /** Reset every statistic to zero. */
-    void reset();
-
-    /** Dump all statistics as "name value" lines. */
+    /** Dump every row as a "prefix+name value" line. */
     void dump(std::ostream &os, const std::string &prefix = "") const;
 
-    /** Dump all statistics as one JSON object (counters as integer
-     *  members; distributions as {count,mean,min,max} objects). */
+    /** Dump every row as one JSON object of integer members. */
     void dumpJson(std::ostream &os) const;
 
   private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> dists_;
+    std::span<const std::string_view> names_;
+    std::span<const std::uint64_t> values_;
+};
+
+/** The counter table declared by UVMD_STAT_TABLE: one row per entry of
+ *  @p Names, indexed by the enum @p Id generated from the same list. */
+template <typename Id, const auto &Names>
+class StatTable
+{
+  public:
+    std::uint64_t &
+    operator[](Id id)
+    {
+        return values_[static_cast<std::size_t>(id)];
+    }
+
+    std::uint64_t
+    operator[](Id id) const
+    {
+        return values_[static_cast<std::size_t>(id)];
+    }
+
+    StatGroup group() const { return {Names, values_}; }
+
+    void reset() { values_.fill(0); }
+
+  private:
+    std::array<std::uint64_t, std::size(Names)> values_{};
 };
 
 }  // namespace uvmd::sim
+
+// X-macro entry expanders.  A list calls X(name) for a plain row and
+// X2(base, suffix) for a dotted row named "base.suffix" (enum id
+// base_suffix).
+#define UVMD_STAT_ID(name) name,
+#define UVMD_STAT_ID2(base, suffix) base##_##suffix,
+#define UVMD_STAT_NAME(name) #name,
+#define UVMD_STAT_NAME2(base, suffix) #base "." #suffix,
+
+/**
+ * Declare a counter table from the X-macro list @p LIST: `enum class
+ * Id`, the row names `Id##Names` and `using Table = StatTable<...>`.
+ */
+#define UVMD_STAT_TABLE(Id, Table, LIST)                                 \
+    enum class Id : std::size_t { LIST(UVMD_STAT_ID, UVMD_STAT_ID2) };   \
+    inline constexpr std::string_view Id##Names[] = {                    \
+        LIST(UVMD_STAT_NAME, UVMD_STAT_NAME2)};                          \
+    using Table = ::uvmd::sim::StatTable<Id, Id##Names>
 
 #endif  // UVMD_SIM_STATS_HPP

@@ -85,7 +85,7 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
         // TLB-hit path: no driver involvement.
         PageMask disc = m & block.discarded;
         if (disc.any() && writes(kind)) {
-            cnt_.lazy_contract_writes.inc();
+            ++counters_[UvmStat::lazy_contract_writes];
             if (cfg_.lazy_contract_warnings &&
                 (disc & block.discarded_lazily).any()) {
                 sim::warn("kernel writes lazily-discarded pages at " +
@@ -104,13 +104,13 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
     // The block's faults enter the replayable fault buffer; a fresh
     // batch pays the drain/dedup/replay overhead once.
     if (*batch_fill == 0) {
-        cnt_.gpu_fault_batches.inc();
+        ++counters_[UvmStat::gpu_fault_batches];
         t += cfg_.gpu_fault_cost;
     }
     if (++*batch_fill >= cfg_.fault_batch_capacity)
         *batch_fill = 0;
-    cnt_.gpu_faulted_blocks.inc();
-    cnt_.gpu_faulted_pages.inc(faulting.count());
+    ++counters_[UvmStat::gpu_faulted_blocks];
+    counters_[UvmStat::gpu_faulted_pages] += faulting.count();
     t += cfg_.gpu_fault_service + cfg_.gpu_fault_stall;
 
     PageMask missing = m & ~resident_here;
@@ -142,7 +142,7 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
             }
             clearDiscarded(block, m);
             block.discarded_lazily &= ~m;
-            cnt_.oom_fallbacks.inc();
+            ++counters_[UvmStat::oom_fallbacks];
             if (observer_)
                 observer_->onFault(
                     FaultEvent::kOomFallback, block.base,
@@ -190,7 +190,7 @@ UvmDriver::hostAccess(mem::VirtAddr addr, sim::Bytes size,
         PageMask faulted = on_gpu | unpop | unmapped;
 
         if (faulted.any()) {
-            cnt_.cpu_fault_batches.inc();
+            ++counters_[UvmStat::cpu_fault_batches];
             t += cfg_.cpu_fault_cost;
         }
         if (unpop.any()) {
@@ -213,7 +213,7 @@ UvmDriver::hostAccess(mem::VirtAddr addr, sim::Bytes size,
 
         PageMask disc = m & b.discarded;
         if (disc.any() && writes(kind)) {
-            cnt_.lazy_contract_writes.inc();
+            ++counters_[UvmStat::lazy_contract_writes];
             if (cfg_.lazy_contract_warnings &&
                 (disc & b.discarded_lazily).any()) {
                 sim::warn("host writes lazily-discarded pages at " +

@@ -24,7 +24,7 @@ UvmDriver::memAdvise(mem::VirtAddr addr, sim::Bytes size,
     if (id < 0 || id >= 8)
         sim::fatal("memAdvise: GPU id out of range for the hint mask");
     std::uint8_t bit = static_cast<std::uint8_t>(1u << id);
-    cnt_.mem_advise_calls.inc();
+    ++counters_[UvmStat::mem_advise_calls];
 
     walkBlocks(addr, size, [&](VaBlock &b, const PageMask &m) {
         (void)m;  // hints apply at block granularity
@@ -65,7 +65,7 @@ UvmDriver::remoteTouchBlock(VaBlock &block, const PageMask &m,
             cfg_.remote_access_migrate_threshold) {
         block.counter_migrated = true;
         block.remote_mapped = 0;
-        cnt_.access_counter_migrations.inc();
+        ++counters_[UvmStat::access_counter_migrations];
         t = migrateToGpu(block, m, id, TransferCause::kGpuFault, t);
         t = mapOnGpu(block, m, id, t, /*big_ok=*/m == block.valid);
         requeueAfterDiscardStateChange(block);
@@ -78,7 +78,7 @@ UvmDriver::remoteTouchBlock(VaBlock &block, const PageMask &m,
         // hardware without ATS, a TLB fill with it — charge the map
         // cost either way).
         block.remote_mapped |= bit;
-        cnt_.remote_mappings.inc();
+        ++counters_[UvmStat::remote_mappings];
         t += cfg_.gpu_map_cost;
     }
 
@@ -86,12 +86,12 @@ UvmDriver::remoteTouchBlock(VaBlock &block, const PageMask &m,
     // reads pull device-ward, writes push host-ward.
     sim::Bytes bytes = m.count() * mem::kSmallPageSize;
     if (reads(kind)) {
-        cnt_.remote_read_bytes.inc(bytes);
+        counters_[UvmStat::remote_read_bytes] += bytes;
         t = xfer_->remoteAccess(
             id, bytes, interconnect::Direction::kHostToDevice, t);
     }
     if (writes(kind)) {
-        cnt_.remote_write_bytes.inc(bytes);
+        counters_[UvmStat::remote_write_bytes] += bytes;
         t = xfer_->remoteAccess(
             id, bytes, interconnect::Direction::kDeviceToHost, t);
     }

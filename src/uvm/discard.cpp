@@ -23,9 +23,9 @@ sim::SimTime
 UvmDriver::discard(mem::VirtAddr addr, sim::Bytes size,
                    DiscardMode mode, sim::SimTime start)
 {
-    (mode == DiscardMode::kEager ? cnt_.discard_calls_eager
-                                 : cnt_.discard_calls_lazy)
-        .inc();
+    ++counters_[mode == DiscardMode::kEager
+                    ? UvmStat::discard_calls_eager
+                    : UvmStat::discard_calls_lazy];
     sim::SimTime t = start;
     walkBlocks(addr, size, [&](VaBlock &b, const PageMask &m) {
         bool full = m == b.valid;
@@ -33,7 +33,7 @@ UvmDriver::discard(mem::VirtAddr addr, sim::Bytes size,
             b.gpu_mapping_big) {
             // Honouring this partial discard would split the 2 MB GPU
             // mapping; skip it (Section 5.4).
-            cnt_.discard_ignored_partial.inc();
+            ++counters_[UvmStat::discard_ignored_partial];
             return;
         }
         t = discardBlock(b, m, mode, t);
@@ -53,7 +53,7 @@ UvmDriver::discardBlock(VaBlock &block, const PageMask &pages,
 
     if (observer_)
         observer_->onDiscard(block, target);
-    cnt_.discarded_pages.inc(target.count());
+    counters_[UvmStat::discarded_pages] += target.count();
 
     if (mode == DiscardMode::kEager) {
         t = unmapFromGpu(block, target, t);

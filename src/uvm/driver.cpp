@@ -61,15 +61,8 @@ UvmDriver::UvmDriver(const UvmConfig &cfg,
     for (auto &g : gpus_)
         xfer_->addGpuLink(&g->link);
     xfer_->setPeerLink(&peer_link_);
-    if (injector_.enabled()) {
+    if (injector_.enabled())
         xfer_->setInjector(&injector_);
-        // Pre-register the recovery counters so dumps and the stats
-        // JSON always carry them under fault injection, fired or not.
-        counters_.counter("fault_injected");
-        counters_.counter("transfer_retries");
-        counters_.counter("pages_retired");
-        counters_.counter("oom_fallbacks");
-    }
 }
 
 UvmDriver::GpuState &
@@ -83,8 +76,8 @@ UvmDriver::gpu(GpuId id)
 mem::VirtAddr
 UvmDriver::allocManaged(sim::Bytes size, std::string name)
 {
-    cnt_.managed_allocs.inc();
-    cnt_.managed_bytes.inc(size);
+    ++counters_[UvmStat::managed_allocs];
+    counters_[UvmStat::managed_bytes] += size;
     return va_space_.createRange(size, std::move(name));
 }
 
@@ -125,7 +118,7 @@ UvmDriver::tryFreeManaged(mem::VirtAddr base)
                 });
         }
     }
-    cnt_.managed_frees.inc();
+    ++counters_[UvmStat::managed_frees];
     va_space_.destroyRange(base);
     return true;
 }
@@ -260,7 +253,7 @@ dumpEngines(std::ostream &os, const std::string &prefix,
 void
 UvmDriver::dumpStats(std::ostream &os)
 {
-    counters_.dump(os, "uvm.");
+    counters_.group().dump(os, "uvm.");
     for (std::size_t i = 0; i < gpus_.size(); ++i) {
         GpuState &g = *gpus_[i];
         std::string prefix = "gpu" + std::to_string(i) + ".";
@@ -324,7 +317,7 @@ UvmDriver::dumpStatsJson(std::ostream &os)
 {
     os << "{\"invariant_violations\":" << invariant_violations_
        << ",\"uvm\":";
-    counters_.dumpJson(os);
+    counters_.group().dumpJson(os);
     os << ",\"gpus\":[";
     for (std::size_t i = 0; i < gpus_.size(); ++i) {
         GpuState &g = *gpus_[i];

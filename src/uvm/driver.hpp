@@ -237,6 +237,10 @@ class UvmDriver
     {
         return gpus_[gpu]->allocator;
     }
+    const mem::ZeroEngine &zeroEngine(GpuId gpu = 0) const
+    {
+        return gpus_[gpu]->zero_engine;
+    }
 
     using Queues = mem::GpuPageQueues<VaBlock, &VaBlock::link>;
     Queues &queues(GpuId gpu = 0) { return gpus_[gpu]->queues; }
@@ -248,8 +252,9 @@ class UvmDriver
     sim::Bytes trafficD2d() const { return peer_link_.totalBytes(); }
 
     mem::BackingStore &backing() { return backing_; }
-    sim::StatGroup &counters() { return counters_; }
-    const sim::StatGroup &counters() const { return counters_; }
+
+    /** The "uvm." counter table (uvm/counters.hpp), read by name. */
+    sim::StatGroup counters() const { return counters_.group(); }
 
     /** The transfer mechanism: every byte the driver moves flows
      *  through this engine (accounting, observers, DMA scheduling). */
@@ -483,7 +488,8 @@ class UvmDriver
     walkBlocks(mem::VirtAddr addr, sim::Bytes size,
                sim::FunctionRef<void(VaBlock &, const PageMask &)> fn)
     {
-        cnt_.blocks_walked.inc(va_space_.forEachBlock(addr, size, fn));
+        counters_[UvmStat::blocks_walked] +=
+            va_space_.forEachBlock(addr, size, fn);
     }
 
     /** Touch @p block to the MRU end of its used queue, if it is on
@@ -581,8 +587,7 @@ class UvmDriver
     std::vector<std::unique_ptr<GpuState>> gpus_;
     interconnect::Link peer_link_;
     mem::BackingStore backing_;
-    sim::StatGroup counters_;
-    DriverCounters cnt_{counters_};
+    UvmStats counters_;
     TransferObserver *observer_ = nullptr;
     sim::ProgressSink *progress_sink_ = nullptr;
     std::uint64_t invariant_violations_ = 0;

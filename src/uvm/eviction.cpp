@@ -45,7 +45,7 @@ UvmDriver::allocChunk(VaBlock &block, GpuId id, sim::SimTime start)
             injector_.allocFails()) {
             g.allocator.freeChunk();
             ++injected_failures;
-            cnt_.fault_injected.inc();
+            ++counters_[UvmStat::fault_injected];
             if (observer_)
                 observer_->onFault(FaultEvent::kAllocFail, block.base,
                                    0);
@@ -117,7 +117,7 @@ UvmDriver::evictOne(GpuId id, sim::SimTime start)
     // only peeked, not popped.)
     if (VaBlock *b = g.queues.unusedQueue().front()) {
         releaseChunk(*b);
-        cnt_.evictions_unused.inc();
+        ++counters_[UvmStat::evictions_unused];
         return start + cfg_.reclaim_cost;
     }
 
@@ -147,7 +147,7 @@ UvmDriver::evictOne(GpuId id, sim::SimTime start)
             clearDiscarded(*b, skipped & ~b->cpu_pages_present);
             b->discarded_lazily.reset();
             releaseChunk(*b);
-            cnt_.evictions_discarded.inc();
+            ++counters_[UvmStat::evictions_discarded];
             return t + cfg_.reclaim_cost;
         }
     }
@@ -156,7 +156,7 @@ UvmDriver::evictOne(GpuId id, sim::SimTime start)
     // picks the (pseudo-)LRU victim; the policy switch exists to
     // quantify that choice.
     if (VaBlock *b = selectUsedVictim(id)) {
-        cnt_.evictions_used.inc();
+        ++counters_[UvmStat::evictions_used];
         return evictBlock(*b, start);
     }
 
@@ -252,8 +252,8 @@ UvmDriver::retireChunk(VaBlock &block, sim::SimTime start)
     block.owner_gpu = -1;
     block.gpu_prepared.reset();
     block.gpu_mapping_big = false;
-    cnt_.fault_injected.inc();
-    cnt_.pages_retired.inc(mem::kPagesPerBlock);
+    ++counters_[UvmStat::fault_injected];
+    counters_[UvmStat::pages_retired] += mem::kPagesPerBlock;
     if (observer_)
         observer_->onFault(FaultEvent::kChunkRetired, block.base,
                            mem::kPagesPerBlock);

@@ -46,7 +46,7 @@ UvmDriver::zeroGpuPages(VaBlock &block, const PageMask &pages,
 sim::SimTime
 UvmDriver::rezeroChunk(VaBlock &block, GpuId id, sim::SimTime start)
 {
-    cnt_.chunk_rezero_ops.inc();
+    ++counters_[UvmStat::chunk_rezero_ops];
     sim::SimTime t =
         start + gpu(id).zero_engine.zeroCost(mem::kBigPageSize);
     if (backing_.enabled()) {
@@ -176,7 +176,7 @@ UvmDriver::migrateGpuToGpu(VaBlock &block, const PageMask &pages,
     t = allocChunk(block, dst, t);
 
     if (live.any()) {
-        cnt_.gpu_to_gpu_migrations.inc();
+        ++counters_[UvmStat::gpu_to_gpu_migrations];
         if (cfg_.peer_enabled) {
             // Direct peer copy over the NVLink-class fabric.  The
             // auditor tracks the moved value like any other transfer

@@ -29,7 +29,7 @@ UvmDriver::mapOnGpu(VaBlock &block, const PageMask &pages, GpuId id,
     // A block mapped in one shot covering all of its valid pages gets
     // a single 2 MB PTE (Section 5.4).
     block.gpu_mapping_big = big_ok && block.mapped_gpu == block.valid;
-    cnt_.gpu_map_ops.inc();
+    ++counters_[UvmStat::gpu_map_ops];
     if (observer_)
         observer_->onMap(block, to_map, ProcessorId::gpu(id));
     return start + cfg_.gpu_map_cost;
@@ -46,10 +46,10 @@ UvmDriver::unmapFromGpu(VaBlock &block, const PageMask &pages,
     block.mapped_gpu &= ~to_unmap;
     if (block.gpu_mapping_big && block.mapped_gpu.any()) {
         // Partial unmap of a big mapping splits it into 4 KB PTEs.
-        cnt_.gpu_mapping_splits.inc();
+        ++counters_[UvmStat::gpu_mapping_splits];
     }
     block.gpu_mapping_big = false;
-    cnt_.gpu_unmap_ops.inc();
+    ++counters_[UvmStat::gpu_unmap_ops];
     if (observer_)
         observer_->onUnmap(block, to_unmap,
                            ProcessorId::gpu(block.owner_gpu));
@@ -64,7 +64,7 @@ UvmDriver::mapOnCpu(VaBlock &block, const PageMask &pages,
     if (to_map.none())
         return start;
     block.mapped_cpu |= to_map;
-    cnt_.cpu_map_ops.inc();
+    ++counters_[UvmStat::cpu_map_ops];
     if (observer_)
         observer_->onMap(block, to_map, ProcessorId::cpu());
     return start + cfg_.cpu_map_cost;
@@ -78,7 +78,7 @@ UvmDriver::unmapFromCpu(VaBlock &block, const PageMask &pages,
     if (to_unmap.none())
         return start;
     block.mapped_cpu &= ~to_unmap;
-    cnt_.cpu_unmap_ops.inc();
+    ++counters_[UvmStat::cpu_unmap_ops];
     if (observer_)
         observer_->onUnmap(block, to_unmap, ProcessorId::cpu());
     return start + cfg_.cpu_unmap_cost;

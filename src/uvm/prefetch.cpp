@@ -25,7 +25,7 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
 {
     // Injected ECC chunk failures surface at driver entry points.
     sim::SimTime t = maybeInjectChunkFault(start);
-    cnt_.prefetch_calls.inc();
+    ++counters_[UvmStat::prefetch_calls];
 
     VaRange *range = dst.isGpu() ? wholeRange(addr, size) : nullptr;
     if (range && range->resident_on == dst.gpuIndex()) {
@@ -33,7 +33,7 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
         // them all and move the whole run to the MRU end at once.
         std::size_t n = range->blocks.size();
         t += static_cast<sim::SimDuration>(n) * cfg_.recency_touch_cost;
-        cnt_.prefetch_recency_only.inc(n);
+        counters_[UvmStat::prefetch_recency_only] += n;
         gpu(range->resident_on)
             .queues.usedQueue()
             .spliceToBack(range->blocks.front(), range->blocks.back());
@@ -58,8 +58,8 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
                 try {
                     t = migrateToGpu(b, missing, id,
                                      TransferCause::kPrefetch, t);
-                    cnt_.prefetch_migrated_pages
-                        .inc(missing.count());
+                    counters_[UvmStat::prefetch_migrated_pages] +=
+                        missing.count();
                 } catch (const GpuOomError &) {
                     // A prefetch is a hint: under the configured
                     // remote-access fallback an exhausted GPU just
@@ -68,7 +68,7 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
                     if (!cfg_.faults.oom_remote_fallback ||
                         b.has_gpu_chunk)
                         throw;
-                    cnt_.oom_fallbacks.inc();
+                    ++counters_[UvmStat::oom_fallbacks];
                     if (observer_)
                         observer_->onFault(
                             FaultEvent::kOomFallback, b.base,
@@ -81,8 +81,8 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
             // Re-arm resident pages that are still marked discarded.
             PageMask rearm = on_gpu & b.discarded;
             if (rearm.any()) {
-                cnt_.prefetch_rearmed_pages
-                    .inc(rearm.count());
+                counters_[UvmStat::prefetch_rearmed_pages] +=
+                    rearm.count();
                 if (!cfg_.track_fully_prepared || !b.fullyPrepared())
                     t = rezeroChunk(b, id, t);
                 if ((rearm & ~b.mapped_gpu).any()) {
@@ -108,7 +108,7 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
                 // Pure recency update (Section 7.5.1: prefetches that
                 // neither transfer nor prefault still cost time).
                 t += cfg_.recency_touch_cost;
-                cnt_.prefetch_recency_only.inc();
+                ++counters_[UvmStat::prefetch_recency_only];
             }
 
             requeueAfterDiscardStateChange(b);

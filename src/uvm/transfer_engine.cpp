@@ -6,9 +6,8 @@ namespace uvmd::uvm {
 
 using interconnect::Direction;
 
-TransferEngine::TransferEngine(const UvmConfig &cfg,
-                               sim::StatGroup &counters)
-    : cfg_(cfg), counters_(counters), ec_(counters)
+TransferEngine::TransferEngine(const UvmConfig &cfg, UvmStats &counters)
+    : cfg_(cfg), counters_(counters)
 {}
 
 void
@@ -107,21 +106,22 @@ TransferEngine::submit(const TransferRequest &req, sim::SimTime start)
     if (injector_ && injector_->enabled()) {
         done = injectDmaRetries(
             sched, engine, req.dir, bytes, new_descriptors, done,
-            *ec_.retries_by_cause[causeIndex(req.cause)],
+            byCause(UvmStat::transfer_retries_prefetch, req.cause),
             req.block->base,
             static_cast<std::uint32_t>(req.pages.count()));
     }
 
     link.accountTraffic(bytes, req.dir);
-    ec_.dma_descriptors.inc(new_descriptors);
+    counters_[UvmStat::dma_descriptors] += new_descriptors;
     if (merge)
-        ec_.dma_descriptors_coalesced.inc();
+        ++counters_[UvmStat::dma_descriptors_coalesced];
     if (req.peer) {
-        ec_.bytes_d2d.inc(bytes);
+        counters_[UvmStat::bytes_d2d] += bytes;
     } else {
-        ec_.bytes[static_cast<std::size_t>(req.dir)]
-                 [causeIndex(req.cause)]
-            ->inc(bytes);
+        counters_[byCause(req.dir == Direction::kHostToDevice
+                              ? UvmStat::bytes_h2d_prefetch
+                              : UvmStat::bytes_d2h_prefetch,
+                          req.cause)] += bytes;
     }
     if (observer_)
         observer_->onTransfer(*req.block, req.pages, req.dir,
@@ -139,7 +139,7 @@ TransferEngine::injectDmaRetries(interconnect::DmaScheduler &sched,
                                  sim::Bytes bytes,
                                  std::uint32_t new_descriptors,
                                  sim::SimTime done,
-                                 sim::Counter &cause_retries,
+                                 UvmStat cause_retries,
                                  mem::VirtAddr block_base,
                                  std::uint32_t pages)
 {
@@ -151,7 +151,7 @@ TransferEngine::injectDmaRetries(interconnect::DmaScheduler &sched,
     for (std::uint32_t d = 0; d < new_descriptors; ++d) {
         int attempt = 0;
         while (injector_->dmaDescriptorFails()) {
-            ec_.fault_injected.inc();
+            ++counters_[UvmStat::fault_injected];
             if (observer_)
                 observer_->onFault(FaultEvent::kDmaFault, block_base,
                                    pages);
@@ -164,9 +164,9 @@ TransferEngine::injectDmaRetries(interconnect::DmaScheduler &sched,
                 (sim::SimDuration{1} << attempt);
             sim::SimTime before = done;
             done = sched.retryOn(engine, dir, done + backoff, per_desc);
-            ec_.transfer_retries.inc();
-            cause_retries.inc();
-            ec_.transfer_retry_ns.inc(done - before);
+            ++counters_[UvmStat::transfer_retries];
+            ++counters_[cause_retries];
+            counters_[UvmStat::transfer_retry_ns] += done - before;
             if (observer_)
                 observer_->onFault(FaultEvent::kDmaRetry, block_base,
                                    pages);
@@ -204,7 +204,7 @@ TransferEngine::applyLinkEvents(sim::SimTime now)
         if (ev.bandwidth_factor < 1.0) {
             sched.scaleBandwidth(ev.bandwidth_factor);
             applied.bandwidth_factor = ev.bandwidth_factor;
-            ec_.fault_injected.inc();
+            ++counters_[UvmStat::fault_injected];
             if (observer_)
                 observer_->onFault(FaultEvent::kLinkDegraded, 0, 0);
         }
@@ -217,7 +217,7 @@ TransferEngine::applyLinkEvents(sim::SimTime now)
                     now)) {
                 invalidateTail(link_idx, dir);
                 applied.offline_engine = ev.offline_engine;
-                ec_.fault_injected.inc();
+                ++counters_[UvmStat::fault_injected];
                 if (observer_)
                     observer_->onFault(FaultEvent::kEngineOffline, 0,
                                        0);
@@ -233,11 +233,11 @@ TransferEngine::skipped(const VaBlock &block, const PageMask &pages,
 {
     if (pages.none())
         return;
-    sim::Counter &saved = peer ? ec_.saved_d2d_bytes
-                          : dir == Direction::kDeviceToHost
-                              ? ec_.saved_d2h_bytes
-                              : ec_.saved_h2d_bytes;
-    saved.inc(mem::maskBytes(pages));
+    UvmStat saved = peer ? UvmStat::saved_d2d_bytes
+                    : dir == Direction::kDeviceToHost
+                        ? UvmStat::saved_d2h_bytes
+                        : UvmStat::saved_h2d_bytes;
+    counters_[saved] += mem::maskBytes(pages);
     if (observer_)
         observer_->onTransferSkipped(block, pages, dir, cause);
 }
@@ -259,7 +259,7 @@ TransferEngine::rawTransfer(GpuId gpu, sim::Bytes bytes,
     descriptors_issued_ += 1;
     if (injector_ && injector_->enabled()) {
         done = injectDmaRetries(sched, engine, dir, bytes, 1, done,
-                                *ec_.retries_raw, 0, 0);
+                                UvmStat::transfer_retries_raw, 0, 0);
         applyLinkEvents(done);
     }
     return done;

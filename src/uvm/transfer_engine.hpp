@@ -51,7 +51,7 @@ struct TransferRequest {
 class TransferEngine
 {
   public:
-    TransferEngine(const UvmConfig &cfg, sim::StatGroup &counters);
+    TransferEngine(const UvmConfig &cfg, UvmStats &counters);
 
     /** Wire one GPU's host link (call once per GPU, in id order). */
     void addGpuLink(interconnect::Link *link);
@@ -159,7 +159,7 @@ class TransferEngine
                                   sim::Bytes bytes,
                                   std::uint32_t new_descriptors,
                                   sim::SimTime done,
-                                  sim::Counter &cause_retries,
+                                  UvmStat cause_retries,
                                   mem::VirtAddr block_base,
                                   std::uint32_t pages);
 
@@ -168,8 +168,7 @@ class TransferEngine
     void applyLinkEvents(sim::SimTime now);
 
     const UvmConfig &cfg_;
-    sim::StatGroup &counters_;
-    EngineCounters ec_;
+    UvmStats &counters_;
     sim::SmallVec<interconnect::Link *, 4> gpu_links_;
     interconnect::Link *peer_link_ = nullptr;
     TransferObserver *observer_ = nullptr;

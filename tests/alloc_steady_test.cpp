@@ -9,9 +9,9 @@
  * round trips — and asserts the heap was never touched.
  *
  * The counter lives in this test binary only; the library itself is
- * unmodified.  Everything the steady state needs was interned or
- * pooled at construction: stat handles (sim/stats.hpp), the dense
- * block index and the va_block arena (uvm/va_space.hpp), and the
+ * unmodified.  Everything the steady state needs is fixed or pooled
+ * at construction: counter tables (sim/stats.hpp), the dense block
+ * index and the va_block arena (uvm/va_space.hpp), and the
  * SmallVec-backed engine/observer bookkeeping (sim/arena.hpp).
  */
 
@@ -155,13 +155,12 @@ TEST(AllocSteady, WarmedDriverOpsPerformZeroHeapAllocations)
 
 TEST(AllocSteady, CounterIncrementDoesNotAllocate)
 {
-    sim::StatGroup g;
-    sim::Counter &c = g.counter("bytes_h2d.gpu_fault");
+    uvm::UvmStats t;
     const std::uint64_t before = allocCount();
     for (int i = 0; i < 1000; ++i)
-        c.inc(4096);
+        t[uvm::UvmStat::bytes_h2d_gpu_fault] += 4096;
     EXPECT_EQ(allocCount() - before, 0u);
-    EXPECT_EQ(g.get("bytes_h2d.gpu_fault"), 4096u * 1000u);
+    EXPECT_EQ(t.group().get("bytes_h2d.gpu_fault"), 4096u * 1000u);
 }
 
 TEST(AllocSteady, WarmBlockLookupDoesNotAllocate)

@@ -770,8 +770,8 @@ TEST(StatsJson, FaultCountersAppearAndJsonStaysValid)
 
 TEST(StatsJson, CleanRunOmitsNothingAndStaysValid)
 {
-    // Without injection the four counters are pre-registered only
-    // when enabled; a clean config must still produce valid JSON.
+    // Every declared row is dumped, so a clean run reports the
+    // recovery counters as 0; its JSON must stay valid.
     UvmDriver drv(test::tinyConfig(), test::testLink());
     sim::SimTime t = 0;
     mem::VirtAddr a = drv.allocManaged(kBigPageSize, "a");
@@ -780,7 +780,7 @@ TEST(StatsJson, CleanRunOmitsNothingAndStaysValid)
     std::ostringstream os;
     drv.dumpStatsJson(os);
     EXPECT_TRUE(JsonChecker(os.str()).valid()) << os.str();
-    EXPECT_EQ(os.str().find("\"fault_injected\""), std::string::npos);
+    EXPECT_NE(os.str().find("\"fault_injected\":0"), std::string::npos);
 }
 
 }  // namespace

@@ -1,20 +1,25 @@
 /**
  * @file
  * Unit tests for the simulation substrate: event queue ordering and
- * cancellation, timeline resources, statistics, PRNG determinism,
+ * cancellation, timeline resources, counter tables, PRNG determinism,
  * and time/byte formatting.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
+#include "uvm/driver.hpp"
 
 namespace uvmd::sim {
 namespace {
@@ -169,31 +174,202 @@ TEST(Resource, ResetClearsTimeline)
     EXPECT_EQ(r.reserve(5, 10), 15);
 }
 
-TEST(Stats, CountersAccumulateAndReset)
+// ----------------------------------------------------------------
+// Counter tables
+// ----------------------------------------------------------------
+
+std::size_t
+countOf(const std::string &haystack, const std::string &needle)
 {
-    StatGroup g;
-    g.counter("a").inc();
-    g.counter("a").inc(4);
-    g.counter("b").inc(7);
-    EXPECT_EQ(g.get("a"), 5u);
-    EXPECT_EQ(g.get("b"), 7u);
-    EXPECT_EQ(g.get("missing"), 0u);
-    EXPECT_FALSE(g.has("missing"));
-    g.reset();
-    EXPECT_EQ(g.get("a"), 0u);
+    std::size_t n = 0;
+    for (std::size_t at = haystack.find(needle); at != std::string::npos;
+         at = haystack.find(needle, at + 1))
+        ++n;
+    return n;
 }
 
-TEST(Stats, DistributionTracksMoments)
+/** Every row of @p g is on exactly one "prefix+name value" line of the
+ *  text dump @p text, with its current value. */
+void
+expectRowsDumpedOnce(const StatGroup &g, const std::string &text,
+                     const std::string &prefix)
 {
-    StatGroup g;
-    auto &d = g.dist("lat");
-    d.sample(1.0);
-    d.sample(3.0);
-    d.sample(2.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 3.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
+    const std::string lines = "\n" + text;
+    for (std::size_t i = 0; i < g.names().size(); ++i) {
+        const std::string key =
+            "\n" + prefix + std::string(g.names()[i]) + " ";
+        EXPECT_EQ(countOf(lines, key), 1u) << key;
+        EXPECT_EQ(countOf(lines, key + std::to_string(g.values()[i]) +
+                                     "\n"),
+                  1u)
+            << key;
+    }
+}
+
+/** Every row of @p g is exactly once in its JSON object, with its
+ *  value, and that object follows @p key in the JSON dump @p json. */
+void
+expectRowsInJsonOnce(const StatGroup &g, const std::string &json,
+                     const std::string &key)
+{
+    std::ostringstream os;
+    g.dumpJson(os);
+    const std::string obj = os.str();
+    for (std::size_t i = 0; i < g.names().size(); ++i) {
+        const std::string member =
+            "\"" + std::string(g.names()[i]) + "\":";
+        const std::string v = std::to_string(g.values()[i]);
+        EXPECT_EQ(countOf(obj, member), 1u) << member;
+        EXPECT_EQ(countOf(obj, member + v + ",") +
+                      countOf(obj, member + v + "}"),
+                  1u)
+            << member;
+    }
+    EXPECT_EQ(countOf(json, key + obj), 1u) << key << obj;
+}
+
+/** A driver with every fault kind armed, after some traffic. */
+struct BusyDriver {
+    uvm::UvmDriver drv{config(), interconnect::LinkSpec::pcie4()};
+
+    static uvm::UvmConfig
+    config()
+    {
+        uvm::UvmConfig cfg;
+        cfg.gpu_memory = 8 * mem::kBigPageSize;
+        cfg.faults.enabled = true;
+        cfg.faults.dma_fault_rate = 0.3;
+        cfg.faults.dma_max_retries = 16;
+        cfg.faults.chunk_retire_rate = 0.2;
+        cfg.faults.oom_remote_fallback = true;
+        return cfg;
+    }
+
+    BusyDriver()
+    {
+        const sim::Bytes size = 3 * mem::kBigPageSize;
+        SimTime t = 0;
+        mem::VirtAddr a = drv.allocManaged(size, "a");
+        t = drv.hostAccess(a, size, uvm::AccessKind::kWrite, t);
+        t = drv.prefetch(a, size, uvm::ProcessorId::gpu(0), t);
+        t = drv.discard(a, size, uvm::DiscardMode::kEager, t);
+        drv.hostAccess(a, size, uvm::AccessKind::kRead, t);
+    }
+};
+
+TEST(StatTable, DriverDumpsListEveryRowOnceWithItsValue)
+{
+    BusyDriver busy;
+    uvm::UvmDriver &drv = busy.drv;
+    ASSERT_GT(drv.counters().get("prefetch_calls"), 0u);
+    std::ostringstream text, json;
+    drv.dumpStats(text);
+    drv.dumpStatsJson(json);
+
+    expectRowsDumpedOnce(drv.counters(), text.str(), "uvm.");
+    expectRowsDumpedOnce(drv.link(0).stats(), text.str(), "gpu0.link.");
+    expectRowsDumpedOnce(drv.allocator(0).stats(), text.str(),
+                         "gpu0.alloc.");
+    expectRowsDumpedOnce(drv.zeroEngine(0).stats(), text.str(),
+                         "gpu0.zero.");
+    expectRowsDumpedOnce(drv.peerLink().stats(), text.str(), "peer.");
+
+    expectRowsInJsonOnce(drv.counters(), json.str(), "\"uvm\":");
+    expectRowsInJsonOnce(drv.link(0).stats(), json.str(),
+                         "[{\"link\":");
+    expectRowsInJsonOnce(drv.allocator(0).stats(), json.str(),
+                         "\"alloc\":");
+    expectRowsInJsonOnce(drv.zeroEngine(0).stats(), json.str(),
+                         "\"zero\":");
+    expectRowsInJsonOnce(drv.peerLink().stats(), json.str(),
+                         "\"peer\":{\"link\":");
+}
+
+TEST(StatTable, FaultTallyDumpsEveryRowOnceWithItsValue)
+{
+    FaultPlan plan;
+    plan.enabled = true;
+    plan.dma_fault_rate = 0.5;
+    plan.alloc_fail_rate = 0.5;
+    FaultInjector inj(plan);
+    for (int i = 0; i < 20; ++i) {
+        inj.dmaDescriptorFails();
+        inj.allocFails();
+    }
+    inj.noteLinkEventApplied({0, 0, 0.5, 1, 0});
+    ASSERT_GT(inj.tally().get("dma_faults"), 0u);
+    std::ostringstream text, json;
+    inj.tally().dump(text, "fault.");
+    inj.tally().dumpJson(json);
+    expectRowsDumpedOnce(inj.tally(), text.str(), "fault.");
+    expectRowsInJsonOnce(inj.tally(), json.str(), "");
+}
+
+void
+expectUniqueNames(std::span<const std::string_view> names)
+{
+    const std::set<std::string_view> unique(names.begin(), names.end());
+    EXPECT_EQ(unique.size(), names.size());
+}
+
+TEST(StatTable, RowNamesAreUniqueWithinAGroup)
+{
+    expectUniqueNames(uvm::UvmStatNames);
+    expectUniqueNames(interconnect::LinkStatNames);
+    expectUniqueNames(mem::AllocStatNames);
+    expectUniqueNames(mem::ZeroStatNames);
+    expectUniqueNames(FaultStatNames);
+}
+
+template <typename Id, const auto &Names>
+void
+expectResetZeroesEveryRow(StatTable<Id, Names> t)
+{
+    for (std::size_t i = 0; i < std::size(Names); ++i)
+        t[static_cast<Id>(i)] = i + 1;
+    for (std::uint64_t v : t.group().values())
+        EXPECT_NE(v, 0u);
+    t.reset();
+    for (std::uint64_t v : t.group().values())
+        EXPECT_EQ(v, 0u);
+}
+
+TEST(StatTable, ResetZeroesEveryRow)
+{
+    expectResetZeroesEveryRow(uvm::UvmStats{});
+    expectResetZeroesEveryRow(interconnect::LinkStats{});
+    expectResetZeroesEveryRow(mem::AllocStats{});
+    expectResetZeroesEveryRow(mem::ZeroStats{});
+    expectResetZeroesEveryRow(FaultStats{});
+}
+
+TEST(StatTable, PerCauseRowsFollowTransferCauseOrder)
+{
+    using uvm::UvmStat;
+    for (int c = 0; c < 4; ++c) {
+        const auto cause = static_cast<uvm::TransferCause>(c);
+        const std::string suffix = std::string(".") + toString(cause);
+        for (UvmStat first :
+             {UvmStat::bytes_h2d_prefetch, UvmStat::bytes_d2h_prefetch,
+              UvmStat::transfer_retries_prefetch}) {
+            const std::string_view base =
+                uvm::UvmStatNames[static_cast<std::size_t>(first)];
+            EXPECT_EQ(uvm::UvmStatNames[static_cast<std::size_t>(
+                          uvm::byCause(first, cause))],
+                      std::string(base.substr(0, base.find('.'))) +
+                          suffix);
+        }
+    }
+}
+
+TEST(StatTableDeathTest, GetOfAnUndeclaredNamePanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // zero_bytes is a row of each GPU's zero engine, not of the
+    // driver's own table.
+    uvm::UvmDriver drv(uvm::UvmConfig{}, interconnect::LinkSpec::pcie4());
+    EXPECT_DEATH(drv.counters().get("zero_bytes"),
+                 "no counter named 'zero_bytes'");
 }
 
 TEST(Rng, DeterministicForSeed)

@@ -33,7 +33,7 @@ fullMask()
 /** A standalone engine over one PCIe-4 link plus a peer fabric. */
 struct EngineFixture {
     UvmConfig cfg;
-    sim::StatGroup counters;
+    UvmStats counters;
     interconnect::Link link{interconnect::LinkSpec::pcie4()};
     interconnect::Link peer{interconnect::LinkSpec::nvlink()};
     TransferEngine eng{cfg, counters};
@@ -52,7 +52,7 @@ struct EngineFixture {
     std::uint64_t
     count(const std::string &name)
     {
-        return counters.counter(name).value();
+        return counters.group().get(name);
     }
 };
 
@@ -293,7 +293,7 @@ TEST(TransferEngineRegression, DefaultPrefetchMatchesSerialFormula)
                   .busyTime(),
               dma);
     EXPECT_EQ(
-        rt.driver().counters().counter("dma_descriptors").value(),
+        rt.driver().counters().get("dma_descriptors"),
         2u);
 }
 
@@ -310,10 +310,10 @@ TEST(TransferEngineRegression, CoalescingPreservesTrafficCounters)
         rt.hostTouch(buf, size, AccessKind::kWrite);
         rt.prefetchAsync(buf, size, ProcessorId::gpu(0));
         rt.synchronize();
-        auto &c = rt.driver().counters();
+        const sim::StatGroup c = rt.driver().counters();
         return std::tuple<std::uint64_t, std::uint64_t, sim::SimTime>(
-            c.counter("bytes_h2d.prefetch").value(),
-            c.counter("dma_descriptors").value(), rt.now());
+            c.get("bytes_h2d.prefetch"), c.get("dma_descriptors"),
+            rt.now());
     };
 
     auto [bytes_base, descs_base, t_base] = run(base);
