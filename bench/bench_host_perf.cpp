@@ -34,6 +34,11 @@
  *                    fastest of a few repetitions; blocks_walked is
  *                    the exact number of blocks those walks visited
  *                    (whole-range fast paths visit none)
+ *   e2e_hashjoin     one full Table 7/8 cell end to end: runHashJoin
+ *                    under UvmDiscard at 200% on PCIe-4; wall_ms is
+ *                    the fastest of a few repetitions; blocks_walked
+ *                    is the exact number of blocks the driver's walks
+ *                    visited
  *   e2e_verify       a slice of the CI verify campaign end to end:
  *                    runVerifiedScenario with content checks over
  *                    fuzz seeds 1-50, fault injection off and on; the
@@ -62,6 +67,7 @@
 #include "sweep_runner.hpp"
 #include "verify/fuzzer.hpp"
 #include "verify/verified_run.hpp"
+#include "workloads/hash_join.hpp"
 #include "workloads/radix_sort.hpp"
 
 // ------------------------------------------------------------------
@@ -534,6 +540,28 @@ benchE2eDl(int reps)
 }
 
 BenchResult
+benchE2eHashJoin(int reps)
+{
+    BenchResult res;
+    res.name = "e2e_hashjoin";
+    workloads::HashJoinParams p;
+    p.ovsp_ratio = 2.0;
+    workloads::RunResult r;
+    for (int i = 0; i < reps; ++i) {
+        Clock::time_point start = Clock::now();
+        r = workloads::runHashJoin(workloads::System::kUvmDiscard, p,
+                                   interconnect::LinkSpec::pcie4());
+        double ms = msSince(start);
+        res.wall_ms = i == 0 ? ms : std::min(res.wall_ms, ms);
+    }
+    res.metrics = {
+        {"blocks_walked", static_cast<double>(r.blocks_walked)},
+        {"traffic_gb", r.trafficGb()},
+    };
+    return res;
+}
+
+BenchResult
 benchE2eVerify(int reps)
 {
     BenchResult res;
@@ -650,6 +678,7 @@ main(int argc, char **argv)
         benches.push_back(benchDlSweep(jobs, quick));
     benches.push_back(benchE2eRadix(quick ? 3 : 5));
     benches.push_back(benchE2eDl(quick ? 3 : 5));
+    benches.push_back(benchE2eHashJoin(quick ? 3 : 5));
     benches.push_back(benchE2eVerify(quick ? 3 : 5));
 
     trace::Table table("Host perf (wall-clock of the simulator)");

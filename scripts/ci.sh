@@ -12,15 +12,19 @@
 #      (UVMD_FUZZ_SEEDS overrides the per-mode seed count, default
 #      200); failing reproducers are preserved in
 #      build/fuzz-artifacts/,
-#   6. the end-to-end benchmark smoke test: e2ebench/smoke_test.py
+#   6. a mutation campaign: scenario_fuzz hunts each deliberate driver
+#      bug (uvm::BugInjection, --bug NAME) over 50 seeds per fault
+#      mode; the stage fails if the Oracle misses any of them (a
+#      campaign that exits 0) or the campaign itself errors,
+#   7. the end-to-end benchmark smoke test: e2ebench/smoke_test.py
 #      builds e2ebench/uvmd_e2e.cpp on its own against src/ and checks
 #      every workload in both trace modes, so a library change that
 #      breaks the benchmark fails here,
-#   7. results byte-stability (release build): every results-producing
+#   8. results byte-stability (release build): every results-producing
 #      bench_* harness regenerates its CSVs at --jobs N, and
 #      scripts/check_results.py fails on any byte of drift from the
 #      committed results/ and names the drifting files,
-#   8. a perf smoke stage (release build): bench_host_perf emits
+#   9. a perf smoke stage (release build): bench_host_perf emits
 #      BENCH_perf.json, which is gated against the committed
 #      BENCH_baseline.json by scripts/perf_gate.py (throughput and
 #      wall-clock within a tolerance band, allocs_per_iter may never
@@ -74,6 +78,23 @@ if ! build/examples/scenario_fuzz \
          "build/fuzz-artifacts/" >&2
     exit 1
 fi
+
+echo "== mutation campaign: every injected bug is caught =="
+rm -rf build/mutation-artifacts
+for bug in lazy-rearm-keeps-dirty silent-dirty-bit-change \
+           skip-discard-requeue drop-evicted-cpu-copy; do
+    rc=0
+    build/examples/scenario_fuzz --seeds 50 --no-shrink --bug "$bug" \
+        --artifacts "build/mutation-artifacts/$bug" > /dev/null || rc=$?
+    case "$rc" in
+      3|4|5) echo "--bug $bug: caught (exit $rc)" ;;
+      0) echo "mutation campaign: --bug $bug went uncaught" >&2
+         exit 1 ;;
+      *) echo "mutation campaign: --bug $bug: scenario_fuzz failed" \
+              "(exit $rc)" >&2
+         exit 1 ;;
+    esac
+done
 
 echo "== configure + build (release) =="
 cmake --preset release

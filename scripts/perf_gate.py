@@ -17,7 +17,8 @@ Gate semantics (docs/performance.md, "Regression gate"):
     tolerance (the zero-allocation steady state keeps
     `allocs_per_iter` at 0; `allocs_per_script` catches a return to
     deep-copied backing-store payloads; `blocks_walked` catches a
-    return to per-block walks for fully resident ranges).
+    return to per-block walks for fully resident or fully discarded
+    ranges).
   - Benches present in the baseline but missing from the current run
     fail (a silently-dropped bench is a coverage regression); new
     benches in the current run are ignored (they gate once

@@ -35,7 +35,7 @@ UvmDriver::gpuAccess(GpuId id, const std::vector<Access> &accesses,
     std::uint32_t batch_fill = 0;
     for (const Access &a : accesses) {
         VaRange *range = wholeRange(a.addr, a.size);
-        if (range && range->resident_on == id) {
+        if (range && range->residentOn(id)) {
             // Every block would take the TLB-hit path below, which
             // charges no time: one MRU splice and one run event do
             // the same work.

@@ -26,6 +26,10 @@ UvmDriver::discard(mem::VirtAddr addr, sim::Bytes size,
     ++counters_[mode == DiscardMode::kEager
                     ? UvmStat::discard_calls_eager
                     : UvmStat::discard_calls_lazy];
+    if (VaRange *range = wholeRange(addr, size);
+        range && range->state == RangeState::kResident)
+        return discardResidentRange(*range, mode, start);
+
     sim::SimTime t = start;
     walkBlocks(addr, size, [&](VaBlock &b, const PageMask &m) {
         bool full = m == b.valid;
@@ -80,6 +84,58 @@ UvmDriver::discardBlock(VaBlock &block, const PageMask &pages,
 
     requeueAfterDiscardStateChange(block);
     return t;
+}
+
+sim::SimTime
+UvmDriver::discardResidentRange(VaRange &range, DiscardMode mode,
+                                sim::SimTime start)
+{
+    // Per block, exactly what discardBlock and the requeue do to a
+    // block whose valid pages are all resident, mapped and live on
+    // the range's GPU (nothing is CPU-mapped), with the same events
+    // in the same order.  The used-queue run moves, in address order,
+    // to the tail of the discarded FIFO.
+    GpuId id = range.summary_gpu;
+    bool eager = mode == DiscardMode::kEager;
+    // The injected bugs, as in discardBlock: an eager discard that
+    // reports no state change, and blocks left on the used queue.
+    bool silent = cfg_.bug == BugInjection::kSilentDirtyBitChange;
+    bool requeue = cfg_.discard_queue_enabled &&
+                   cfg_.bug != BugInjection::kSkipDiscardRequeue;
+    Queues &q = gpu(id).queues;
+    for (VaBlock *b : range.blocks) {
+        if (observer_)
+            observer_->onDiscard(*b, b->valid);
+        if (eager) {
+            b->mapped_gpu.reset();
+            b->gpu_mapping_big = false;
+            b->remote_mapped = 0;
+            b->discarded_lazily.reset();
+            if (observer_)
+                observer_->onUnmap(*b, b->valid, ProcessorId::gpu(id));
+        } else {
+            b->discarded_lazily = b->valid;
+        }
+        b->discarded = b->valid;
+        if (observer_ && !(eager && silent))
+            observer_->onDiscardStateChange(*b, b->valid, true);
+        if (requeue) {
+            q.usedQueue().remove(b);
+            q.discardedQueue().pushBack(b);
+            if (observer_)
+                observer_->onQueueMove(*b, mem::QueueKind::kUsed,
+                                       mem::QueueKind::kDiscarded);
+        }
+    }
+    std::uint64_t n = range.blocks.size();
+    counters_[UvmStat::discarded_pages] += range.pageCount();
+    if (eager)
+        counters_[UvmStat::gpu_unmap_ops] += n;
+    range.state = !requeue ? RangeState::kNone
+                  : eager  ? RangeState::kDiscardedEager
+                           : RangeState::kDiscardedLazy;
+    return start + static_cast<sim::SimDuration>(n) *
+                       (eager ? cfg_.gpu_unmap_cost : cfg_.block_op_cost);
 }
 
 void

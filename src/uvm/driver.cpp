@@ -420,19 +420,31 @@ UvmDriver::collectInvariantViolations()
           case mem::QueueKind::kNone:
             break;
         }
-        if (const VaRange *r = b.range; r->resident_on != kNoGpu) {
+        if (const VaRange *r = b.range; r->state != RangeState::kNone) {
             std::size_t i = (b.base - r->base) / mem::kBigPageSize;
             const VaBlock *next =
                 i + 1 < r->blocks.size() ? r->blocks[i + 1] : nullptr;
-            PageMask off = b.valid & ~(b.resident_gpu & b.mapped_gpu);
-            if (!b.has_gpu_chunk || b.owner_gpu != r->resident_on ||
-                off.any() || b.discarded.any() ||
-                b.link.on != mem::QueueKind::kUsed ||
+            bool live = r->state == RangeState::kResident;
+            bool mapped = r->state != RangeState::kDiscardedEager;
+            // Pages whose masks differ from what the state claims.
+            const PageMask &all = b.valid;
+            PageMask none;
+            PageMask off = (b.resident_gpu ^ all) |
+                           (b.discarded ^ (live ? none : all)) |
+                           (b.mapped_gpu ^ (mapped ? all : none)) |
+                           b.mapped_cpu;
+            if (!live)
+                off |= b.discarded_lazily ^ (mapped ? all : none);
+            if (!b.has_gpu_chunk || b.owner_gpu != r->summary_gpu ||
+                off.any() ||
+                b.link.on != (live ? mem::QueueKind::kUsed
+                                   : mem::QueueKind::kDiscarded) ||
                 (next && b.link.next != next))
-                add("range-summary-stale", &b, count(off | b.discarded),
+                add("range-summary-stale", &b, count(off),
                     "range '" + r->name + "' claims gpu" +
-                        std::to_string(r->resident_on) +
-                        " residency the block does not have");
+                        std::to_string(r->summary_gpu) + " " +
+                        (live ? "residency" : "discarded residency") +
+                        " the block does not have");
         }
     });
     for (std::size_t i = 0; i < gpus_.size(); ++i) {
@@ -484,8 +496,11 @@ void
 UvmDriver::clearDiscarded(VaBlock &block, const PageMask &mask)
 {
     PageMask delta = mask & block.discarded;
+    if (delta.none())
+        return;
+    dropSummary(block);
     block.discarded &= ~mask;
-    if (observer_ && delta.any())
+    if (observer_)
         observer_->onDiscardStateChange(block, delta, false);
 }
 
@@ -516,8 +531,10 @@ UvmDriver::wholeRange(mem::VirtAddr addr, sim::Bytes size)
 void
 UvmDriver::SummaryWalk::finish()
 {
-    if (range_ && last_ == range_->blocks.back())
-        range_->resident_on = gpu_;
+    if (range_ && last_ == range_->blocks.back()) {
+        range_->state = RangeState::kResident;
+        range_->summary_gpu = gpu_;
+    }
 }
 
 }  // namespace uvmd::uvm

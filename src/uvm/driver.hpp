@@ -412,6 +412,20 @@ class UvmDriver
     /** Place a block on used/discarded per its current state. */
     void requeueAfterDiscardStateChange(VaBlock &block);
 
+    /** discard() of a whole range that is residentOn its GPU: the
+     *  state changes, events and costs of discardBlock plus the
+     *  requeue, for every block, without a walk.  Leaves the range
+     *  discardedOn that GPU. */
+    sim::SimTime discardResidentRange(VaRange &range, DiscardMode mode,
+                                      sim::SimTime start);
+
+    // ---- prefetch.cpp ----
+
+    /** GPU prefetch of a whole range that is discardedOn that GPU:
+     *  the re-arm the walk would do, block by block, without a walk.
+     *  Leaves the range residentOn the GPU. */
+    sim::SimTime rearmDiscardedRange(VaRange &range, sim::SimTime start);
+
     // ---- access.cpp ----
 
     /** @param batch_fill running count of faults in the kernel's
@@ -503,19 +517,23 @@ class UvmDriver
         dropSummary(block);
     }
 
-    // ---- whole-range summary (VaRange::resident_on) ----
+    // ---- whole-range summary (VaRange::state) ----
 
     /** The range that [addr, addr+size) covers exactly, or nullptr. */
     VaRange *wholeRange(mem::VirtAddr addr, sim::Bytes size);
 
-    /** Clear the summary of @p block's range.  setQueue (actual
-     *  moves), markDiscarded, unmapFromGpu and touchUsed call this;
-     *  GPU residency is never lost without one of them, because a
-     *  summarised block is fully mapped and migrations unmap first. */
+    /** Clear the summary of @p block's range, whichever state it
+     *  holds.  setQueue (actual moves), markDiscarded, clearDiscarded
+     *  (actual deltas), mapOnGpu, unmapFromGpu and touchUsed call
+     *  this.  GPU residency is never lost without one of them: a
+     *  resident or lazily discarded block is fully mapped and
+     *  migrations unmap first; an eagerly discarded one either
+     *  drains (its chunk changes queue) or re-arms the pages it
+     *  loses (clearDiscarded). */
     void
     dropSummary(VaBlock &block)
     {
-        block.range->resident_on = kNoGpu;
+        block.range->state = RangeState::kNone;
         SummaryWalk *walk = summary_walk_;
         if (walk && walk->range_ == block.range && walk->last_ &&
             block.base <= walk->last_->base)
@@ -525,10 +543,11 @@ class UvmDriver
     /**
      * A walk over a whole range that may set its summary.  check()
      * runs on each block right after its touch, while it is still in
-     * cache; finish() sets resident_on when every block qualified and
-     * none of the checked blocks changed later in the walk (e.g. was
-     * evicted to make room for a later one), which dropSummary()
-     * reports by clearing `range_`.  No second pass over the blocks.
+     * cache; finish() makes the range residentOn the walk's GPU when
+     * every block qualified and none of the checked blocks changed
+     * later in the walk (e.g. was evicted to make room for a later
+     * one), which dropSummary() reports by clearing `range_`.  No
+     * second pass over the blocks.
      */
     class SummaryWalk
     {

@@ -25,6 +25,7 @@ UvmDriver::mapOnGpu(VaBlock &block, const PageMask &pages, GpuId id,
     if (block.owner_gpu != id)
         sim::panic("mapOnGpu: mapping on a GPU that does not own the "
                    "chunk");
+    dropSummary(block);
     block.mapped_gpu |= to_map;
     // A block mapped in one shot covering all of its valid pages gets
     // a single 2 MB PTE (Section 5.4).

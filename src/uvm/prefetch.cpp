@@ -28,17 +28,19 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
     ++counters_[UvmStat::prefetch_calls];
 
     VaRange *range = dst.isGpu() ? wholeRange(addr, size) : nullptr;
-    if (range && range->resident_on == dst.gpuIndex()) {
+    if (range && range->residentOn(dst.gpuIndex())) {
         // Every block would be a pure recency touch (below): charge
         // them all and move the whole run to the MRU end at once.
         std::size_t n = range->blocks.size();
         t += static_cast<sim::SimDuration>(n) * cfg_.recency_touch_cost;
         counters_[UvmStat::prefetch_recency_only] += n;
-        gpu(range->resident_on)
+        gpu(dst.gpuIndex())
             .queues.usedQueue()
             .spliceToBack(range->blocks.front(), range->blocks.back());
         return t;
     }
+    if (range && range->discardedOn(dst.gpuIndex()))
+        return rearmDiscardedRange(*range, t);
 
     // One prefetch call is one transfer batch: runs spanning adjacent
     // blocks may coalesce into single DMA descriptors.
@@ -140,6 +142,51 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
         }
     });
     walk.finish();
+    return t;
+}
+
+sim::SimTime
+UvmDriver::rearmDiscardedRange(VaRange &range, sim::SimTime start)
+{
+    // Per block, exactly what the walk above does for a block whose
+    // valid pages are all resident and discarded on the target GPU:
+    // no migration and no recency charge, only the re-arm, the remap
+    // (eager) and the requeue from the discarded FIFO to the MRU end.
+    GpuId id = range.summary_gpu;
+    bool lazy = range.state == RangeState::kDiscardedLazy;
+    // The injected bug leaves lazily discarded pages discarded: the
+    // blocks keep their state and the range stays discarded.
+    bool keep = lazy && cfg_.bug == BugInjection::kLazyRearmKeepsDirty;
+    Queues &q = gpu(id).queues;
+    sim::SimTime t = start;
+    for (VaBlock *b : range.blocks) {
+        if (!cfg_.track_fully_prepared || !b->fullyPrepared())
+            t = rezeroChunk(*b, id, t);
+        if (lazy)
+            t += cfg_.block_op_cost;
+        if (keep)
+            continue;
+        b->discarded.reset();
+        b->discarded_lazily.reset();
+        if (observer_)
+            observer_->onDiscardStateChange(*b, b->valid, false);
+        if (!lazy) {
+            b->mapped_gpu = b->valid;
+            b->gpu_mapping_big = true;
+            ++counters_[UvmStat::gpu_map_ops];
+            if (observer_)
+                observer_->onMap(*b, b->valid, ProcessorId::gpu(id));
+            t += cfg_.gpu_map_cost;
+        }
+        q.discardedQueue().remove(b);
+        q.usedQueue().pushBack(b);
+        if (observer_)
+            observer_->onQueueMove(*b, mem::QueueKind::kDiscarded,
+                                   mem::QueueKind::kUsed);
+    }
+    counters_[UvmStat::prefetch_rearmed_pages] += range.pageCount();
+    if (!keep)
+        range.state = RangeState::kResident;
     return t;
 }
 

@@ -27,8 +27,19 @@
 
 namespace uvmd::uvm {
 
-/** No GPU: the value of VaRange::resident_on while no summary holds. */
-inline constexpr GpuId kNoGpu = -1;
+/**
+ * What a VaRange summary asserts about every block of the range, on
+ * the summary's GPU g.  In each state every valid page is resident on
+ * g and the blocks sit next to each other, in address order, on one
+ * of g's queues.
+ */
+enum class RangeState : std::uint8_t {
+    kNone,            ///< no summary holds
+    kResident,        ///< mapped on g, none discarded; used queue
+    kDiscardedEager,  ///< all discarded, none mapped; discarded FIFO
+    kDiscardedLazy,   ///< all discarded, still mapped on g
+                      ///< (discarded_lazily == valid); discarded FIFO
+};
 
 struct VaRange {
     std::uint32_t id;
@@ -39,13 +50,38 @@ struct VaRange {
     std::vector<VaBlock *> blocks;
 
     /**
-     * Whole-range summary, owned by the driver.  When not kNoGpu,
-     * every valid page of every block is resident and mapped on that
-     * GPU, no page is discarded, and the blocks sit next to each
-     * other, in address order, on that GPU's used queue — so a
-     * whole-range touch is one splice, not one walk step per block.
+     * Whole-range summary, owned by the driver: @ref state holds on
+     * GPU @ref summary_gpu (meaningless while the state is kNone).
+     * A whole-range touch of a resident range is one used-queue
+     * splice; a whole-range discard of it, or a re-arming prefetch
+     * of a discarded one, is one loop over `blocks` — none of them a
+     * block walk.
      */
-    GpuId resident_on = kNoGpu;
+    RangeState state = RangeState::kNone;
+    GpuId summary_gpu = -1;
+
+    /** Valid pages over all blocks: the range starts on a block
+     *  boundary, so its blocks' `valid` masks cover exactly the
+     *  4 KB pages that [base, base+size) touches. */
+    std::uint64_t
+    pageCount() const
+    {
+        return (size + mem::kSmallPageSize - 1) / mem::kSmallPageSize;
+    }
+
+    bool
+    residentOn(GpuId g) const
+    {
+        return state == RangeState::kResident && summary_gpu == g;
+    }
+
+    bool
+    discardedOn(GpuId g) const
+    {
+        return (state == RangeState::kDiscardedEager ||
+                state == RangeState::kDiscardedLazy) &&
+               summary_gpu == g;
+    }
 };
 
 class VaSpace

@@ -1,23 +1,29 @@
 /**
  * @file
- * The whole-range hit path: VaRange::resident_on and the O(1) used-
- * queue splice that replaces a per-block recency walk.
+ * The whole-range summary (VaRange::state): the O(1) used-queue
+ * splice that replaces a per-block recency walk, and the walk-free
+ * discard and re-arm loops.
  *
  *  - IntrusiveList::spliceToBack equals n moveToBack calls over the
  *    same segment, at the head, at the tail, over the whole list and
  *    on a single element.
- *  - The summary is set by a whole-range walk, served by the fast
- *    paths, dropped by a sub-range touch, and a stale one is flagged
- *    by the range-summary-stale invariant.
+ *  - The summary is set by a whole-range walk, moved between its
+ *    resident and discarded states by the fast paths, dropped by a
+ *    sub-range touch, and a stale one is flagged by the
+ *    range-summary-stale invariant.
  *  - Differential order test: one driver receives whole-range
  *    accesses, prefetches and discards (and so takes the fast paths);
  *    a second receives the same operations split per block, which
  *    never can.  Partial-range operations go to both.  After every
  *    operation the three page queues must list the same blocks in
- *    the same order, and every block must have the same residency,
- *    mapping and discard masks.  A summary left stale by a missing
- *    clear splices the wrong segment and shows up here as a
- *    reordered used queue.
+ *    the same order; every block must have the same residency,
+ *    mapping, preparation and discard masks; every counter that does
+ *    not count calls or walk steps must match; both drivers must
+ *    have reported the same observer events; and, when no bytes
+ *    moved, the operation must have taken the same simulated time.
+ *    A summary left stale by a missing clear splices the wrong
+ *    segment or re-arms blocks that are not discarded, and shows up
+ *    here as a reordered queue, a mask, count or event mismatch.
  */
 
 #include <gtest/gtest.h>
@@ -131,10 +137,10 @@ TEST_F(RangeSummaryTest, WholeRangeWalkSetsItAndFastPathsWalkNothing)
     sim::Bytes size = 3 * kBigPageSize + 5 * kSmallPageSize;
     mem::VirtAddr a = drv_.allocManaged(size, "a");
     VaRange *range = drv_.vaSpace().rangeOf(a);
-    EXPECT_EQ(range->resident_on, kNoGpu);
+    EXPECT_EQ(range->state, RangeState::kNone);
 
     t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
-    EXPECT_EQ(range->resident_on, 0);
+    EXPECT_TRUE(range->residentOn(0));
     EXPECT_EQ(walked(), 4u);
 
     // Both fast paths: no block visited, the recency charge intact.
@@ -154,17 +160,17 @@ TEST_F(RangeSummaryTest, SubRangeTouchDropsIt)
     mem::VirtAddr a = drv_.allocManaged(size, "a");
     VaRange *range = drv_.vaSpace().rangeOf(a);
     t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
-    ASSERT_EQ(range->resident_on, 0);
+    ASSERT_TRUE(range->residentOn(0));
 
     // The middle block moves to the MRU end alone: the range is no
     // longer one segment of the used queue.
     t_ = drv_.gpuAccess(
         0, {{a + kBigPageSize, kBigPageSize, AccessKind::kRead}}, t_);
-    EXPECT_EQ(range->resident_on, kNoGpu);
+    EXPECT_EQ(range->state, RangeState::kNone);
 
     // The next whole-range walk restores both order and summary.
     t_ = drv_.gpuAccess(0, {{a, size, AccessKind::kRead}}, t_);
-    EXPECT_EQ(range->resident_on, 0);
+    EXPECT_TRUE(range->residentOn(0));
     EXPECT_TRUE(drv_.collectInvariantViolations().empty());
 }
 
@@ -175,28 +181,248 @@ TEST_F(RangeSummaryTest, DiscardAndPartialResidencyDropIt)
     VaRange *range = drv_.vaSpace().rangeOf(a);
     t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
     t_ = drv_.discard(a, size, DiscardMode::kLazy, t_);
-    EXPECT_EQ(range->resident_on, kNoGpu);
+    EXPECT_FALSE(range->residentOn(0));
 
     t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
-    ASSERT_EQ(range->resident_on, 0);
+    ASSERT_TRUE(range->residentOn(0));
     t_ = drv_.hostAccess(a, kSmallPageSize, AccessKind::kRead, t_);
-    EXPECT_EQ(range->resident_on, kNoGpu);
+    EXPECT_EQ(range->state, RangeState::kNone);
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+}
+
+TEST_F(RangeSummaryTest, DiscardAndReArmWalkNothing)
+{
+    sim::Bytes size = 3 * kBigPageSize;
+    mem::VirtAddr a = drv_.allocManaged(size, "a");
+    VaRange *range = drv_.vaSpace().rangeOf(a);
+    const UvmConfig &cfg = drv_.config();
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    ASSERT_EQ(walked(), 3u);
+
+    // Eager: three unmaps, then three remaps; the chunks were zero-
+    // filled by the first prefetch, so nothing is re-zeroed.
+    sim::SimTime before = t_;
+    t_ = drv_.discard(a, size, DiscardMode::kEager, t_);
+    EXPECT_EQ(t_ - before, 3 * cfg.gpu_unmap_cost);
+    EXPECT_EQ(range->state, RangeState::kDiscardedEager);
+    EXPECT_EQ(drv_.queues().discardedQueue().size(), 3u);
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+    before = t_;
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    EXPECT_EQ(t_ - before, 3 * cfg.gpu_map_cost);
+    EXPECT_TRUE(range->residentOn(0));
+    EXPECT_EQ(drv_.counters().get("prefetch_rearmed_pages"),
+              3 * mem::kPagesPerBlock);
+
+    // Lazy: a software bitmap update per block each way.
+    before = t_;
+    t_ = drv_.discard(a, size, DiscardMode::kLazy, t_);
+    EXPECT_EQ(t_ - before, 3 * cfg.block_op_cost);
+    EXPECT_EQ(range->state, RangeState::kDiscardedLazy);
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+    before = t_;
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    EXPECT_EQ(t_ - before, 3 * cfg.block_op_cost);
+    EXPECT_TRUE(range->residentOn(0));
+    EXPECT_EQ(walked(), 3u);
+    EXPECT_EQ(drv_.queues().usedQueue().size(), 3u);
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+}
+
+TEST_F(RangeSummaryTest, SubRangeTouchDropsTheDiscardedState)
+{
+    sim::Bytes size = 2 * kBigPageSize;
+    mem::VirtAddr a = drv_.allocManaged(size, "a");
+    VaRange *range = drv_.vaSpace().rangeOf(a);
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    t_ = drv_.discard(a, size, DiscardMode::kEager, t_);
+    ASSERT_EQ(range->state, RangeState::kDiscardedEager);
+
+    // One faulting page re-arms (and remaps) its block.
+    t_ = drv_.gpuAccess(0, {{a, kSmallPageSize, AccessKind::kWrite}}, t_);
+    EXPECT_EQ(range->state, RangeState::kNone);
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+
+    // The re-arming walk restores the resident state.
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    ASSERT_TRUE(range->residentOn(0));
+    t_ = drv_.discard(a, size, DiscardMode::kLazy, t_);
+    ASSERT_EQ(range->state, RangeState::kDiscardedLazy);
+    t_ = drv_.hostAccess(a + size - kSmallPageSize, kSmallPageSize,
+                         AccessKind::kRead, t_);
+    EXPECT_EQ(range->state, RangeState::kNone);
     EXPECT_TRUE(drv_.collectInvariantViolations().empty());
 }
 
 TEST_F(RangeSummaryTest, StaleSummaryIsAnInvariantViolation)
 {
     mem::VirtAddr a = drv_.allocManaged(2 * kBigPageSize, "a");
-    drv_.vaSpace().rangeOf(a)->resident_on = 0;  // nothing is resident
+    VaRange *range = drv_.vaSpace().rangeOf(a);
+    range->state = RangeState::kResident;  // nothing is resident
+    range->summary_gpu = 0;
     std::vector<InvariantViolation> v = drv_.collectInvariantViolations();
     ASSERT_EQ(v.size(), 2u);
     EXPECT_EQ(v[0].code, "range-summary-stale");
     EXPECT_EQ(v[0].pages, mem::kPagesPerBlock);
 }
 
+TEST_F(RangeSummaryTest, StaleDiscardedSummaryIsAnInvariantViolation)
+{
+    sim::Bytes size = 2 * kBigPageSize;
+    mem::VirtAddr a = drv_.allocManaged(size, "a");
+    VaRange *range = drv_.vaSpace().rangeOf(a);
+    auto stale = [&] {
+        std::vector<InvariantViolation> v =
+            drv_.collectInvariantViolations();
+        EXPECT_EQ(v.size(), 2u);
+        for (const InvariantViolation &e : v) {
+            EXPECT_EQ(e.code, "range-summary-stale");
+            EXPECT_EQ(e.pages, mem::kPagesPerBlock);
+        }
+    };
+    // Resident and live: nothing is discarded or on the FIFO.
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    range->state = RangeState::kDiscardedEager;
+    stale();
+    // Lazily discarded, so still mapped: the eager claim is wrong ...
+    range->state = RangeState::kResident;
+    t_ = drv_.discard(a, size, DiscardMode::kLazy, t_);
+    ASSERT_EQ(range->state, RangeState::kDiscardedLazy);
+    range->state = RangeState::kDiscardedEager;
+    stale();
+    // ... and so is the claim after the pages lost their mappings.
+    range->state = RangeState::kDiscardedLazy;
+    t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
+    t_ = drv_.discard(a, size, DiscardMode::kEager, t_);
+    ASSERT_EQ(range->state, RangeState::kDiscardedEager);
+    range->state = RangeState::kDiscardedLazy;
+    stale();
+    // On the right GPU only.
+    range->state = RangeState::kDiscardedEager;
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+    range->summary_gpu = 1;
+    EXPECT_EQ(drv_.collectInvariantViolations().size(), 2u);
+}
+
 // ------------------------------------------------------------------
 // Differential order test
 // ------------------------------------------------------------------
+
+/**
+ * Records every observer event as a comparable tuple.  onAccessRun
+ * keeps its default, so a whole-range access appears as the per-block
+ * onAccess events the walk would report.
+ */
+class EventRecorder : public TransferObserver
+{
+  public:
+    struct Event {
+        char kind;
+        mem::VirtAddr base;
+        PageMask pages;
+        int a;
+        int b;
+        bool operator==(const Event &) const = default;
+    };
+
+    std::vector<Event> events;
+
+    void
+    onTransfer(const VaBlock &blk, const PageMask &pages,
+               interconnect::Direction dir, TransferCause cause) override
+    {
+        add('T', blk.base, pages, int(dir), int(cause));
+    }
+    void
+    onTransferSkipped(const VaBlock &blk, const PageMask &pages,
+                      interconnect::Direction dir,
+                      TransferCause cause) override
+    {
+        add('S', blk.base, pages, int(dir), int(cause));
+    }
+    void
+    onAccess(const VaBlock &blk, const PageMask &pages, bool is_read,
+             bool is_write, ProcessorId where) override
+    {
+        add('A', blk.base, pages, is_read * 2 + is_write, code(where));
+    }
+    void
+    onDiscard(const VaBlock &blk, const PageMask &pages) override
+    {
+        add('D', blk.base, pages, 0, 0);
+    }
+    void
+    onFree(const VaBlock &blk, const PageMask &pages) override
+    {
+        add('F', blk.base, pages, 0, 0);
+    }
+    void
+    onFault(FaultEvent event, mem::VirtAddr base,
+            std::uint32_t pages) override
+    {
+        add('X', base, {}, int(event), int(pages));
+    }
+    void
+    onMap(const VaBlock &blk, const PageMask &pages,
+          ProcessorId where) override
+    {
+        add('M', blk.base, pages, code(where), 0);
+    }
+    void
+    onUnmap(const VaBlock &blk, const PageMask &pages,
+            ProcessorId where) override
+    {
+        add('U', blk.base, pages, code(where), 0);
+    }
+    void
+    onDiscardStateChange(const VaBlock &blk, const PageMask &pages,
+                         bool discarded) override
+    {
+        add('C', blk.base, pages, discarded, 0);
+    }
+    void
+    onQueueMove(const VaBlock &blk, mem::QueueKind from,
+                mem::QueueKind to) override
+    {
+        add('Q', blk.base, {}, int(from), int(to));
+    }
+
+  private:
+    static int code(ProcessorId p) { return p.isCpu() ? -1 : p.gpuIndex(); }
+
+    void
+    add(char kind, mem::VirtAddr base, const PageMask &pages, int a, int b)
+    {
+        events.push_back({kind, base, pages, a, b});
+    }
+};
+
+/** Both recorders saw the same events since the last call. */
+void
+expectSameEvents(EventRecorder &whole, EventRecorder &split,
+                 const std::string &where)
+{
+    const auto &w = whole.events;
+    const auto &s = split.events;
+    std::size_t i = 0;
+    while (i < w.size() && i < s.size() && w[i] == s[i])
+        ++i;
+    if (i < w.size() || i < s.size()) {
+        auto show = [&](const std::vector<EventRecorder::Event> &v) {
+            if (i >= v.size())
+                return std::string("(end)");
+            const EventRecorder::Event &e = v[i];
+            return std::string(1, e.kind) + " block " +
+                   std::to_string(e.base) + " pages " +
+                   std::to_string(e.pages.count()) + " " +
+                   std::to_string(e.a) + "," + std::to_string(e.b);
+        };
+        ADD_FAILURE() << where << ": event " << i << " differs: whole "
+                      << show(w) << ", split " << show(s);
+    }
+    whole.events.clear();
+    split.events.clear();
+}
 
 /** Everything the fast paths must leave exactly as the walk would. */
 void
@@ -233,16 +459,22 @@ expectSameState(UvmDriver &whole, UvmDriver &split, int gpus,
         EXPECT_EQ(w.resident_gpu, s.resident_gpu) << at;
         EXPECT_EQ(w.mapped_cpu, s.mapped_cpu) << at;
         EXPECT_EQ(w.mapped_gpu, s.mapped_gpu) << at;
+        EXPECT_EQ(w.gpu_mapping_big, s.gpu_mapping_big) << at;
+        EXPECT_EQ(w.gpu_prepared, s.gpu_prepared) << at;
         EXPECT_EQ(w.discarded, s.discarded) << at;
         EXPECT_EQ(w.discarded_lazily, s.discarded_lazily) << at;
     });
     EXPECT_EQ(i, blocks.size()) << where;
-    for (const char *name :
-         {"prefetch_recency_only", "prefetch_migrated_pages",
-          "gpu_faulted_pages", "evictions_used", "evictions_discarded",
-          "discarded_pages"}) {
-        EXPECT_EQ(whole.counters().get(name), split.counters().get(name))
-            << where << ": " << name;
+    // Every counter but the ones that count calls or walk steps, which
+    // splitting an operation per block changes by design.
+    sim::StatGroup cw = whole.counters(), cs = split.counters();
+    for (std::size_t r = 0; r < cw.names().size(); ++r) {
+        std::string_view name = cw.names()[r];
+        if (name == "blocks_walked" || name == "prefetch_calls" ||
+            name.starts_with("discard_calls_"))
+            continue;
+        EXPECT_EQ(cw.values()[r], cs.values()[r])
+            << where << ": uvm." << name;
     }
     std::vector<InvariantViolation> v = whole.collectInvariantViolations();
     ASSERT_TRUE(v.empty()) << where << ": " << v.front().code << ": "
@@ -260,8 +492,13 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
         UvmConfig cfg = test::tinyConfig(3 + rng.below(4));
         cfg.backed = false;
         cfg.num_gpus = 1 + static_cast<int>(rng.below(2));
+        // Off: every re-arm re-zeroes its chunk.
+        cfg.track_fully_prepared = rng.below(4) != 0;
         UvmDriver whole(cfg, test::testLink());
         UvmDriver split(cfg, test::testLink());
+        EventRecorder ew, es;
+        whole.setObserver(&ew);
+        split.setObserver(&es);
 
         // 2-4 ranges of 2-4 blocks; some end mid-block.
         struct Span {
@@ -303,79 +540,117 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
         auto randomKind = [&] {
             return static_cast<AccessKind>(rng.below(3));
         };
+        auto randomMode = [&] {
+            return rng.below(2) ? DiscardMode::kLazy : DiscardMode::kEager;
+        };
 
         sim::SimTime tw = 0, ts = 0;
+        auto wholeAccess = [&](const Span &r, GpuId g, AccessKind kind) {
+            tw = whole.gpuAccess(g, {{r.addr, r.size, kind}}, tw);
+            std::vector<Access> per_block;
+            for (const Span &b : blocksOf(r))
+                per_block.push_back({b.addr, b.size, kind});
+            ts = split.gpuAccess(g, per_block, ts);
+        };
+        auto wholePrefetch = [&](const Span &r, ProcessorId dst) {
+            tw = whole.prefetch(r.addr, r.size, dst, tw);
+            for (const Span &b : blocksOf(r))
+                ts = split.prefetch(b.addr, b.size, dst, ts);
+        };
+        auto wholeDiscard = [&](const Span &r, DiscardMode mode) {
+            tw = whole.discard(r.addr, r.size, mode, tw);
+            for (const Span &b : blocksOf(r))
+                ts = split.discard(b.addr, b.size, mode, ts);
+        };
+        auto moved = [](UvmDriver &d) {
+            return d.totalTrafficBytes() + d.trafficD2d();
+        };
+        // Run one operation on both drivers and compare them.  Without
+        // data movement the two must also take the same simulated time
+        // (splitting a transfer per block may change its timing).
+        auto step = [&](const std::string &where, auto &&op) {
+            sim::SimTime tw0 = tw, ts0 = ts;
+            sim::Bytes mw = moved(whole), ms = moved(split);
+            op();
+            if (moved(whole) == mw && moved(split) == ms) {
+                EXPECT_EQ(tw - tw0, ts - ts0) << where << ": elapsed";
+            }
+            expectSameState(whole, split, cfg.num_gpus, where);
+            expectSameEvents(ew, es, where);
+        };
+
         for (int op = 0; op < 40; ++op) {
             const Span &r = ranges[rng.below(ranges.size())];
             GpuId g = static_cast<GpuId>(rng.below(cfg.num_gpus));
             std::string where = "seed " + std::to_string(seed) + " op " +
                                 std::to_string(op);
-            switch (rng.below(9)) {
-              case 0:
-              case 1:
-              case 2: {  // whole-range kernel access
-                AccessKind kind = randomKind();
-                tw = whole.gpuAccess(g, {{r.addr, r.size, kind}}, tw);
-                std::vector<Access> per_block;
-                for (const Span &b : blocksOf(r))
-                    per_block.push_back({b.addr, b.size, kind});
-                ts = split.gpuAccess(g, per_block, ts);
-                break;
-              }
-              case 3:
-              case 4: {  // whole-range prefetch, mostly to a GPU
-                ProcessorId dst = rng.below(5) ? ProcessorId::gpu(g)
-                                               : ProcessorId::cpu();
-                tw = whole.prefetch(r.addr, r.size, dst, tw);
-                for (const Span &b : blocksOf(r))
-                    ts = split.prefetch(b.addr, b.size, dst, ts);
-                break;
-              }
-              case 5: {  // whole-range discard
-                DiscardMode mode = rng.below(2) ? DiscardMode::kLazy
-                                                : DiscardMode::kEager;
-                tw = whole.discard(r.addr, r.size, mode, tw);
-                for (const Span &b : blocksOf(r))
-                    ts = split.discard(b.addr, b.size, mode, ts);
-                break;
-              }
-              case 6: {  // sub-range kernel access, to both
-                Span s = subSpan(r);
-                AccessKind kind = randomKind();
-                tw = whole.gpuAccess(g, {{s.addr, s.size, kind}}, tw);
-                ts = split.gpuAccess(g, {{s.addr, s.size, kind}}, ts);
-                break;
-              }
-              case 7: {  // sub-range prefetch or discard, to both
-                Span s = subSpan(r);
-                if (rng.below(2)) {
-                    tw = whole.prefetch(s.addr, s.size,
-                                        ProcessorId::gpu(g), tw);
-                    ts = split.prefetch(s.addr, s.size,
-                                        ProcessorId::gpu(g), ts);
-                } else {
-                    DiscardMode mode = rng.below(2) ? DiscardMode::kLazy
-                                                    : DiscardMode::kEager;
-                    tw = whole.discard(s.addr, s.size, mode, tw);
-                    ts = split.discard(s.addr, s.size, mode, ts);
-                }
-                break;
-              }
-              case 8: {  // host access, whole or partial, to both
-                Span s = rng.below(2) ? r : subSpan(r);
-                AccessKind kind = randomKind();
-                tw = whole.hostAccess(s.addr, s.size, kind, tw);
-                ts = split.hostAccess(s.addr, s.size, kind, ts);
-                break;
-              }
+            int pick = static_cast<int>(rng.below(12));
+            if (pick >= 9) {
+                // The DL trainer's cycle: discard a dead buffer, re-arm
+                // it with a prefetch, then the next kernel uses it.
+                step(where + " discard",
+                     [&] { wholeDiscard(r, randomMode()); });
+                step(where + " re-arm",
+                     [&] { wholePrefetch(r, ProcessorId::gpu(g)); });
+                step(where + " reuse",
+                     [&] { wholeAccess(r, g, randomKind()); });
+            } else {
+                step(where, [&] {
+                    switch (pick) {
+                      case 0:
+                      case 1:
+                      case 2:  // whole-range kernel access
+                        wholeAccess(r, g, randomKind());
+                        break;
+                      case 3:
+                      case 4:  // whole-range prefetch, mostly to a GPU
+                        wholePrefetch(r, rng.below(5)
+                                             ? ProcessorId::gpu(g)
+                                             : ProcessorId::cpu());
+                        break;
+                      case 5:  // whole-range discard
+                        wholeDiscard(r, randomMode());
+                        break;
+                      case 6: {  // sub-range kernel access, to both
+                        Span s = subSpan(r);
+                        AccessKind kind = randomKind();
+                        tw = whole.gpuAccess(g, {{s.addr, s.size, kind}},
+                                             tw);
+                        ts = split.gpuAccess(g, {{s.addr, s.size, kind}},
+                                             ts);
+                        break;
+                      }
+                      case 7: {  // sub-range prefetch or discard, to both
+                        Span s = subSpan(r);
+                        if (rng.below(2)) {
+                            tw = whole.prefetch(s.addr, s.size,
+                                                ProcessorId::gpu(g), tw);
+                            ts = split.prefetch(s.addr, s.size,
+                                                ProcessorId::gpu(g), ts);
+                        } else {
+                            DiscardMode mode = randomMode();
+                            tw = whole.discard(s.addr, s.size, mode, tw);
+                            ts = split.discard(s.addr, s.size, mode, ts);
+                        }
+                        break;
+                      }
+                      case 8: {  // host access, whole or partial, to both
+                        Span s = rng.below(2) ? r : subSpan(r);
+                        AccessKind kind = randomKind();
+                        tw = whole.hostAccess(s.addr, s.size, kind, tw);
+                        ts = split.hostAccess(s.addr, s.size, kind, ts);
+                        break;
+                      }
+                    }
+                });
             }
-            expectSameState(whole, split, cfg.num_gpus, where);
-            if (::testing::Test::HasFatalFailure() ||
-                ::testing::Test::HasNonfatalFailure())
+            if (::testing::Test::HasFailure())
                 break;
         }
         walked_whole += whole.counters().get("blocks_walked");
         walked_split += split.counters().get("blocks_walked");
+        whole.setObserver(nullptr);
+        split.setObserver(nullptr);
         if (::testing::Test::HasFailure())
             break;
     }

@@ -107,6 +107,48 @@ sync
     EXPECT_EQ(res.outcome, Outcome::kDivergence) << res.message;
 }
 
+// Multi-block variants: the whole-range access leaves the 3-block
+// range resident, so the discard (and the re-arming prefetch) take
+// the walk-free whole-range loops, which must inject each bug exactly
+// as the per-block code does.
+
+TEST_F(VerifyTest, CatchesLazyRearmKeepsDirtyMultiBlock)
+{
+    VerifyResult res = runWithBug(R"(
+alloc a 6MiB
+kernel k write a compute 10us
+discard a lazy
+prefetch a gpu
+sync
+)",
+                                  BugInjection::kLazyRearmKeepsDirty);
+    EXPECT_EQ(res.outcome, Outcome::kDivergence) << res.message;
+}
+
+TEST_F(VerifyTest, CatchesSilentDirtyBitChangeMultiBlock)
+{
+    VerifyResult res = runWithBug(R"(
+alloc a 6MiB
+kernel k write a compute 10us
+discard a eager
+sync
+)",
+                                  BugInjection::kSilentDirtyBitChange);
+    EXPECT_EQ(res.outcome, Outcome::kDivergence) << res.message;
+}
+
+TEST_F(VerifyTest, CatchesSkipDiscardRequeueMultiBlock)
+{
+    VerifyResult res = runWithBug(R"(
+alloc a 6MiB
+kernel k write a compute 10us
+discard a eager
+sync
+)",
+                                  BugInjection::kSkipDiscardRequeue);
+    EXPECT_EQ(res.outcome, Outcome::kDivergence) << res.message;
+}
+
 TEST_F(VerifyTest, CatchesDropEvictedCpuCopy)
 {
     // Eviction under pressure "forgets" the CPU copy of live pages;
