@@ -8,8 +8,6 @@
  *   mask_ops         word-scan run extraction / countRuns / makeMask
  *                    throughput, with the per-bit reference alongside
  *                    so the speedup is measured, not assumed
- *   event_queue      schedule/run and schedule/cancel events per
- *                    second through sim::EventQueue
  *   driver_ops       blockOf dense-index lookups vs the hash-map
  *                    reference, and counter-table row increments
  *   driver_discard   the discard -> re-arm prefetch driver cycle;
@@ -17,7 +15,7 @@
  *                    allocations per warmed steady-state cycle
  *                    (expected: 0)
  *   runtime_stream   a small Runtime workload; reports simulated
- *                    events per wall second from the event queue
+ *                    events (stream-op dispatches) per wall second
  *   dl_sweep         a reduced DL sweep, serial and (if --jobs > 1)
  *                    parallel, for the sweep-level win
  *   e2e_radix        one full Table 5/6 cell end to end: runRadixSort
@@ -256,47 +254,6 @@ benchMaskOps(int iters)
         {"foreachrun_speedup", naive_ms / word_ms},
         {"countruns_per_sec", 1000.0 * n / count_ms},
         {"makemask_per_sec", 1000.0 * n / make_ms},
-    };
-    return res;
-}
-
-BenchResult
-benchEventQueue(int events)
-{
-    BenchResult res;
-    res.name = "event_queue";
-    Clock::time_point start = Clock::now();
-
-    sim::EventQueue eq;
-    std::uint64_t fired = 0;
-    Clock::time_point t0 = Clock::now();
-    for (int round = 0; round < 10; ++round) {
-        for (int i = 0; i < events / 10; ++i) {
-            eq.scheduleAfter((i * 7) % 1000 + 1,
-                             [&fired] { ++fired; });
-        }
-        eq.runAll();
-    }
-    double run_ms = msSince(t0);
-
-    t0 = Clock::now();
-    std::vector<sim::EventId> ids;
-    ids.reserve(events / 10);
-    std::uint64_t cancelled = 0;
-    for (int round = 0; round < 10; ++round) {
-        ids.clear();
-        for (int i = 0; i < events / 10; ++i) {
-            ids.push_back(eq.scheduleAfter(1'000'000 + i, [] {}));
-        }
-        for (sim::EventId id : ids)
-            cancelled += eq.cancel(id) ? 1 : 0;
-    }
-    double cancel_ms = msSince(t0);
-
-    res.wall_ms = msSince(start);
-    res.metrics = {
-        {"schedule_run_per_sec", 1000.0 * fired / run_ms},
-        {"schedule_cancel_per_sec", 1000.0 * cancelled / cancel_ms},
     };
     return res;
 }
@@ -669,7 +626,6 @@ main(int argc, char **argv)
     const int scale = quick ? 1 : 10;
     std::vector<BenchResult> benches;
     benches.push_back(benchMaskOps(100'000 * scale));
-    benches.push_back(benchEventQueue(100'000 * scale));
     benches.push_back(benchDriverOps(1'000'000 * scale));
     benches.push_back(benchDriverDiscard(2'000 * scale));
     benches.push_back(benchRuntimeStream(200 * scale));

@@ -1,6 +1,7 @@
 #include "cuda/runtime.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hpp"
 
@@ -156,7 +157,7 @@ Runtime::memAdvise(mem::VirtAddr addr, sim::Bytes size,
                    uvm::MemAdvise advice, uvm::GpuId gpu)
 {
     host_time_ += apiCost(ApiOp::kApiIssue, size);
-    queue_.runUntil(host_time_);
+    runUntil(host_time_);
     driver_.memAdvise(addr, size, advice, gpu);
 }
 
@@ -239,10 +240,42 @@ Runtime::pump(StreamId id)
     StreamState &s = streams_[id];
     if (s.dispatch_scheduled || s.blocked || s.ops.empty())
         return;
-    sim::SimTime when = std::max({s.ready, s.ops.front().issue_time,
-                                  queue_.now()});
     s.dispatch_scheduled = true;
-    queue_.scheduleAt(when, [this, id] { executeHead(id); });
+    s.dispatch_at = std::max({s.ready, s.ops.front().issue_time,
+                              clock_.now});
+    s.dispatch_seq = clock_.next_seq++;
+}
+
+bool
+Runtime::step(sim::SimTime deadline)
+{
+    // Each stream holds at most one pending dispatch, so a scan over
+    // the streams is the whole scheduler.
+    auto key = [](const StreamState &s) {
+        return std::pair(s.dispatch_at, s.dispatch_seq);
+    };
+    StreamId next = -1;
+    for (StreamId id = 0; id < static_cast<StreamId>(streams_.size());
+         ++id) {
+        const StreamState &s = streams_[id];
+        if (s.dispatch_scheduled &&
+            (next < 0 || key(s) < key(streams_[next])))
+            next = id;
+    }
+    if (next < 0 || streams_[next].dispatch_at > deadline)
+        return false;
+    clock_.now = streams_[next].dispatch_at;
+    ++clock_.dispatched;
+    executeHead(next);
+    return true;
+}
+
+void
+Runtime::runUntil(sim::SimTime t)
+{
+    while (step(t)) {
+    }
+    clock_.now = std::max(clock_.now, t);
 }
 
 void
@@ -266,7 +299,7 @@ Runtime::executeHead(StreamId id)
 
     StreamOp op = std::move(head);
     s.ops.pop_front();
-    s.ready = executeOp(op, queue_.now());
+    s.ready = executeOp(op, clock_.now);
     pump(id);
 }
 
@@ -335,7 +368,8 @@ Runtime::executeOp(StreamOp &op, sim::SimTime t0)
 void
 Runtime::synchronize()
 {
-    queue_.runAll();
+    while (step(sim::kTimeNever)) {
+    }
     sim::SimTime done = host_time_;
     for (const StreamState &s : streams_) {
         if (!s.ops.empty())
@@ -343,7 +377,7 @@ Runtime::synchronize()
                        "(waiting on an event that is never recorded?)");
         done = std::max(done, s.ready);
     }
-    host_time_ = std::max(done, queue_.now());
+    host_time_ = std::max(done, clock_.now);
 }
 
 void
@@ -351,7 +385,7 @@ Runtime::streamSynchronize(StreamId stream)
 {
     StreamState &s = streams_[stream];
     while (!s.ops.empty() || s.dispatch_scheduled) {
-        if (!queue_.step())
+        if (!step(sim::kTimeNever))
             sim::panic("streamSynchronize: stream stuck (event never "
                        "recorded?)");
     }
@@ -364,7 +398,7 @@ Runtime::hostTouch(mem::VirtAddr addr, sim::Bytes size,
 {
     // Order the host access after everything already dispatched up to
     // the host's current time.
-    queue_.runUntil(host_time_);
+    runUntil(host_time_);
     host_time_ = driver_.hostAccess(addr, size, kind, host_time_);
 }
 

@@ -5,13 +5,15 @@
  * Streams are in-order queues of asynchronous operations; events are
  * the cross-stream synchronization primitive (cudaEventRecord /
  * cudaStreamWaitEvent).  The Runtime owns both and dispatches stream
- * ops on the discrete-event queue; this header only holds the data
- * types.
+ * ops itself: each runnable stream holds one pending dispatch of its
+ * head op, and the Runtime runs the earliest one next.  This header
+ * only holds the data types.
  */
 
 #ifndef UVMD_CUDA_STREAM_HPP
 #define UVMD_CUDA_STREAM_HPP
 
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -62,11 +64,32 @@ struct StreamState {
     /** Completion time of the last executed op. */
     sim::SimTime ready = 0;
 
-    /** A dispatch event for this stream is pending on the queue. */
+    /** A dispatch of the head op is pending. */
     bool dispatch_scheduled = false;
+
+    /** When the pending dispatch falls due, and its schedule order:
+     *  pending dispatches run by (dispatch_at, dispatch_seq). */
+    sim::SimTime dispatch_at = 0;
+    std::uint64_t dispatch_seq = 0;
 
     /** The head op is an event-wait on an un-recorded event. */
     bool blocked = false;
+};
+
+/** The Runtime's dispatch clock. */
+struct DispatchClock {
+    /** Time of the latest dispatch, or of the latest host sync point
+     *  if that is later. */
+    sim::SimTime now = 0;
+
+    /** Schedule order handed to the next pending dispatch. */
+    std::uint64_t next_seq = 0;
+
+    /** Head-op dispatches run so far, a wait that parks included (the
+     *  numerator of the simulated-events/sec host-perf metric). */
+    std::uint64_t dispatched = 0;
+
+    std::uint64_t executed() const { return dispatched; }
 };
 
 struct EventState {

@@ -18,8 +18,11 @@
  * one engine, independent streams in the same direction — overlap
  * with each other and with GPU computation.  The Link front-end keeps
  * the spec, the per-direction traffic totals that feed every "PCIe
- * traffic" table in the evaluation, and the single-descriptor
- * transfer() convenience used by raw memcpys and remote accesses.
+ * traffic" table in the evaluation, and a single-descriptor
+ * transfer() convenience for a Link used on its own.  Inside the
+ * driver, raw memcpys and remote accesses go through
+ * uvm::TransferEngine::rawTransfer instead, which issues on the
+ * scheduler directly so coalescing tails and fault injection apply.
  */
 
 #ifndef UVMD_INTERCONNECT_LINK_HPP
@@ -29,7 +32,6 @@
 
 #include "interconnect/dma_scheduler.hpp"
 #include "interconnect/link_spec.hpp"
-#include "sim/resource.hpp"
 #include "sim/stats.hpp"
 
 #define UVMD_LINK_STATS(X, X2)                                          \
@@ -97,14 +99,6 @@ class Link
             stats_[LinkStat::bytes_d2h] += bytes;
             ++stats_[LinkStat::transfers_d2h];
         }
-    }
-
-    /** First copy engine of @p dir (compatibility accessor; use
-     *  scheduler() for multi-engine work). */
-    sim::Resource &
-    engine(Direction dir)
-    {
-        return sched_.engineAt(dir, 0);
     }
 
     sim::Bytes totalBytes() const

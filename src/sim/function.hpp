@@ -1,30 +1,21 @@
 /**
  * @file
- * Lightweight callable wrappers for simulator hot paths.
+ * A lightweight callable view for simulator hot paths.
  *
  * `std::function` heap-allocates captures beyond its (tiny,
  * implementation-defined) small buffer and type-erases through two
- * indirections; both costs showed up in host profiles of the event
- * queue and of `VaSpace::forEachBlock`.  Two purpose-built wrappers
- * replace it on those paths:
- *
- *  - FunctionRef: a non-owning view of a callable (one pointer plus
- *    one function pointer).  The referenced callable must outlive the
- *    call — the right shape for "invoke this lambda for each element"
- *    parameters, where the callable lives in the caller's frame.
- *
- *  - InplaceFunction: an owning, move-only callable with a fixed
- *    small-buffer capacity and a heap fallback for oversized captures.
- *    Event callbacks (a pointer or two of captured state) always fit
- *    the buffer, so scheduling an event allocates nothing.
+ * indirections; both costs showed up in host profiles of
+ * `VaSpace::forEachBlock`.  FunctionRef replaces it there: a
+ * non-owning view of a callable (one pointer plus one function
+ * pointer).  The referenced callable must outlive the call — the
+ * right shape for "invoke this lambda for each element" parameters,
+ * where the callable lives in the caller's frame.
  */
 
 #ifndef UVMD_SIM_FUNCTION_HPP
 #define UVMD_SIM_FUNCTION_HPP
 
-#include <cstddef>
 #include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
 
@@ -69,142 +60,6 @@ class FunctionRef<R(Args...)>
   private:
     void *obj_;
     R (*call_)(void *, Args...);
-};
-
-/** Small-buffer capacity of InplaceFunction, sized for the simulator's
- *  event callbacks (a this-pointer plus a couple of ids). */
-inline constexpr std::size_t kInplaceFunctionCapacity = 48;
-
-template <typename Signature>
-class InplaceFunction;
-
-/**
- * Owning, move-only callable with signature R(Args...).
- *
- * Captures up to kInplaceFunctionCapacity bytes live inline; larger
- * callables fall back to a single heap allocation (kept working so
- * oversized one-off callbacks are correct, just not free).  Moving
- * relocates the target; the moved-from function becomes empty.
- */
-template <typename R, typename... Args>
-class InplaceFunction<R(Args...)>
-{
-  public:
-    InplaceFunction() noexcept = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::remove_cvref_t<F>,
-                                  InplaceFunction> &&
-                  std::is_invocable_r_v<R, std::remove_cvref_t<F> &,
-                                        Args...>>>
-    InplaceFunction(F &&fn)  // NOLINT: implicit by design
-    {
-        using Fn = std::remove_cvref_t<F>;
-        if constexpr (sizeof(Fn) <= kInplaceFunctionCapacity &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            ::new (static_cast<void *>(buf_))
-                Fn(std::forward<F>(fn));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            // Heap fallback: the buffer holds just the pointer.
-            ::new (static_cast<void *>(buf_))
-                Fn *(new Fn(std::forward<F>(fn)));
-            ops_ = &heapOps<Fn>;
-        }
-    }
-
-    InplaceFunction(InplaceFunction &&other) noexcept
-    {
-        moveFrom(std::move(other));
-    }
-
-    InplaceFunction &
-    operator=(InplaceFunction &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            moveFrom(std::move(other));
-        }
-        return *this;
-    }
-
-    InplaceFunction(const InplaceFunction &) = delete;
-    InplaceFunction &operator=(const InplaceFunction &) = delete;
-
-    ~InplaceFunction() { reset(); }
-
-    explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-    R
-    operator()(Args... args)
-    {
-        return ops_->invoke(buf_, std::forward<Args>(args)...);
-    }
-
-    void
-    reset() noexcept
-    {
-        if (ops_) {
-            ops_->destroy(buf_);
-            ops_ = nullptr;
-        }
-    }
-
-  private:
-    struct Ops {
-        R (*invoke)(unsigned char *, Args...);
-        void (*relocate)(unsigned char *dst, unsigned char *src);
-        void (*destroy)(unsigned char *);
-    };
-
-    template <typename Fn>
-    static constexpr Ops inlineOps = {
-        [](unsigned char *buf, Args... args) -> R {
-            return (*std::launder(reinterpret_cast<Fn *>(buf)))(
-                std::forward<Args>(args)...);
-        },
-        [](unsigned char *dst, unsigned char *src) {
-            Fn *s = std::launder(reinterpret_cast<Fn *>(src));
-            ::new (static_cast<void *>(dst)) Fn(std::move(*s));
-            s->~Fn();
-        },
-        [](unsigned char *buf) {
-            std::launder(reinterpret_cast<Fn *>(buf))->~Fn();
-        },
-    };
-
-    template <typename Fn>
-    static constexpr Ops heapOps = {
-        [](unsigned char *buf, Args... args) -> R {
-            return (**std::launder(reinterpret_cast<Fn **>(buf)))(
-                std::forward<Args>(args)...);
-        },
-        [](unsigned char *dst, unsigned char *src) {
-            // The buffer holds only the (trivially destructible)
-            // owning pointer; relocation is a pointer copy.
-            ::new (static_cast<void *>(dst))
-                Fn *(*std::launder(reinterpret_cast<Fn **>(src)));
-        },
-        [](unsigned char *buf) {
-            delete *std::launder(reinterpret_cast<Fn **>(buf));
-        },
-    };
-
-    void
-    moveFrom(InplaceFunction &&other) noexcept
-    {
-        if (other.ops_) {
-            ops_ = other.ops_;
-            ops_->relocate(buf_, other.buf_);
-            other.ops_ = nullptr;
-        }
-    }
-
-    alignas(std::max_align_t) unsigned char
-        buf_[kInplaceFunctionCapacity]{};
-    const Ops *ops_ = nullptr;
 };
 
 }  // namespace uvmd::sim

@@ -25,7 +25,7 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(InplaceFunction<void()> task)
+ThreadPool::submit(std::function<void()> task)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -58,7 +58,7 @@ void
 ThreadPool::workerLoop()
 {
     for (;;) {
-        InplaceFunction<void()> task;
+        std::function<void()> task;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             work_cv_.wait(

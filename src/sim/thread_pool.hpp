@@ -4,12 +4,14 @@
  *
  * The simulator itself is single-threaded by design (determinism),
  * but bench sweeps run hundreds of fully independent simulator
- * instances — each config owns its Runtime, driver, event queue and
- * RNG — so they parallelize trivially across host cores.  This pool
- * is deliberately minimal: submit() closures, wait() for all of them,
- * first exception rethrown on wait.  Result ordering/determinism is
- * the caller's job (see bench/sweep_runner.hpp, which consumes
- * results in index order regardless of completion order).
+ * instances — each config owns its Runtime, driver and RNG — so they
+ * parallelize trivially across host cores.  This pool is deliberately
+ * minimal: submit() closures, wait() for all of them, first exception
+ * rethrown on wait.  Each task runs a whole simulation, so the small
+ * allocation a std::function may make per submit is negligible.
+ * Result ordering/determinism is the caller's job (see
+ * bench/sweep_runner.hpp, which consumes results in index order
+ * regardless of completion order).
  */
 
 #ifndef UVMD_SIM_THREAD_POOL_HPP
@@ -19,11 +21,10 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "sim/function.hpp"
 
 namespace uvmd::sim {
 
@@ -42,7 +43,7 @@ class ThreadPool
     std::size_t workerCount() const { return workers_.size(); }
 
     /** Enqueue @p task for execution on some worker. */
-    void submit(InplaceFunction<void()> task);
+    void submit(std::function<void()> task);
 
     /**
      * Block until every submitted task has finished.  If any task
@@ -60,7 +61,7 @@ class ThreadPool
     std::mutex mutex_;
     std::condition_variable work_cv_;  // workers wait for tasks
     std::condition_variable idle_cv_;  // wait() waits for drain
-    std::deque<InplaceFunction<void()>> queue_;
+    std::deque<std::function<void()>> queue_;
     std::size_t in_flight_ = 0;
     bool stop_ = false;
     std::exception_ptr first_error_;

@@ -87,12 +87,12 @@ UvmDriver::remoteTouchBlock(VaBlock &block, const PageMask &m,
     sim::Bytes bytes = m.count() * mem::kSmallPageSize;
     if (reads(kind)) {
         counters_[UvmStat::remote_read_bytes] += bytes;
-        t = xfer_->remoteAccess(
+        t = xfer_->rawTransfer(
             id, bytes, interconnect::Direction::kHostToDevice, t);
     }
     if (writes(kind)) {
         counters_[UvmStat::remote_write_bytes] += bytes;
-        t = xfer_->remoteAccess(
+        t = xfer_->rawTransfer(
             id, bytes, interconnect::Direction::kDeviceToHost, t);
     }
     notifyAccess(block, m, kind, ProcessorId::gpu(id));

@@ -179,12 +179,7 @@ class ObserverMux : public TransferObserver
     onTransfer(const VaBlock &block, const PageMask &pages,
                interconnect::Direction dir, TransferCause cause) override
     {
-        if (single_) {
-            single_->onTransfer(block, pages, dir, cause);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onTransfer(block, pages, dir, cause);
+        forward(&TransferObserver::onTransfer, block, pages, dir, cause);
     }
 
     void
@@ -192,121 +187,88 @@ class ObserverMux : public TransferObserver
                       interconnect::Direction dir,
                       TransferCause cause) override
     {
-        if (single_) {
-            single_->onTransferSkipped(block, pages, dir, cause);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onTransferSkipped(block, pages, dir, cause);
+        forward(&TransferObserver::onTransferSkipped,
+                block, pages, dir, cause);
     }
 
     void
     onAccess(const VaBlock &block, const PageMask &pages, bool is_read,
              bool is_write, ProcessorId where) override
     {
-        if (single_) {
-            single_->onAccess(block, pages, is_read, is_write, where);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onAccess(block, pages, is_read, is_write, where);
+        forward(&TransferObserver::onAccess,
+                block, pages, is_read, is_write, where);
     }
 
     void
     onAccessRun(VaBlock *const *blocks, std::size_t n, bool is_read,
                 bool is_write, ProcessorId where) override
     {
-        if (single_) {
-            single_->onAccessRun(blocks, n, is_read, is_write, where);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onAccessRun(blocks, n, is_read, is_write, where);
+        forward(&TransferObserver::onAccessRun,
+                blocks, n, is_read, is_write, where);
     }
 
     void
     onDiscard(const VaBlock &block, const PageMask &pages) override
     {
-        if (single_) {
-            single_->onDiscard(block, pages);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onDiscard(block, pages);
+        forward(&TransferObserver::onDiscard, block, pages);
     }
 
     void
     onFree(const VaBlock &block, const PageMask &pages) override
     {
-        if (single_) {
-            single_->onFree(block, pages);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onFree(block, pages);
+        forward(&TransferObserver::onFree, block, pages);
     }
 
     void
     onFault(FaultEvent event, mem::VirtAddr block_base,
             std::uint32_t pages) override
     {
-        if (single_) {
-            single_->onFault(event, block_base, pages);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onFault(event, block_base, pages);
+        forward(&TransferObserver::onFault, event, block_base, pages);
     }
 
     void
     onMap(const VaBlock &block, const PageMask &pages,
           ProcessorId where) override
     {
-        if (single_) {
-            single_->onMap(block, pages, where);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onMap(block, pages, where);
+        forward(&TransferObserver::onMap, block, pages, where);
     }
 
     void
     onUnmap(const VaBlock &block, const PageMask &pages,
             ProcessorId where) override
     {
-        if (single_) {
-            single_->onUnmap(block, pages, where);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onUnmap(block, pages, where);
+        forward(&TransferObserver::onUnmap, block, pages, where);
     }
 
     void
     onDiscardStateChange(const VaBlock &block, const PageMask &pages,
                          bool discarded) override
     {
-        if (single_) {
-            single_->onDiscardStateChange(block, pages, discarded);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onDiscardStateChange(block, pages, discarded);
+        forward(&TransferObserver::onDiscardStateChange,
+                block, pages, discarded);
     }
 
     void
     onQueueMove(const VaBlock &block, mem::QueueKind from,
                 mem::QueueKind to) override
     {
-        if (single_) {
-            single_->onQueueMove(block, from, to);
-            return;
-        }
-        for (auto *o : observers_)
-            o->onQueueMove(block, from, to);
+        forward(&TransferObserver::onQueueMove, block, from, to);
     }
 
   private:
+    /** Call @p hook on each attached observer, in attach order. */
+    template <typename Hook, typename... Args>
+    void
+    forward(Hook hook, const Args &...args)
+    {
+        if (single_) {
+            (single_->*hook)(args...);
+            return;
+        }
+        for (auto *o : observers_)
+            (o->*hook)(args...);
+    }
+
     sim::SmallVec<TransferObserver *, 4> observers_;
     /** Non-null iff exactly one observer is attached: the overwhelmingly
      *  common case (a harness plus at most a verifier) skips the

@@ -115,21 +115,13 @@ class TransferEngine
 
     /**
      * Raw single-descriptor traffic with no va_block identity: the
-     * cudaMemcpyAsync path on explicit device buffers.
+     * cudaMemcpyAsync path on explicit device buffers, and in-place
+     * remote accesses (Section 2.3 mode).
      * @return completion time.
      */
     sim::SimTime rawTransfer(GpuId gpu, sim::Bytes bytes,
                              interconnect::Direction dir,
                              sim::SimTime start);
-
-    /** In-place remote access traffic (Section 2.3 mode): like
-     *  rawTransfer, but kept distinct for readability at call sites. */
-    sim::SimTime
-    remoteAccess(GpuId gpu, sim::Bytes bytes,
-                 interconnect::Direction dir, sim::SimTime start)
-    {
-        return rawTransfer(gpu, bytes, dir, start);
-    }
 
   private:
     /** Coalescing tail: where the last descriptor of a (link, dir)

@@ -74,7 +74,9 @@ TEST(Link, TrafficAccounting)
     EXPECT_EQ(link.stats().get("transfers_h2d"), 2u);
     link.reset();
     EXPECT_EQ(link.totalBytes(), 0u);
-    EXPECT_EQ(link.engine(Direction::kHostToDevice).freeAt(), 0);
+    EXPECT_EQ(
+        link.scheduler().engineAt(Direction::kHostToDevice, 0).freeAt(),
+        0);
 }
 
 TEST(Link, TransferCostHasFloor)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cuda/runtime.hpp"
 #include "test_util.hpp"
 
@@ -202,6 +204,63 @@ TEST_F(RuntimeTest, StreamSynchronizeWaitsForThatStream)
     // "slow".  The only guarantee: host time >= fast's completion.
     rt_.synchronize();
     EXPECT_GE(rt_.now(), sim::milliseconds(10));
+}
+
+TEST_F(RuntimeTest, SimultaneouslyDueStreamsDispatchInScheduleOrder)
+{
+    // s2 parks on the event before s1 does, so the record wakes s2
+    // first.  Both heads then fall due at the record time; the earlier
+    // scheduled one (s2) must run first, whatever the stream ids.
+    StreamId s1 = rt_.createStream();
+    StreamId s2 = rt_.createStream();
+    std::vector<int> order;
+    auto tagged = [&order](int tag) {
+        KernelDesc k;
+        k.name = "tagged";
+        k.compute = sim::microseconds(1);
+        k.body = [&order, tag](uvm::UvmDriver &) { order.push_back(tag); };
+        return k;
+    };
+    rt_.launch(computeKernel("gate", sim::milliseconds(1)), 0);
+    EventHandle ev = rt_.recordEvent(0);
+    rt_.streamWaitEvent(s2, ev);
+    rt_.streamWaitEvent(s1, ev);
+    rt_.launch(tagged(2), s2);
+    rt_.launch(tagged(1), s1);
+    rt_.synchronize();
+    EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
+TEST_F(RuntimeTest, HostTouchRunsOnlyDispatchesDueByHostTime)
+{
+    mem::VirtAddr a = rt_.mallocManaged(kBigPageSize, "a");
+    bool second_ran = false;
+    rt_.launch(computeKernel("long", sim::milliseconds(10)));
+    KernelDesc k = computeKernel("second", sim::microseconds(1));
+    k.body = [&second_ran](uvm::UvmDriver &) { second_ran = true; };
+    rt_.launch(k);
+
+    rt_.hostTouch(a, kBigPageSize, AccessKind::kWrite);
+    EXPECT_LT(rt_.now(), sim::milliseconds(10));
+    EXPECT_FALSE(second_ran);
+    EXPECT_EQ(rt_.eventQueue().executed(), 1u);
+
+    rt_.synchronize();
+    EXPECT_TRUE(second_ran);
+    EXPECT_GE(rt_.now(), sim::milliseconds(10));
+}
+
+TEST_F(RuntimeTest, ExecutedCountsEveryDispatchIncludingParkedWaits)
+{
+    // Dispatches: kernel, record, the wait (parks: not yet recorded),
+    // the wait again (woken by the record), the kernel behind it.
+    StreamId s1 = rt_.createStream();
+    rt_.launch(computeKernel("k", sim::milliseconds(1)), 0);
+    EventHandle ev = rt_.recordEvent(0);
+    rt_.streamWaitEvent(s1, ev);
+    rt_.launch(computeKernel("after", sim::microseconds(1)), s1);
+    rt_.synchronize();
+    EXPECT_EQ(rt_.eventQueue().executed(), 5u);
 }
 
 TEST_F(RuntimeTest, ZeroCopyKernelLaunchCostIsCharged)

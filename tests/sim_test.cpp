@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit tests for the simulation substrate: event queue ordering and
- * cancellation, timeline resources, counter tables, PRNG determinism,
- * and time/byte formatting.
+ * Unit tests for the simulation substrate: timeline resources, counter
+ * tables, PRNG determinism, and time/byte formatting.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
@@ -23,137 +20,6 @@
 
 namespace uvmd::sim {
 namespace {
-
-TEST(EventQueue, RunsInTimeOrder)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.scheduleAt(30, [&] { order.push_back(3); });
-    eq.scheduleAt(10, [&] { order.push_back(1); });
-    eq.scheduleAt(20, [&] { order.push_back(2); });
-    eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), 30);
-}
-
-TEST(EventQueue, TiesRunInInsertionOrder)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        eq.scheduleAt(7, [&order, i] { order.push_back(i); });
-    eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, ScheduleAfterUsesCurrentTime)
-{
-    EventQueue eq;
-    SimTime inner_fired = -1;
-    eq.scheduleAt(100, [&] {
-        eq.scheduleAfter(50, [&] { inner_fired = eq.now(); });
-    });
-    eq.runAll();
-    EXPECT_EQ(inner_fired, 150);
-}
-
-TEST(EventQueue, CancelPreventsExecution)
-{
-    EventQueue eq;
-    bool ran = false;
-    EventId id = eq.scheduleAt(10, [&] { ran = true; });
-    EXPECT_TRUE(eq.cancel(id));
-    EXPECT_FALSE(eq.cancel(id));  // already cancelled
-    eq.runAll();
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline)
-{
-    EventQueue eq;
-    int count = 0;
-    eq.scheduleAt(10, [&] { ++count; });
-    eq.scheduleAt(20, [&] { ++count; });
-    eq.scheduleAt(30, [&] { ++count; });
-    eq.runUntil(25);
-    EXPECT_EQ(count, 2);
-    EXPECT_EQ(eq.now(), 25);
-    eq.runAll();
-    EXPECT_EQ(count, 3);
-}
-
-TEST(EventQueue, RunUntilAdvancesTimeWithNoEvents)
-{
-    EventQueue eq;
-    eq.runUntil(42);
-    EXPECT_EQ(eq.now(), 42);
-}
-
-TEST(EventQueue, EventsScheduledDuringRunExecute)
-{
-    EventQueue eq;
-    int depth = 0;
-    std::function<void()> chain = [&] {
-        if (++depth < 5)
-            eq.scheduleAfter(10, chain);
-    };
-    eq.scheduleAt(0, chain);
-    eq.runAll();
-    EXPECT_EQ(depth, 5);
-    EXPECT_EQ(eq.now(), 40);
-}
-
-TEST(EventQueue, CancelCompactsHeapOfDeadEntries)
-{
-    // Regression: cancelled entries used to linger in the heap until
-    // lazily popped, so a workload cancelling many far-future events
-    // (timeouts that never fire) grew the heap without bound.  The
-    // queue now compacts once dead entries outnumber live ones.
-    EventQueue eq;
-    eq.scheduleAt(1, [] {});  // one live near-term event
-    std::vector<EventId> ids;
-    for (int i = 0; i < 10'000; ++i)
-        ids.push_back(eq.scheduleAt(1'000'000 + i, [] {}));
-    for (EventId id : ids)
-        EXPECT_TRUE(eq.cancel(id));
-    EXPECT_EQ(eq.pending(), 1u);
-    // Dead entries (10'000) may not dominate the heap; allow the
-    // below-threshold tail that compaction intentionally leaves.
-    EXPECT_LE(eq.heapSize(), 2u * eq.pending() + 16u);
-    int fired = 0;
-    eq.scheduleAt(2, [&fired] { ++fired; });
-    eq.runAll();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.heapSize(), 0u);
-}
-
-TEST(EventQueue, StaleIdCannotCancelRecycledSlot)
-{
-    // Slot reuse must not let an old handle cancel a new event: ids
-    // carry a generation that changes when the slot is recycled.
-    EventQueue eq;
-    EventId first = eq.scheduleAt(10, [] {});
-    EXPECT_TRUE(eq.cancel(first));
-    int fired = 0;
-    EventId second = eq.scheduleAt(20, [&fired] { ++fired; });
-    EXPECT_NE(first, second);
-    EXPECT_FALSE(eq.cancel(first));  // stale handle
-    eq.runAll();
-    EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(eq.cancel(second));  // already executed
-}
-
-TEST(EventQueue, CountsExecutedEvents)
-{
-    EventQueue eq;
-    for (int i = 0; i < 7; ++i)
-        eq.scheduleAt(i, [] {});
-    EventId cancelled = eq.scheduleAt(100, [] {});
-    eq.cancel(cancelled);
-    eq.runAll();
-    EXPECT_EQ(eq.executed(), 7u);
-}
 
 TEST(Resource, ReservesSequentially)
 {
