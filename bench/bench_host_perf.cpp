@@ -16,8 +16,10 @@
  *                    (expected: 0)
  *   runtime_stream   a small Runtime workload; reports simulated
  *                    events (stream-op dispatches) per wall second
- *   dl_sweep         a reduced DL sweep, serial and (if --jobs > 1)
- *                    parallel, for the sweep-level win
+ *   dl_sweep         a reduced DL sweep, serial (dl_sweep_serial) and,
+ *                    if --jobs > 1, parallel (dl_sweep_parallel, with
+ *                    the job count as its `jobs` metric), for the
+ *                    sweep-level win
  *   e2e_radix        one full Table 5/6 cell end to end: runRadixSort
  *                    under UVM-opt at 200% on PCIe-4, the run whose
  *                    host time is set by the RMT auditor's per-page
@@ -393,8 +395,9 @@ BenchResult
 benchDlSweep(int jobs, bool quick)
 {
     BenchResult res;
-    res.name = jobs > 1 ? "dl_sweep_jobs" + std::to_string(jobs)
-                        : "dl_sweep_serial";
+    // The parallel stage's name does not embed the job count, so the
+    // stage set (and the gate) is the same on every host.
+    res.name = jobs > 1 ? "dl_sweep_parallel" : "dl_sweep_serial";
 
     // A reduced grid: one network, the serial sweep stays seconds.
     std::vector<workloads::System> systems = {
@@ -435,6 +438,7 @@ benchDlSweep(int jobs, bool quick)
     res.metrics = {
         {"configs", static_cast<double>(grid.size())},
         {"throughput_checksum", checksum},
+        {"jobs", static_cast<double>(jobs)},
     };
     return res;
 }

@@ -25,7 +25,9 @@
 #      scripts/check_results.py fails on any byte of drift from the
 #      committed results/ and names the drifting files,
 #   9. a perf smoke stage (release build): bench_host_perf emits
-#      BENCH_perf.json, which is gated against the committed
+#      BENCH_perf.json at --jobs 2 whatever N is, so its
+#      dl_sweep_parallel stage runs the workload its baseline was
+#      taken with on every host; it is gated against the committed
 #      BENCH_baseline.json by scripts/perf_gate.py (throughput and
 #      wall-clock within a tolerance band, allocs_per_iter may never
 #      increase; UVMD_PERF_STRICT=0 downgrades the gate to
@@ -107,7 +109,7 @@ echo "== results byte-stability (release build) =="
 python3 scripts/check_results.py --build build-release --jobs "$JOBS"
 
 echo "== perf smoke (release build) =="
-build-release/bench/bench_host_perf --quick --jobs "$JOBS" \
+build-release/bench/bench_host_perf --quick --jobs 2 \
     --out build-release/BENCH_perf.json
 
 echo "== perf gate (vs committed baseline) =="

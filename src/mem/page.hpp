@@ -113,14 +113,6 @@ maskWords(const std::bitset<N> &mask)
     return words;
 }
 
-/** Total bytes covered by the set 4 KB pages of @p mask. */
-template <std::size_t N>
-sim::Bytes
-maskBytes(const std::bitset<N> &mask)
-{
-    return mask.count() * kSmallPageSize;
-}
-
 /** Index of the lowest set bit, or N when the mask is empty. */
 template <std::size_t N>
 std::uint32_t

@@ -49,7 +49,7 @@ Auditor::onTransfer(const uvm::VaBlock &block,
 {
     BlockAudit &audit = auditOf(block);
     (dir == Direction::kHostToDevice ? audit.h2d : audit.d2h).add(pages);
-    open_bytes_ += pages.count() * mem::kSmallPageSize;
+    open_bytes_ += block.pagesIn(pages) * mem::kSmallPageSize;
     std::uint64_t key = block.blockIndex();
     if (key / 64 >= open_.size())
         open_.resize(key / 64 + 1, 0);
@@ -57,11 +57,11 @@ Auditor::onTransfer(const uvm::VaBlock &block,
 }
 
 void
-Auditor::onTransferSkipped(const uvm::VaBlock & /*block*/,
+Auditor::onTransferSkipped(const uvm::VaBlock &block,
                            const uvm::PageMask &pages, Direction dir,
                            uvm::TransferCause /*cause*/)
 {
-    sim::Bytes bytes = pages.count() * mem::kSmallPageSize;
+    sim::Bytes bytes = block.pagesIn(pages) * mem::kSmallPageSize;
     if (dir == Direction::kHostToDevice)
         skipped_h2d_ += bytes;
     else

@@ -21,8 +21,7 @@ TransferLog::push(Event e, const uvm::VaBlock &b,
                   const uvm::PageMask &p, interconnect::Direction d,
                   uvm::TransferCause c)
 {
-    append() = Entry{next_ordinal_++, e, b.base,
-                     static_cast<std::uint32_t>(p.count()), d, c};
+    append() = Entry{next_ordinal_++, e, b.base, b.pagesIn(p), d, c};
 }
 
 void

@@ -110,7 +110,7 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
     if (++*batch_fill >= cfg_.fault_batch_capacity)
         *batch_fill = 0;
     ++counters_[UvmStat::gpu_faulted_blocks];
-    counters_[UvmStat::gpu_faulted_pages] += faulting.count();
+    counters_[UvmStat::gpu_faulted_pages] += block.pagesIn(faulting);
     t += cfg_.gpu_fault_service + cfg_.gpu_fault_stall;
 
     PageMask missing = m & ~resident_here;
@@ -144,9 +144,8 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
             block.discarded_lazily &= ~m;
             ++counters_[UvmStat::oom_fallbacks];
             if (observer_)
-                observer_->onFault(
-                    FaultEvent::kOomFallback, block.base,
-                    static_cast<std::uint32_t>(m.count()));
+                observer_->onFault(FaultEvent::kOomFallback,
+                                   block.base, block.pagesIn(m));
             return remoteTouchBlock(block, m, kind, id, t);
         }
     }

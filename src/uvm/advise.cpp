@@ -84,7 +84,7 @@ UvmDriver::remoteTouchBlock(VaBlock &block, const PageMask &m,
 
     // Every access moves the touched bytes over the interconnect:
     // reads pull device-ward, writes push host-ward.
-    sim::Bytes bytes = m.count() * mem::kSmallPageSize;
+    sim::Bytes bytes = block.pagesIn(m) * mem::kSmallPageSize;
     if (reads(kind)) {
         counters_[UvmStat::remote_read_bytes] += bytes;
         t = xfer_->rawTransfer(

@@ -57,7 +57,7 @@ UvmDriver::discardBlock(VaBlock &block, const PageMask &pages,
 
     if (observer_)
         observer_->onDiscard(block, target);
-    counters_[UvmStat::discarded_pages] += target.count();
+    counters_[UvmStat::discarded_pages] += block.pagesIn(target);
 
     if (mode == DiscardMode::kEager) {
         t = unmapFromGpu(block, target, t);

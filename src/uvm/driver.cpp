@@ -363,6 +363,12 @@ UvmDriver::collectInvariantViolations()
         return static_cast<std::uint32_t>(m.count());
     };
     va_space_.forEachBlockAll([&](VaBlock &b) {
+        // pagesIn() trusts valid to be the prefix [0, valid_pages).
+        if (std::uint32_t n = count(b.valid);
+            n != b.valid_pages || (b.valid >> b.valid_pages).any())
+            add("valid-pages-stale", &b, n,
+                "valid is not the prefix of " +
+                    std::to_string(b.valid_pages) + " pages");
         if (PageMask m = b.resident_cpu & b.resident_gpu; m.any())
             add("residency-not-exclusive", &b, count(m),
                 "pages resident on both CPU and GPU");

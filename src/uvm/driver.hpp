@@ -344,6 +344,12 @@ class UvmDriver
                               GpuId gpu, TransferCause cause,
                               sim::SimTime start);
 
+    /** H2D copy of live host @p pages into @p block's chunk: the CPU
+     *  unmap, the transfer, the backing copy and the prepared mark. */
+    sim::SimTime copyToGpu(VaBlock &block, const PageMask &pages,
+                           GpuId gpu, TransferCause cause,
+                           sim::SimTime start);
+
     /** Drain @p block's residency off its current owner GPU onto
      *  @p dst (peer transfer or host bounce).  @pre different GPUs. */
     sim::SimTime migrateGpuToGpu(VaBlock &block, const PageMask &pages,
@@ -421,10 +427,35 @@ class UvmDriver
 
     // ---- prefetch.cpp ----
 
+    /** GPU prefetch of @p pages of one block: migrate what is missing,
+     *  re-arm what is still discarded, map, and touch. */
+    sim::SimTime prefetchBlockToGpu(VaBlock &block, const PageMask &pages,
+                                    GpuId gpu, sim::SimTime start);
+
+    /** prefetchBlockToGpu of a whole chunkless @p block that is wholly
+     *  unpopulated or wholly live on the host (none discarded): the
+     *  same steps, with the residency update and the map written
+     *  for that case instead of in mask arithmetic. */
+    sim::SimTime fillBlockToGpu(VaBlock &block, GpuId gpu,
+                                sim::SimTime start);
+
+    /** A prefetch is a hint: under the configured remote-access
+     *  fallback a GPU too exhausted to take chunkless @p block skips
+     *  it (the later access is served in place).  Counts and reports
+     *  the skip.  @return false when the error must surface. */
+    bool prefetchSkipsOom(const VaBlock &block, std::uint32_t pages);
+
     /** GPU prefetch of a whole range that is discardedOn that GPU:
      *  the re-arm the walk would do, block by block, without a walk.
      *  Leaves the range residentOn the GPU. */
     sim::SimTime rearmDiscardedRange(VaRange &range, sim::SimTime start);
+
+    /** Any other GPU prefetch of a whole range (the oversubscribed
+     *  refill): the walk's per-block work in a loop over
+     *  `range.blocks`, with fillBlockToGpu for the blocks it covers.
+     *  May leave the range residentOn @p gpu. */
+    sim::SimTime refillRange(VaRange &range, GpuId gpu,
+                             sim::SimTime start);
 
     // ---- access.cpp ----
 

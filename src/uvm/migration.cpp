@@ -21,7 +21,6 @@ namespace {
 
 using interconnect::Direction;
 using mem::forEachSetPage;
-using mem::maskBytes;
 
 }  // namespace
 
@@ -31,8 +30,8 @@ UvmDriver::zeroGpuPages(VaBlock &block, const PageMask &pages,
 {
     if (pages.none())
         return start;
-    sim::SimTime t =
-        start + gpu(id).zero_engine.zeroCost(maskBytes(pages));
+    sim::Bytes bytes = block.pagesIn(pages) * mem::kSmallPageSize;
+    sim::SimTime t = start + gpu(id).zero_engine.zeroCost(bytes);
     block.gpu_prepared |= pages;
     if (backing_.enabled()) {
         forEachSetPage(pages, [&](std::uint32_t p) {
@@ -86,22 +85,8 @@ UvmDriver::migrateToGpu(VaBlock &block, const PageMask &pages,
     PageMask fresh = need & ~block.populated();
     PageMask zeroed = skipped | fresh;
 
-    if (transfer.any()) {
-        // Live data moves over the interconnect (CPU PTEs must go
-        // first so the host cannot see a torn copy).
-        t = unmapFromCpu(block, transfer, t);
-        t = xfer_->submit({&block, transfer,
-                           Direction::kHostToDevice, cause, id},
-                          t);
-        if (backing_.enabled()) {
-            forEachSetPage(transfer, [&](std::uint32_t p) {
-                backing_.copyPage(block.base + p * mem::kSmallPageSize,
-                                  mem::CopySlot::kHost,
-                                  mem::CopySlot::kDevice);
-            });
-        }
-        block.gpu_prepared |= transfer;
-    }
+    if (transfer.any())
+        t = copyToGpu(block, transfer, id, cause, t);
 
     if (zeroed.any()) {
         // Discarded or never-populated pages take a zero-filled GPU
@@ -125,6 +110,26 @@ UvmDriver::migrateToGpu(VaBlock &block, const PageMask &pages,
     // (Sections 5.1-5.2): the pages are live again.
     clearDiscarded(block, need);
     block.discarded_lazily &= ~need;
+    return t;
+}
+
+sim::SimTime
+UvmDriver::copyToGpu(VaBlock &block, const PageMask &pages, GpuId id,
+                     TransferCause cause, sim::SimTime start)
+{
+    // Live data moves over the interconnect (CPU PTEs must go first
+    // so the host cannot see a torn copy).
+    sim::SimTime t = unmapFromCpu(block, pages, start);
+    t = xfer_->submit({&block, pages, Direction::kHostToDevice, cause, id},
+                      t);
+    if (backing_.enabled()) {
+        forEachSetPage(pages, [&](std::uint32_t p) {
+            backing_.copyPage(block.base + p * mem::kSmallPageSize,
+                              mem::CopySlot::kHost,
+                              mem::CopySlot::kDevice);
+        });
+    }
+    block.gpu_prepared |= pages;
     return t;
 }
 

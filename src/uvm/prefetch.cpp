@@ -41,115 +41,116 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
     }
     if (range && range->discardedOn(dst.gpuIndex()))
         return rearmDiscardedRange(*range, t);
+    if (range)
+        return refillRange(*range, dst.gpuIndex(), t);
 
     // One prefetch call is one transfer batch: runs spanning adjacent
     // blocks may coalesce into single DMA descriptors.
     TransferEngine::BatchScope batch(*xfer_);
-    SummaryWalk walk(*this, range, dst.gpuIndex());
-
     walkBlocks(addr, size, [&](VaBlock &b, const PageMask &m) {
         if (dst.isGpu()) {
-            GpuId id = dst.gpuIndex();
-            PageMask on_gpu =
-                (b.has_gpu_chunk && b.owner_gpu == id)
-                    ? (m & b.resident_gpu)
-                    : PageMask{};
-            PageMask missing = m & ~on_gpu;
-
-            if (missing.any()) {
-                try {
-                    t = migrateToGpu(b, missing, id,
-                                     TransferCause::kPrefetch, t);
-                    counters_[UvmStat::prefetch_migrated_pages] +=
-                        missing.count();
-                } catch (const GpuOomError &) {
-                    // A prefetch is a hint: under the configured
-                    // remote-access fallback an exhausted GPU just
-                    // skips the migration (the later access will be
-                    // served in place); otherwise surface the error.
-                    if (!cfg_.faults.oom_remote_fallback ||
-                        b.has_gpu_chunk)
-                        throw;
-                    ++counters_[UvmStat::oom_fallbacks];
-                    if (observer_)
-                        observer_->onFault(
-                            FaultEvent::kOomFallback, b.base,
-                            static_cast<std::uint32_t>(
-                                missing.count()));
-                    return;
-                }
-            }
-
-            // Re-arm resident pages that are still marked discarded.
-            PageMask rearm = on_gpu & b.discarded;
-            if (rearm.any()) {
-                counters_[UvmStat::prefetch_rearmed_pages] +=
-                    rearm.count();
-                if (!cfg_.track_fully_prepared || !b.fullyPrepared())
-                    t = rezeroChunk(b, id, t);
-                if ((rearm & ~b.mapped_gpu).any()) {
-                    // Eagerly-discarded pages: PTEs must come back.
-                    // (The map itself is charged below.)
-                } else {
-                    // Lazy path: a software bitmap update.
-                    t += cfg_.block_op_cost;
-                }
-                PageMask to_clear = rearm;
-                if (cfg_.bug == BugInjection::kLazyRearmKeepsDirty) {
-                    // Deliberate verification bug: the lazy pages keep
-                    // their cleared dirty bit despite the prefetch.
-                    to_clear &= ~b.discarded_lazily;
-                }
-                clearDiscarded(b, to_clear);
-                b.discarded_lazily &= ~to_clear;
-            }
-
-            t = mapOnGpu(b, m, id, t, /*big_ok=*/m == b.valid);
-
-            if (missing.none() && rearm.none()) {
-                // Pure recency update (Section 7.5.1: prefetches that
-                // neither transfer nor prefault still cost time).
-                t += cfg_.recency_touch_cost;
-                ++counters_[UvmStat::prefetch_recency_only];
-            }
-
-            requeueAfterDiscardStateChange(b);
-            touchUsed(b);
-            walk.check(b);
-        } else {
-            // Prefetch to the CPU.
-            PageMask on_gpu = m & b.resident_gpu;
-            if (on_gpu.any())
-                t = migrateToCpu(b, on_gpu, TransferCause::kPrefetch, t);
-            PageMask unpop = m & ~b.populated();
-            if (unpop.any()) {
-                b.resident_cpu |= unpop;
-                b.cpu_pages_present |= unpop;
-                if (backing_.enabled()) {
-                    mem::forEachSetPage(unpop, [&](std::uint32_t p) {
-                        backing_.zeroPage(
-                            b.base + p * mem::kSmallPageSize,
-                            mem::CopySlot::kHost);
-                    });
-                }
-                t += cfg_.cpu_fault_cost;
-            }
-            // Prefetching declares intent to use: pages are live again.
-            clearDiscarded(b, m);
-            b.discarded_lazily &= ~m;
-            t = mapOnCpu(b, m & b.resident_cpu, t);
-            requeueAfterDiscardStateChange(b);
+            t = prefetchBlockToGpu(b, m, dst.gpuIndex(), t);
+            return;
         }
+        PageMask on_gpu = m & b.resident_gpu;
+        if (on_gpu.any())
+            t = migrateToCpu(b, on_gpu, TransferCause::kPrefetch, t);
+        PageMask unpop = m & ~b.populated();
+        if (unpop.any()) {
+            b.resident_cpu |= unpop;
+            b.cpu_pages_present |= unpop;
+            if (backing_.enabled()) {
+                mem::forEachSetPage(unpop, [&](std::uint32_t p) {
+                    backing_.zeroPage(b.base + p * mem::kSmallPageSize,
+                                      mem::CopySlot::kHost);
+                });
+            }
+            t += cfg_.cpu_fault_cost;
+        }
+        // Prefetching declares intent to use: pages are live again.
+        clearDiscarded(b, m);
+        b.discarded_lazily &= ~m;
+        t = mapOnCpu(b, m & b.resident_cpu, t);
+        requeueAfterDiscardStateChange(b);
     });
-    walk.finish();
+    return t;
+}
+
+bool
+UvmDriver::prefetchSkipsOom(const VaBlock &block, std::uint32_t pages)
+{
+    if (!cfg_.faults.oom_remote_fallback || block.has_gpu_chunk)
+        return false;
+    ++counters_[UvmStat::oom_fallbacks];
+    if (observer_)
+        observer_->onFault(FaultEvent::kOomFallback, block.base, pages);
+    return true;
+}
+
+sim::SimTime
+UvmDriver::prefetchBlockToGpu(VaBlock &b, const PageMask &m, GpuId id,
+                              sim::SimTime start)
+{
+    sim::SimTime t = start;
+    PageMask on_gpu = (b.has_gpu_chunk && b.owner_gpu == id)
+                          ? (m & b.resident_gpu)
+                          : PageMask{};
+    PageMask missing = m & ~on_gpu;
+
+    if (missing.any()) {
+        try {
+            t = migrateToGpu(b, missing, id, TransferCause::kPrefetch, t);
+            counters_[UvmStat::prefetch_migrated_pages] +=
+                b.pagesIn(missing);
+        } catch (const GpuOomError &) {
+            if (!prefetchSkipsOom(b, b.pagesIn(missing)))
+                throw;
+            return t;
+        }
+    }
+
+    // Re-arm resident pages that are still marked discarded.
+    PageMask rearm = on_gpu & b.discarded;
+    if (rearm.any()) {
+        counters_[UvmStat::prefetch_rearmed_pages] += b.pagesIn(rearm);
+        if (!cfg_.track_fully_prepared || !b.fullyPrepared())
+            t = rezeroChunk(b, id, t);
+        if ((rearm & ~b.mapped_gpu).any()) {
+            // Eagerly-discarded pages: PTEs must come back.
+            // (The map itself is charged below.)
+        } else {
+            // Lazy path: a software bitmap update.
+            t += cfg_.block_op_cost;
+        }
+        PageMask to_clear = rearm;
+        if (cfg_.bug == BugInjection::kLazyRearmKeepsDirty) {
+            // Deliberate verification bug: the lazy pages keep their
+            // cleared dirty bit despite the prefetch.
+            to_clear &= ~b.discarded_lazily;
+        }
+        clearDiscarded(b, to_clear);
+        b.discarded_lazily &= ~to_clear;
+    }
+
+    t = mapOnGpu(b, m, id, t, /*big_ok=*/m == b.valid);
+
+    if (missing.none() && rearm.none()) {
+        // Pure recency update (Section 7.5.1: prefetches that neither
+        // transfer nor prefault still cost time).
+        t += cfg_.recency_touch_cost;
+        ++counters_[UvmStat::prefetch_recency_only];
+    }
+
+    requeueAfterDiscardStateChange(b);
+    touchUsed(b);
     return t;
 }
 
 sim::SimTime
 UvmDriver::rearmDiscardedRange(VaRange &range, sim::SimTime start)
 {
-    // Per block, exactly what the walk above does for a block whose
-    // valid pages are all resident and discarded on the target GPU:
+    // Per block, exactly what prefetchBlockToGpu does for a block
+    // whose valid pages are all resident and discarded on the GPU:
     // no migration and no recency charge, only the re-arm, the remap
     // (eager) and the requeue from the discarded FIFO to the MRU end.
     GpuId id = range.summary_gpu;
@@ -187,6 +188,67 @@ UvmDriver::rearmDiscardedRange(VaRange &range, sim::SimTime start)
     counters_[UvmStat::prefetch_rearmed_pages] += range.pageCount();
     if (!keep)
         range.state = RangeState::kResident;
+    return t;
+}
+
+sim::SimTime
+UvmDriver::fillBlockToGpu(VaBlock &b, GpuId id, sim::SimTime start)
+{
+    // The steps migrateToGpu and prefetchBlockToGpu take for such a
+    // block, less the ones that are no-ops for it: nothing to re-arm,
+    // and allocChunk queues the block at the MRU end, so neither a
+    // requeue nor a recency touch follows.  RangeSummaryDifferential
+    // holds the two paths to the same state, events, costs and
+    // counters.
+    sim::SimTime t = start;
+    try {
+        t = allocChunk(b, id, t);
+    } catch (const GpuOomError &) {
+        if (!prefetchSkipsOom(b, b.valid_pages))
+            throw;
+        return t;
+    }
+    if (b.resident_cpu.any()) {
+        t = copyToGpu(b, b.valid, id, TransferCause::kPrefetch, t);
+    } else {
+        t = unmapFromCpu(b, b.valid, t);
+        t = zeroGpuPages(b, b.valid, id, t);
+    }
+    // migrateToGpu's residency update and mapOnGpu's map, written out
+    // for a block with no GPU page, no discarded page and no GPU
+    // mapping.  Calling the general code here instead gave back about
+    // half of this path's measured gain (docs/performance.md, hot-path
+    // item 11).
+    b.resident_cpu.reset();
+    b.resident_gpu = b.valid;
+    b.remote_mapped = 0;
+    counters_[UvmStat::prefetch_migrated_pages] += b.valid_pages;
+    b.mapped_gpu = b.valid;
+    b.gpu_mapping_big = true;
+    ++counters_[UvmStat::gpu_map_ops];
+    if (observer_)
+        observer_->onMap(b, b.valid, ProcessorId::gpu(id));
+    return t + cfg_.gpu_map_cost;
+}
+
+sim::SimTime
+UvmDriver::refillRange(VaRange &range, GpuId id, sim::SimTime start)
+{
+    // The walk in prefetch() over whole blocks, without the walk.
+    // Most blocks of an evicted range have no chunk and are either
+    // unpopulated or live on the host; they take fillBlockToGpu, the
+    // rest the walk's per-block body.
+    TransferEngine::BatchScope batch(*xfer_);
+    SummaryWalk walk(*this, &range, id);
+    sim::SimTime t = start;
+    for (VaBlock *b : range.blocks) {
+        bool fill = !b->has_gpu_chunk && b->discarded.none() &&
+                    (b->resident_cpu.none() || b->resident_cpu == b->valid);
+        t = fill ? fillBlockToGpu(*b, id, t)
+                 : prefetchBlockToGpu(*b, b->valid, id, t);
+        walk.check(*b);
+    }
+    walk.finish();
     return t;
 }
 

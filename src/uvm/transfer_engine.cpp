@@ -77,26 +77,25 @@ TransferEngine::submit(const TransferRequest &req, sim::SimTime start)
 
     interconnect::Link &link = linkFor(req);
     interconnect::DmaScheduler &sched = link.scheduler();
-    sim::Bytes bytes = mem::maskBytes(req.pages);
-    std::uint32_t runs = mem::countRuns(req.pages);
+    const VaBlock &blk = *req.block;
+    const VaBlock::Span span = blk.spanOf(req.pages);
+    sim::Bytes bytes = span.pages * mem::kSmallPageSize;
 
     // Span of the mask in virtual-address terms, for cross-block
     // coalescing: the first descriptor of this request can merge with
     // the previous request's last descriptor when the two are
     // virtually contiguous (the adjacent-block case of one prefetch).
-    std::uint32_t first_page = mem::firstSet(req.pages);
-    std::uint32_t last_page = mem::lastSet(req.pages);
     mem::VirtAddr first_addr =
-        req.block->base + first_page * mem::kSmallPageSize;
+        blk.base + span.first * mem::kSmallPageSize;
     mem::VirtAddr end_addr =
-        req.block->base + (last_page + 1) * mem::kSmallPageSize;
+        blk.base + (span.last + 1) * mem::kSmallPageSize;
 
     Tail &tail = tails_[linkIndex(req)][static_cast<std::size_t>(
         req.dir)];
     bool merge = cfg_.coalesce_transfers && batch_depth_ > 0 &&
                  tail.valid && tail.end_addr == first_addr &&
                  !sched.engineOffline(req.dir, tail.engine);
-    std::uint32_t new_descriptors = merge ? runs - 1 : runs;
+    std::uint32_t new_descriptors = merge ? span.runs - 1 : span.runs;
     std::uint32_t engine =
         merge ? tail.engine : sched.pickEngine(req.dir);
 
@@ -107,8 +106,7 @@ TransferEngine::submit(const TransferRequest &req, sim::SimTime start)
         done = injectDmaRetries(
             sched, engine, req.dir, bytes, new_descriptors, done,
             byCause(UvmStat::transfer_retries_prefetch, req.cause),
-            req.block->base,
-            static_cast<std::uint32_t>(req.pages.count()));
+            blk.base, span.pages);
     }
 
     link.accountTraffic(bytes, req.dir);
@@ -124,8 +122,7 @@ TransferEngine::submit(const TransferRequest &req, sim::SimTime start)
                           req.cause)] += bytes;
     }
     if (observer_)
-        observer_->onTransfer(*req.block, req.pages, req.dir,
-                              req.cause);
+        observer_->onTransfer(blk, req.pages, req.dir, req.cause);
 
     tail = Tail{true, end_addr, engine};
     if (injector_ && injector_->enabled())
@@ -237,7 +234,7 @@ TransferEngine::skipped(const VaBlock &block, const PageMask &pages,
                     : dir == Direction::kDeviceToHost
                         ? UvmStat::saved_d2h_bytes
                         : UvmStat::saved_h2d_bytes;
-    counters_[saved] += mem::maskBytes(pages);
+    counters_[saved] += block.pagesIn(pages) * mem::kSmallPageSize;
     if (observer_)
         observer_->onTransferSkipped(block, pages, dir, cause);
 }

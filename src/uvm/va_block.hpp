@@ -52,8 +52,15 @@ struct VaBlock {
     VaRange *range = nullptr;
 
     /** Pages of this block actually covered by the owning range
-     *  (ranges need not be multiples of 2 MB). */
+     *  (ranges need not be multiples of 2 MB).  Always the prefix
+     *  [0, valid_pages): ranges start on a block boundary.  Assign it
+     *  through setValid() only, which keeps valid_pages in step. */
     PageMask valid;
+
+    /** valid.count(), cached: whole-block masks are the common
+     *  operand of every transfer, skip and counter, and a 512-bit
+     *  popcount without a hardware instruction costs tens of ns. */
+    std::uint32_t valid_pages = 0;
 
     // ---- Residency (exclusive per page) ----
 
@@ -133,6 +140,42 @@ struct VaBlock {
     std::uint64_t alloc_ordinal = 0;
 
     // ---- Derived helpers ----
+
+    void
+    setValid(const PageMask &mask)
+    {
+        valid = mask;
+        valid_pages = static_cast<std::uint32_t>(mask.count());
+    }
+
+    /** Number of pages in @p mask: the cached count for the whole
+     *  block, a popcount otherwise. */
+    std::uint32_t
+    pagesIn(const PageMask &mask) const
+    {
+        return mask == valid ? valid_pages
+                             : static_cast<std::uint32_t>(mask.count());
+    }
+
+    /** Shape of a non-empty @p mask as one transfer request. */
+    struct Span {
+        std::uint32_t pages;  ///< set pages
+        std::uint32_t runs;   ///< contiguous runs (DMA descriptors)
+        std::uint32_t first;  ///< lowest set page
+        std::uint32_t last;   ///< highest set page
+    };
+
+    /** The whole block is the one run [0, valid_pages); any other
+     *  mask is scanned. */
+    Span
+    spanOf(const PageMask &mask) const
+    {
+        if (mask == valid)
+            return {valid_pages, 1, 0, valid_pages - 1};
+        return {static_cast<std::uint32_t>(mask.count()),
+                mem::countRuns(mask), mem::firstSet(mask),
+                mem::lastSet(mask)};
+    }
 
     std::uint32_t blockIndex() const
     {

@@ -30,7 +30,7 @@ VaSpace::createRange(sim::Bytes size, std::string name)
         VaBlock *block = arena_.create();
         block->base = base + i * mem::kBigPageSize;
         block->range = &range;
-        block->valid = maskForRange(block->base, base, size);
+        block->setValid(maskForRange(block->base, base, size));
         block_index_[block->base / mem::kBigPageSize - kFirstKey] =
             block;
         range.blocks.push_back(block);

@@ -44,7 +44,7 @@ class AuditorUnitTest : public ::testing::Test
     AuditorUnitTest()
     {
         block_.base = 4 * kBigPageSize;
-        block_.valid = fullMask();
+        block_.setValid(fullMask());
     }
 
     VaBlock block_;
@@ -163,10 +163,10 @@ TEST(AuditorRunTest, AccessRunMatchesPerBlockAccesses)
     std::vector<VaBlock *> run;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         blocks[i].base = (60 + i) * kBigPageSize;
-        blocks[i].valid = fullMask();
+        blocks[i].setValid(fullMask());
         run.push_back(&blocks[i]);
     }
-    blocks.back().valid = uvm::makeMask(0, 9);
+    blocks.back().setValid(uvm::makeMask(0, 9));
     for (bool is_read : {true, false}) {
         Auditor per_block, whole;
         for (std::size_t i : {0u, 3u, 4u, 67u, 68u, 131u, 199u}) {

@@ -139,9 +139,10 @@ TEST_F(RangeSummaryTest, WholeRangeWalkSetsItAndFastPathsWalkNothing)
     VaRange *range = drv_.vaSpace().rangeOf(a);
     EXPECT_EQ(range->state, RangeState::kNone);
 
+    // The refill loop sets it without a walk.
     t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
     EXPECT_TRUE(range->residentOn(0));
-    EXPECT_EQ(walked(), 4u);
+    EXPECT_EQ(walked(), 0u);
 
     // Both fast paths: no block visited, the recency charge intact.
     std::uint64_t recency = drv_.counters().get("prefetch_recency_only");
@@ -150,7 +151,7 @@ TEST_F(RangeSummaryTest, WholeRangeWalkSetsItAndFastPathsWalkNothing)
     EXPECT_EQ(t_ - before, 4 * drv_.config().recency_touch_cost);
     EXPECT_EQ(drv_.counters().get("prefetch_recency_only"), recency + 4);
     t_ = drv_.gpuAccess(0, {{a, size, AccessKind::kRead}}, t_);
-    EXPECT_EQ(walked(), 4u);
+    EXPECT_EQ(walked(), 0u);
     EXPECT_TRUE(drv_.collectInvariantViolations().empty());
 }
 
@@ -197,7 +198,7 @@ TEST_F(RangeSummaryTest, DiscardAndReArmWalkNothing)
     VaRange *range = drv_.vaSpace().rangeOf(a);
     const UvmConfig &cfg = drv_.config();
     t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
-    ASSERT_EQ(walked(), 3u);
+    ASSERT_EQ(walked(), 0u);
 
     // Eager: three unmaps, then three remaps; the chunks were zero-
     // filled by the first prefetch, so nothing is re-zeroed.
@@ -224,7 +225,7 @@ TEST_F(RangeSummaryTest, DiscardAndReArmWalkNothing)
     t_ = drv_.prefetch(a, size, ProcessorId::gpu(0), t_);
     EXPECT_EQ(t_ - before, 3 * cfg.block_op_cost);
     EXPECT_TRUE(range->residentOn(0));
-    EXPECT_EQ(walked(), 3u);
+    EXPECT_EQ(walked(), 0u);
     EXPECT_EQ(drv_.queues().usedQueue().size(), 3u);
     EXPECT_TRUE(drv_.collectInvariantViolations().empty());
 }
@@ -264,6 +265,24 @@ TEST_F(RangeSummaryTest, StaleSummaryIsAnInvariantViolation)
     ASSERT_EQ(v.size(), 2u);
     EXPECT_EQ(v[0].code, "range-summary-stale");
     EXPECT_EQ(v[0].pages, mem::kPagesPerBlock);
+}
+
+TEST_F(RangeSummaryTest, StaleValidPageCountIsAnInvariantViolation)
+{
+    mem::VirtAddr a = drv_.allocManaged(kBigPageSize + kSmallPageSize, "a");
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+    // A count that disagrees with the mask ...
+    VaBlock *tail = drv_.vaSpace().blockOf(a + kBigPageSize);
+    ++tail->valid_pages;
+    std::vector<InvariantViolation> v = drv_.collectInvariantViolations();
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_EQ(v[0].code, "valid-pages-stale");
+    EXPECT_EQ(v[0].block, a + kBigPageSize);
+    // ... and a mask that is not a prefix, even with a matching count.
+    tail->valid = makeMask(1, 2);
+    EXPECT_EQ(drv_.collectInvariantViolations().size(), 1u);
+    tail->setValid(makeMask(0, 0));
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
 }
 
 TEST_F(RangeSummaryTest, StaleDiscardedSummaryIsAnInvariantViolation)
@@ -460,6 +479,7 @@ expectSameState(UvmDriver &whole, UvmDriver &split, int gpus,
         EXPECT_EQ(w.mapped_cpu, s.mapped_cpu) << at;
         EXPECT_EQ(w.mapped_gpu, s.mapped_gpu) << at;
         EXPECT_EQ(w.gpu_mapping_big, s.gpu_mapping_big) << at;
+        EXPECT_EQ(w.remote_mapped, s.remote_mapped) << at;
         EXPECT_EQ(w.gpu_prepared, s.gpu_prepared) << at;
         EXPECT_EQ(w.discarded, s.discarded) << at;
         EXPECT_EQ(w.discarded_lazily, s.discarded_lazily) << at;
@@ -484,16 +504,27 @@ expectSameState(UvmDriver &whole, UvmDriver &split, int gpus,
 TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
 {
     sim::setLogLevel(sim::LogLevel::kQuiet);
-    std::uint64_t walked_whole = 0, walked_split = 0;
+    std::uint64_t walked_whole = 0, walked_split = 0, injected = 0;
     for (std::uint64_t seed = 1; seed <= 240; ++seed) {
         sim::Rng rng(seed);
         // 3-6 chunks per GPU: a 4-block range may not fit, so a
         // whole-range walk can evict its own, already checked, blocks.
         UvmConfig cfg = test::tinyConfig(3 + rng.below(4));
-        cfg.backed = false;
         cfg.num_gpus = 1 + static_cast<int>(rng.below(2));
         // Off: every re-arm re-zeroes its chunk.
         cfg.track_fully_prepared = rng.below(4) != 0;
+        // Some seeds move real payloads.  Some inject DMA and
+        // allocation failures: both drivers issue the same transfers
+        // and allocations in the same order, so they draw the same
+        // failures.  Chunk retirement stays off, since it rolls once
+        // per driver call and the split driver makes more calls.
+        cfg.backed = seed % 4 == 0;
+        if (seed % 3 == 0) {
+            cfg.faults.enabled = true;
+            cfg.faults.seed = seed;
+            cfg.faults.dma_fault_rate = 0.05;
+            cfg.faults.alloc_fail_rate = 0.1;
+        }
         UvmDriver whole(cfg, test::testLink());
         UvmDriver split(cfg, test::testLink());
         EventRecorder ew, es;
@@ -545,12 +576,23 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
         };
 
         sim::SimTime tw = 0, ts = 0;
+        // In backed seeds a write stores a fresh value at the start of
+        // its span, in both drivers.
+        std::uint64_t value = seed << 32;
+        auto store = [&](mem::VirtAddr addr, AccessKind kind) {
+            if (cfg.backed && writes(kind)) {
+                ++value;
+                whole.pokeValue(addr, value);
+                split.pokeValue(addr, value);
+            }
+        };
         auto wholeAccess = [&](const Span &r, GpuId g, AccessKind kind) {
             tw = whole.gpuAccess(g, {{r.addr, r.size, kind}}, tw);
             std::vector<Access> per_block;
             for (const Span &b : blocksOf(r))
                 per_block.push_back({b.addr, b.size, kind});
             ts = split.gpuAccess(g, per_block, ts);
+            store(r.addr, kind);
         };
         auto wholePrefetch = [&](const Span &r, ProcessorId dst) {
             tw = whole.prefetch(r.addr, r.size, dst, tw);
@@ -574,6 +616,14 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
             op();
             if (moved(whole) == mw && moved(split) == ms) {
                 EXPECT_EQ(tw - tw0, ts - ts0) << where << ": elapsed";
+            }
+            // (Unbacked drivers read zeros.)
+            for (const Span &r : ranges) {
+                for (const Span &b : blocksOf(r)) {
+                    EXPECT_EQ(whole.peekValue<std::uint64_t>(b.addr),
+                              split.peekValue<std::uint64_t>(b.addr))
+                        << where << ": payload at " << b.addr;
+                }
             }
             expectSameState(whole, split, cfg.num_gpus, where);
             expectSameEvents(ew, es, where);
@@ -618,6 +668,7 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
                                              tw);
                         ts = split.gpuAccess(g, {{s.addr, s.size, kind}},
                                              ts);
+                        store(s.addr, kind);
                         break;
                       }
                       case 7: {  // sub-range prefetch or discard, to both
@@ -639,6 +690,7 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
                         AccessKind kind = randomKind();
                         tw = whole.hostAccess(s.addr, s.size, kind, tw);
                         ts = split.hostAccess(s.addr, s.size, kind, ts);
+                        store(s.addr, kind);
                         break;
                       }
                     }
@@ -647,6 +699,7 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
             if (::testing::Test::HasFailure())
                 break;
         }
+        injected += whole.counters().get("fault_injected");
         walked_whole += whole.counters().get("blocks_walked");
         walked_split += split.counters().get("blocks_walked");
         whole.setObserver(nullptr);
@@ -659,6 +712,79 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
     // the per-block driver never can (every range has 2+ blocks).
     EXPECT_LT(walked_whole * 10, walked_split * 9)
         << walked_whole << " vs " << walked_split;
+    EXPECT_GT(injected, 0u);
+}
+
+// The oversubscribed refill: a whole-range GPU prefetch into a full
+// GPU refills host-resident and unpopulated blocks in one loop over
+// the range, evicting discarded and then used victims on the way, and
+// leaves the same state, events and time as the same prefetch split
+// per block.
+TEST_F(RangeSummaryTest, OversubscribedRefillWalksNothing)
+{
+    UvmDriver split(drv_.config(), test::testLink());
+    EventRecorder ew, es;
+    drv_.setObserver(&ew);
+    split.setObserver(&es);
+    auto alloc = [&](sim::Bytes size, const char *name) {
+        mem::VirtAddr a = drv_.allocManaged(size, name);
+        EXPECT_EQ(split.allocManaged(size, name), a);
+        return a;
+    };
+    // Fill all 8 chunks: 4 used, then 4 discarded.
+    mem::VirtAddr used = alloc(4 * kBigPageSize, "used");
+    mem::VirtAddr dead = alloc(4 * kBigPageSize, "dead");
+    for (UvmDriver *d : {&drv_, &split}) {
+        sim::SimTime t = d->prefetch(used, 4 * kBigPageSize,
+                                     ProcessorId::gpu(0), 0);
+        t = d->prefetch(dead, 4 * kBigPageSize, ProcessorId::gpu(0), t);
+        d->discard(dead, 4 * kBigPageSize, DiscardMode::kEager, t);
+    }
+    // The target: three blocks live on the host, then three blocks
+    // and a tail page never populated.
+    sim::Bytes size = 6 * kBigPageSize + kSmallPageSize;
+    mem::VirtAddr a = alloc(size, "target");
+    for (UvmDriver *d : {&drv_, &split}) {
+        d->hostAccess(a, 3 * kBigPageSize, AccessKind::kWrite, 0);
+        for (int i = 0; i < 3; ++i)
+            d->pokeValue<int>(a + i * kBigPageSize + 8, 100 + i);
+        // A remote mapping of the first block, which the migration
+        // must invalidate.
+        d->memAdvise(a, kBigPageSize, MemAdvise::kSetAccessedBy, 0);
+        d->gpuAccess(0, {{a, kBigPageSize, AccessKind::kRead}}, 0);
+    }
+    VaBlock *first = drv_.vaSpace().blockOf(a);
+    ASSERT_EQ(first->remote_mapped, 1u);
+    ew.events.clear();
+    es.events.clear();
+    ASSERT_EQ(drv_.queues().discardedQueue().size(), 4u);
+    ASSERT_EQ(drv_.allocator().freeChunks(), 0u);
+
+    std::uint64_t walked_before = walked();
+    std::uint64_t h2d = drv_.trafficH2d();
+    sim::SimTime tw = drv_.prefetch(a, size, ProcessorId::gpu(0), 0);
+    sim::SimTime ts = 0;
+    for (mem::VirtAddr b = a; b < a + size; b += kBigPageSize) {
+        ts = split.prefetch(b, std::min<sim::Bytes>(kBigPageSize,
+                                                    a + size - b),
+                            ProcessorId::gpu(0), ts);
+    }
+    EXPECT_EQ(walked(), walked_before);
+    EXPECT_EQ(tw, ts);
+    expectSameState(drv_, split, 1, "refill");
+    expectSameEvents(ew, es, "refill");
+
+    VaRange *range = drv_.vaSpace().rangeOf(a);
+    EXPECT_TRUE(range->residentOn(0));
+    EXPECT_EQ(drv_.counters().get("evictions_discarded"), 4u);
+    EXPECT_EQ(drv_.counters().get("evictions_used"), 3u);
+    EXPECT_EQ(drv_.trafficH2d() - h2d, 3 * kBigPageSize);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(drv_.peekValue<int>(a + i * kBigPageSize + 8), 100 + i);
+    EXPECT_EQ(first->remote_mapped, 0u);
+    EXPECT_EQ(drv_.peekValue<int>(a + 4 * kBigPageSize), 0);
+    drv_.setObserver(nullptr);
+    split.setObserver(nullptr);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -96,6 +97,53 @@ TEST(VaSpace, ValidMaskOfTailBlock)
     EXPECT_EQ(tail->valid.count(), 256u);
     VaBlock *head = vs.blockOf(a);
     EXPECT_EQ(head->valid.count(), 512u);
+}
+
+// Every block's valid mask is the prefix [0, valid_pages), whatever
+// the range size, so pagesIn() and spanOf() may answer whole-block
+// masks from the cached count; any other mask is still counted and
+// scanned.
+TEST(VaSpaceProperty, ValidIsAPrefixWithItsCachedCount)
+{
+    sim::Rng rng(7);
+    VaSpace vs;
+    for (int r = 0; r < 200; ++r) {
+        // Mostly arbitrary byte sizes, sometimes whole pages or blocks.
+        sim::Bytes size = rng.range(1, 5 * mem::kBigPageSize);
+        if (rng.below(4) == 0)
+            size = mem::alignUp(size, rng.below(2) ? mem::kBigPageSize
+                                                   : mem::kSmallPageSize);
+        VaRange *range = vs.rangeOf(vs.createRange(size, "r"));
+        ASSERT_NE(range, nullptr);
+        std::uint64_t pages = 0;
+        for (const VaBlock *b : range->blocks) {
+            std::string at = "size " + std::to_string(size) + " block " +
+                             std::to_string(b->base - range->base);
+            ASSERT_GE(b->valid_pages, 1u) << at;
+            EXPECT_EQ(b->valid_pages, b->valid.count()) << at;
+            EXPECT_EQ(b->valid, makeMask(0, b->valid_pages - 1)) << at;
+            EXPECT_EQ(b->pagesIn(b->valid), b->valid_pages) << at;
+            std::uint32_t first = rng.below(b->valid_pages);
+            std::uint32_t last =
+                first + rng.below(b->valid_pages - first);
+            PageMask sub = makeMask(first, last);
+            EXPECT_EQ(b->pagesIn(sub), last - first + 1) << at;
+            EXPECT_EQ(b->pagesIn(PageMask{}), 0u) << at;
+            // spanOf's whole-block answer is what the scans would give.
+            VaBlock::Span whole = b->spanOf(b->valid);
+            EXPECT_EQ(whole.pages, b->valid_pages) << at;
+            EXPECT_EQ(whole.runs, countRuns(b->valid)) << at;
+            EXPECT_EQ(whole.first, mem::firstSet(b->valid)) << at;
+            EXPECT_EQ(whole.last, mem::lastSet(b->valid)) << at;
+            VaBlock::Span part = b->spanOf(sub);
+            EXPECT_EQ(part.pages, last - first + 1) << at;
+            EXPECT_EQ(part.runs, 1u) << at;
+            EXPECT_EQ(part.first, first) << at;
+            EXPECT_EQ(part.last, last) << at;
+            pages += b->valid_pages;
+        }
+        EXPECT_EQ(pages, range->pageCount()) << "size " << size;
+    }
 }
 
 TEST(VaSpace, ForEachBlockVisitsInOrder)
