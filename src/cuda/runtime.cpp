@@ -11,10 +11,8 @@ Runtime::Runtime(const uvm::UvmConfig &cfg,
                  interconnect::LinkSpec link)
     : driver_(cfg, std::move(link))
 {
-    for (int i = 0; i < cfg.num_gpus; ++i) {
-        compute_engines_.push_back(std::make_unique<sim::Resource>(
-            "gpu" + std::to_string(i) + ".compute"));
-    }
+    for (int i = 0; i < cfg.num_gpus; ++i)
+        compute_engines_.push_back(std::make_unique<sim::Resource>());
     streams_.emplace_back();  // stream 0, the default stream
 }
 

@@ -1,4 +1,9 @@
-#include "interconnect/link_spec.hpp"
+#include "interconnect/link.hpp"
+
+#include <algorithm>
+#include <utility>
+
+#include "sim/logging.hpp"
 
 namespace uvmd::interconnect {
 
@@ -24,6 +29,102 @@ LinkSpec
 LinkSpec::nvlink()
 {
     return {"nvlink", 50.0, sim::microseconds(2)};
+}
+
+Link::Link(LinkSpec spec, int engines_per_dir) : spec_(std::move(spec))
+{
+    if (engines_per_dir < 1)
+        sim::fatal("Link: need at least one copy engine per direction");
+    for (Lane &l : lanes_) {
+        l.engines.resize(engines_per_dir);
+        l.offline.resize(engines_per_dir);
+    }
+}
+
+std::uint32_t
+Link::pickEngine(Direction dir) const
+{
+    const Lane &l = lane(dir);
+    std::uint32_t best = l.engines.size();
+    for (std::uint32_t i = 0; i < l.engines.size(); ++i) {
+        if (l.offline[i])
+            continue;
+        if (best == l.engines.size() ||
+            l.engines[i].freeAt() < l.engines[best].freeAt())
+            best = i;
+    }
+    if (best == l.engines.size())
+        sim::panic("Link: no online copy engine");
+    return best;
+}
+
+sim::SimTime
+Link::issueOn(std::uint32_t engine, Direction dir, sim::SimTime earliest,
+              sim::Bytes bytes, std::uint32_t descriptors, bool retry)
+{
+    Lane &l = lane(dir);
+    if (engine >= l.engines.size())
+        sim::panic("Link: bad engine index");
+    if (l.offline[engine])
+        sim::panic("Link: issue on an offline engine");
+    sim::SimDuration duration =
+        descriptors * spec_.setup +
+        sim::transferTime(bytes, spec_.peak_gbps * bandwidth_factor_);
+    if (!retry) {
+        l.descriptors += descriptors;
+        bool h2d = dir == Direction::kHostToDevice;
+        stats_[h2d ? LinkStat::bytes_h2d : LinkStat::bytes_d2h] += bytes;
+        ++stats_[h2d ? LinkStat::transfers_h2d : LinkStat::transfers_d2h];
+    }
+    return l.engines[engine].reserve(earliest, duration);
+}
+
+bool
+Link::setEngineOffline(Direction dir, std::uint32_t index,
+                       sim::SimTime now)
+{
+    Lane &l = lane(dir);
+    if (index >= l.engines.size() || l.offline[index])
+        return false;
+    if (onlineEngines(dir) <= 1)
+        return false;  // never strand a direction with no engine
+    l.offline[index] = true;
+    // Reschedule the queued backlog onto the least-loaded survivor.
+    sim::SimDuration backlog = l.engines[index].freeAt() - now;
+    if (backlog > 0)
+        l.engines[pickEngine(dir)].reserve(now, backlog);
+    return true;
+}
+
+bool
+Link::engineOffline(Direction dir, std::uint32_t index) const
+{
+    const Lane &l = lane(dir);
+    return index < l.offline.size() && l.offline[index];
+}
+
+int
+Link::onlineEngines(Direction dir) const
+{
+    const Lane &l = lane(dir);
+    return std::count(l.offline.begin(), l.offline.end(), false);
+}
+
+void
+Link::scaleBandwidth(double factor)
+{
+    if (factor <= 0.0 || factor > 1.0)
+        sim::panic("Link: bandwidth factor must be in (0, 1]");
+    bandwidth_factor_ *= factor;
+}
+
+const sim::Resource &
+Link::engineAt(Direction dir, std::uint32_t index) const
+{
+    const Lane &l = lane(dir);
+    if (index >= l.engines.size())
+        sim::panic("Link: bad engine index");
+    return l.engines[index];
 }
 
 }  // namespace uvmd::interconnect

@@ -1,37 +1,35 @@
 /**
  * @file
- * Host-device interconnect model.
+ * Host-device interconnect model: one Link per wire.
  *
- * A Link turns (bytes, direction) into a transfer duration using a
- * fixed per-transfer setup latency plus a peak-bandwidth term:
+ * A Link holds the wire's spec, N copy engines per direction (config
+ * knob copy_engines_per_dir, default 1) and its traffic totals, which
+ * feed every "PCIe traffic" table in the evaluation.  Work is issued
+ * as *descriptors* — contiguous spans that each pay the per-transfer
+ * setup — so a span costs
  *
- *     t(bytes) = setup + bytes / peak_bw
+ *     t = descriptors * setup + bytes / peak_bw
  *
- * so effective throughput bytes/t(bytes) rises with transfer size and
- * saturates at the peak — the shape of the paper's Figure 4
- * (cudaMemPrefetchAsync throughput on PCIe-3/4), and the reason the
- * discard implementation prefers whole 2 MB regions (Section 5.4).
+ * and effective throughput rises with transfer size toward the peak:
+ * the shape of the paper's Figure 4 (cudaMemPrefetchAsync on PCIe-3/4)
+ * and the reason the discard implementation prefers whole 2 MB regions
+ * (Section 5.4).  The two directions, and several engines of one
+ * direction, overlap with each other and with GPU computation.
  *
- * The engine timelines themselves live in the DmaScheduler: N copy
- * engines per direction (config knob copy_engines_per_dir, default 1),
- * so host-to-device and device-to-host traffic — and, with more than
- * one engine, independent streams in the same direction — overlap
- * with each other and with GPU computation.  The Link front-end keeps
- * the spec, the per-direction traffic totals that feed every "PCIe
- * traffic" table in the evaluation, and a single-descriptor
- * transfer() convenience for a Link used on its own.  Inside the
- * driver, raw memcpys and remote accesses go through
- * uvm::TransferEngine::rawTransfer instead, which issues on the
- * scheduler directly so coalescing tails and fault injection apply.
+ * The Link is mechanism only: it knows nothing about va_blocks,
+ * causes, or discard state.  uvm::TransferEngine sits above it and
+ * turns structured transfer requests into descriptor issues.
  */
 
 #ifndef UVMD_INTERCONNECT_LINK_HPP
 #define UVMD_INTERCONNECT_LINK_HPP
 
-#include <string>
+#include <array>
+#include <cstdint>
 
-#include "interconnect/dma_scheduler.hpp"
 #include "interconnect/link_spec.hpp"
+#include "sim/arena.hpp"
+#include "sim/resource.hpp"
 #include "sim/stats.hpp"
 
 #define UVMD_LINK_STATS(X, X2)                                          \
@@ -47,79 +45,112 @@ UVMD_STAT_TABLE(LinkStat, LinkStats, UVMD_LINK_STATS);
 class Link
 {
   public:
-    explicit Link(LinkSpec spec, int engines_per_dir = 1)
-        : spec_(std::move(spec)), sched_(spec_, engines_per_dir)
-    {}
+    /**
+     * @param spec            the link technology
+     * @param engines_per_dir copy engines per direction (>= 1)
+     */
+    explicit Link(LinkSpec spec, int engines_per_dir = 1);
 
     const LinkSpec &spec() const { return spec_; }
+    int enginesPerDir() const { return lanes_[0].engines.size(); }
 
-    /** The copy-engine scheduler owning this link's DMA timelines. */
-    DmaScheduler &scheduler() { return sched_; }
-    const DmaScheduler &scheduler() const { return sched_; }
-
-    /** Pure cost of one transfer, without engine queueing. */
+    /** Pure cost of one undegraded single-descriptor transfer,
+     *  without engine queueing. */
     sim::SimDuration
     transferCost(sim::Bytes bytes) const
     {
         return spec_.setup + sim::transferTime(bytes, spec_.peak_gbps);
     }
 
-    /**
-     * Effective throughput (GB/s) of one isolated transfer of
-     * @p bytes — the quantity Figure 4 plots.
-     */
-    double
-    effectiveGbps(sim::Bytes bytes) const
-    {
-        sim::SimDuration t = transferCost(bytes);
-        return static_cast<double>(bytes) / static_cast<double>(t);
-    }
+    /** Engine of @p dir that can start new work earliest (ties go to
+     *  the lowest index, so one engine reproduces a single queue).
+     *  Offline engines are never picked. */
+    std::uint32_t pickEngine(Direction dir) const;
 
     /**
-     * Reserve copy-engine time for one single-descriptor transfer
-     * starting no earlier than @p earliest and account the traffic.
+     * Reserve engine time for @p bytes moved as @p descriptors
+     * contiguous spans on engine @p engine of @p dir, starting no
+     * earlier than @p earliest:
+     *
+     *     duration = descriptors * setup + bytes / (peak_bw * factor)
+     *
+     * @p descriptors may be 0 when the span coalesces onto a
+     * descriptor already issued on that engine (no setup cost).  A
+     * first issue counts the descriptors and one transfer of
+     * @p bytes.  A @p retry re-sends a failed descriptor: it pays the
+     * same cost but counts neither descriptors nor traffic (the
+     * caller accounts retries separately).
      * @return completion time.
      */
-    sim::SimTime
-    transfer(sim::SimTime earliest, sim::Bytes bytes, Direction dir)
+    sim::SimTime issueOn(std::uint32_t engine, Direction dir,
+                         sim::SimTime earliest, sim::Bytes bytes,
+                         std::uint32_t descriptors, bool retry = false);
+
+    // ---- Fault handling (degradation and engine loss) ----
+
+    /**
+     * Take one copy engine offline at @p now.  Its queued backlog
+     * (busy time scheduled past @p now) is rescheduled onto the
+     * least-loaded surviving engine of the same direction, and the
+     * engine is excluded from all future picks.
+     * @return false (no change) when the index is out of range, the
+     *         engine is already offline, or it is the last online
+     *         engine of its direction.
+     */
+    bool setEngineOffline(Direction dir, std::uint32_t index,
+                          sim::SimTime now);
+
+    bool engineOffline(Direction dir, std::uint32_t index) const;
+
+    /** Online engines in @p dir (>= 1 always). */
+    int onlineEngines(Direction dir) const;
+
+    /** Degrade effective bandwidth by @p factor in (0, 1]; factors
+     *  from repeated events compound. */
+    void scaleBandwidth(double factor);
+
+    /** Current cumulative bandwidth factor (1.0 = undegraded). */
+    double bandwidthFactor() const { return bandwidth_factor_; }
+
+    const sim::Resource &engineAt(Direction dir,
+                                  std::uint32_t index) const;
+
+    /** DMA descriptors issued in @p dir since construction. */
+    std::uint64_t descriptors(Direction dir) const
     {
-        accountTraffic(bytes, dir);
-        return sched_.issue(earliest, bytes, /*new_descriptors=*/1,
-                            dir);
+        return lane(dir).descriptors;
+    }
+    std::uint64_t totalDescriptors() const
+    {
+        return lanes_[0].descriptors + lanes_[1].descriptors;
     }
 
-    /** Account traffic without reserving time (synchronous paths). */
-    void
-    accountTraffic(sim::Bytes bytes, Direction dir)
-    {
-        if (dir == Direction::kHostToDevice) {
-            stats_[LinkStat::bytes_h2d] += bytes;
-            ++stats_[LinkStat::transfers_h2d];
-        } else {
-            stats_[LinkStat::bytes_d2h] += bytes;
-            ++stats_[LinkStat::transfers_d2h];
-        }
-    }
-
-    sim::Bytes totalBytes() const
-    {
-        return bytesH2d() + bytesD2h();
-    }
+    sim::Bytes totalBytes() const { return bytesH2d() + bytesD2h(); }
     sim::Bytes bytesH2d() const { return stats_[LinkStat::bytes_h2d]; }
     sim::Bytes bytesD2h() const { return stats_[LinkStat::bytes_d2h]; }
 
     sim::StatGroup stats() const { return stats_.group(); }
 
-    void
-    reset()
+  private:
+    /** The copy engines of one direction.  Engine timelines and
+     *  offline flags stay inline for the common copy_engines_per_dir
+     *  values, so constructing a link (and there is one per GPU per
+     *  driver) never allocates for them. */
+    struct Lane {
+        sim::SmallVec<sim::Resource, 4> engines;
+        sim::SmallVec<bool, 4> offline;
+        std::uint64_t descriptors = 0;
+    };
+
+    Lane &lane(Direction dir) { return lanes_[std::size_t(dir)]; }
+    const Lane &lane(Direction dir) const
     {
-        sched_.reset();
-        stats_.reset();
+        return lanes_[std::size_t(dir)];
     }
 
-  private:
     LinkSpec spec_;
-    DmaScheduler sched_;
+    std::array<Lane, 2> lanes_;
+    double bandwidth_factor_ = 1.0;
     LinkStats stats_;
 };
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Link technology descriptions and transfer directions, shared by the
- * Link front-end and the DmaScheduler beneath it.
+ * Link technology descriptions and transfer directions: the static
+ * half of an interconnect::Link, which adds the copy engines and the
+ * traffic totals of one wire.
  */
 
 #ifndef UVMD_INTERCONNECT_LINK_SPEC_HPP

@@ -95,6 +95,39 @@ BackingStore::dropPage(VirtAddr va, CopySlot slot)
         pages_.erase(it);
 }
 
+void
+BackingStore::zeroPages(VirtAddr block_base, const PageMask &mask,
+                        CopySlot slot)
+{
+    if (!enabled_)
+        return;
+    forEachSetPage(mask, [&](std::uint32_t p) {
+        zeroPage(block_base + p * kSmallPageSize, slot);
+    });
+}
+
+void
+BackingStore::copyPages(VirtAddr block_base, const PageMask &mask,
+                        CopySlot from, CopySlot to)
+{
+    if (!enabled_)
+        return;
+    forEachSetPage(mask, [&](std::uint32_t p) {
+        copyPage(block_base + p * kSmallPageSize, from, to);
+    });
+}
+
+void
+BackingStore::dropPages(VirtAddr block_base, const PageMask &mask,
+                        CopySlot slot)
+{
+    if (!enabled_)
+        return;
+    forEachSetPage(mask, [&](std::uint32_t p) {
+        dropPage(block_base + p * kSmallPageSize, slot);
+    });
+}
+
 bool
 BackingStore::hasPage(VirtAddr va, CopySlot slot) const
 {

@@ -74,6 +74,19 @@ class BackingStore
     /** Drop the @p slot copy of the page holding @p va, if any. */
     void dropPage(VirtAddr va, CopySlot slot);
 
+    /** @name Per-block data plane
+     *  zeroPage / copyPage / dropPage for every page set in @p mask of
+     *  the va_block at @p block_base; no-ops while the store is
+     *  disabled. */
+    ///@{
+    void zeroPages(VirtAddr block_base, const PageMask &mask,
+                   CopySlot slot);
+    void copyPages(VirtAddr block_base, const PageMask &mask,
+                   CopySlot from, CopySlot to);
+    void dropPages(VirtAddr block_base, const PageMask &mask,
+                   CopySlot slot);
+    ///@}
+
     /** True if the page holding @p va has a materialized @p slot copy. */
     bool hasPage(VirtAddr va, CopySlot slot) const;
 

@@ -30,6 +30,9 @@ inline constexpr sim::Bytes kBigPageSize = 2 * sim::kMiB;
 inline constexpr std::uint32_t kPagesPerBlock =
     static_cast<std::uint32_t>(kBigPageSize / kSmallPageSize);  // 512
 
+/** Per-block bitmap with one bit per 4 KB page. */
+using PageMask = std::bitset<kPagesPerBlock>;
+
 /** A unified virtual address (byte granularity). */
 using VirtAddr = std::uint64_t;
 

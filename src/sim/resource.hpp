@@ -7,14 +7,13 @@
  * is modelled by *reserving* a span on the engine's timeline: the
  * reservation starts no earlier than both the requested time and the
  * engine's earliest-free time, and pushes the earliest-free time to its
- * end.  Combined with the event queue this gives a simple but faithful
- * model of asynchronous overlap between computation and DMA traffic.
+ * end.  Combined with the runtime's stream dispatch this gives a simple
+ * but faithful model of asynchronous overlap between computation and
+ * DMA traffic.
  */
 
 #ifndef UVMD_SIM_RESOURCE_HPP
 #define UVMD_SIM_RESOURCE_HPP
-
-#include <string>
 
 #include "sim/time.hpp"
 
@@ -23,10 +22,6 @@ namespace uvmd::sim {
 class Resource
 {
   public:
-    explicit Resource(std::string name) : name_(std::move(name)) {}
-
-    const std::string &name() const { return name_; }
-
     /** Earliest time at which new work could begin. */
     SimTime freeAt() const { return free_at_; }
 
@@ -56,7 +51,6 @@ class Resource
     }
 
   private:
-    std::string name_;
     SimTime free_at_ = 0;
     SimDuration busy_ = 0;
 };

@@ -14,13 +14,6 @@ StatGroup::get(std::string_view name) const
 }
 
 void
-StatGroup::dump(std::ostream &os, const std::string &prefix) const
-{
-    for (std::size_t i = 0; i < names_.size(); ++i)
-        os << prefix << names_[i] << " " << values_[i] << "\n";
-}
-
-void
 StatGroup::dumpJson(std::ostream &os) const
 {
     // Names are C identifiers, possibly dotted, so need no escaping.

@@ -7,8 +7,7 @@
  * a name array and a StatTable: a plain std::uint64_t array indexed by
  * that enum.  Hot paths bump a row directly (`stats[Id::x] += n`).
  * Benches and tests read rows back by name through a StatGroup view,
- * which also dumps every row as text ("prefix.name value" lines, gem5
- * stats-file style) or as one JSON object.
+ * which also dumps every row as one JSON object.
  */
 
 #ifndef UVMD_SIM_STATS_HPP
@@ -40,9 +39,6 @@ class StatGroup
 
     /** The value of row @p name; panics if the table has no such row. */
     std::uint64_t get(std::string_view name) const;
-
-    /** Dump every row as a "prefix+name value" line. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
 
     /** Dump every row as one JSON object of integer members. */
     void dumpJson(std::ostream &os) const;

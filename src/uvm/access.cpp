@@ -129,16 +129,8 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
             PageMask unpop = m & ~block.populated();
             if (unpop.any()) {
                 // First touch under exhaustion: zero-filled host pages.
-                block.resident_cpu |= unpop;
-                block.cpu_pages_present |= unpop;
+                zeroFillOnCpu(block, unpop);
                 t += cfg_.cpu_fault_cost;
-                if (backing_.enabled()) {
-                    mem::forEachSetPage(unpop, [&](std::uint32_t p) {
-                        backing_.zeroPage(
-                            block.base + p * mem::kSmallPageSize,
-                            mem::CopySlot::kHost);
-                    });
-                }
             }
             clearDiscarded(block, m);
             block.discarded_lazily &= ~m;
@@ -192,19 +184,8 @@ UvmDriver::hostAccess(mem::VirtAddr addr, sim::Bytes size,
             ++counters_[UvmStat::cpu_fault_batches];
             t += cfg_.cpu_fault_cost;
         }
-        if (unpop.any()) {
-            // First touch from the host: zero-filled CPU pages
-            // (Figure 1, step 1).
-            b.resident_cpu |= unpop;
-            b.cpu_pages_present |= unpop;
-            if (backing_.enabled()) {
-                mem::forEachSetPage(unpop, [&](std::uint32_t p) {
-                    backing_.zeroPage(
-                        b.base + p * mem::kSmallPageSize,
-                        mem::CopySlot::kHost);
-                });
-            }
-        }
+        if (unpop.any())
+            zeroFillOnCpu(b, unpop);
 
         // Faults are visible to the driver and re-arm the pages.
         clearDiscarded(b, faulted);

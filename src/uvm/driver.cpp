@@ -107,16 +107,9 @@ UvmDriver::tryFreeManaged(mem::VirtAddr base)
             block.resident_gpu.reset();
             releaseChunk(block);
         }
-        if (backing_.enabled()) {
-            mem::forEachSetPage(
-                block.cpu_pages_present | populated,
-                [&](std::uint32_t p) {
-                    mem::VirtAddr va =
-                        block.base + p * mem::kSmallPageSize;
-                    backing_.dropPage(va, mem::CopySlot::kHost);
-                    backing_.dropPage(va, mem::CopySlot::kDevice);
-                });
-        }
+        PageMask held = block.cpu_pages_present | populated;
+        backing_.dropPages(block.base, held, mem::CopySlot::kHost);
+        backing_.dropPages(block.base, held, mem::CopySlot::kDevice);
     }
     ++counters_[UvmStat::managed_frees];
     va_space_.destroyRange(base);
@@ -228,64 +221,10 @@ UvmDriver::totalTrafficBytes() const
 
 namespace {
 
-/** "name busy-ns" lines for each copy engine of a scheduler. */
-void
-dumpEngines(std::ostream &os, const std::string &prefix,
-            const interconnect::DmaScheduler &sched)
-{
-    using interconnect::Direction;
-    for (Direction dir :
-         {Direction::kHostToDevice, Direction::kDeviceToHost}) {
-        for (int i = 0; i < sched.enginesPerDir(); ++i) {
-            const sim::Resource &eng =
-                sched.engineAt(dir, static_cast<std::uint32_t>(i));
-            os << prefix << eng.name() << ".busy " << eng.busyTime()
-               << "\n";
-        }
-        os << prefix << "descriptors_"
-           << interconnect::toString(dir) << " "
-           << sched.descriptors(dir) << "\n";
-    }
-}
-
-}  // namespace
-
-void
-UvmDriver::dumpStats(std::ostream &os)
-{
-    counters_.group().dump(os, "uvm.");
-    for (std::size_t i = 0; i < gpus_.size(); ++i) {
-        GpuState &g = *gpus_[i];
-        std::string prefix = "gpu" + std::to_string(i) + ".";
-        g.link.stats().dump(os, prefix + "link.");
-        dumpEngines(os, prefix + "link.", g.link.scheduler());
-        g.allocator.stats().dump(os, prefix + "alloc.");
-        g.zero_engine.stats().dump(os, prefix + "zero.");
-        os << prefix << "chunks.total " << g.allocator.totalChunks()
-           << "\n";
-        os << prefix << "chunks.allocated "
-           << g.allocator.allocatedChunks() << "\n";
-        os << prefix << "chunks.reserved "
-           << g.allocator.reservedChunks() << "\n";
-        os << prefix << "chunks.retired "
-           << g.allocator.retiredChunks() << "\n";
-        os << prefix << "queue.unused "
-           << g.queues.unusedQueue().size() << "\n";
-        os << prefix << "queue.used " << g.queues.usedQueue().size()
-           << "\n";
-        os << prefix << "queue.discarded "
-           << g.queues.discardedQueue().size() << "\n";
-    }
-    peer_link_.stats().dump(os, "peer.");
-    dumpEngines(os, "peer.", peer_link_.scheduler());
-}
-
-namespace {
-
 /** JSON object with each copy engine's busy time plus descriptor
- *  counts for one scheduler. */
+ *  counts for one link. */
 void
-jsonEngines(std::ostream &os, const interconnect::DmaScheduler &sched)
+jsonEngines(std::ostream &os, const interconnect::Link &link)
 {
     using interconnect::Direction;
     os << "{";
@@ -296,13 +235,12 @@ jsonEngines(std::ostream &os, const interconnect::DmaScheduler &sched)
             os << ",";
         first_dir = false;
         os << "\"" << interconnect::toString(dir)
-           << "\":{\"descriptors\":" << sched.descriptors(dir)
+           << "\":{\"descriptors\":" << link.descriptors(dir)
            << ",\"busy\":[";
-        for (int i = 0; i < sched.enginesPerDir(); ++i) {
+        for (int i = 0; i < link.enginesPerDir(); ++i) {
             if (i)
                 os << ",";
-            os << sched
-                      .engineAt(dir, static_cast<std::uint32_t>(i))
+            os << link.engineAt(dir, static_cast<std::uint32_t>(i))
                       .busyTime();
         }
         os << "]}";
@@ -326,7 +264,7 @@ UvmDriver::dumpStatsJson(std::ostream &os)
         os << "{\"link\":";
         g.link.stats().dumpJson(os);
         os << ",\"copy_engines\":";
-        jsonEngines(os, g.link.scheduler());
+        jsonEngines(os, g.link);
         os << ",\"alloc\":";
         g.allocator.stats().dumpJson(os);
         os << ",\"zero\":";
@@ -344,7 +282,7 @@ UvmDriver::dumpStatsJson(std::ostream &os)
     os << "],\"peer\":{\"link\":";
     peer_link_.stats().dumpJson(os);
     os << ",\"copy_engines\":";
-    jsonEngines(os, peer_link_.scheduler());
+    jsonEngines(os, peer_link_);
     os << "}}\n";
 }
 

@@ -307,12 +307,8 @@ class UvmDriver
     }
 
     /** Dump every statistic (driver counters, per-GPU link/allocator/
-     *  queue state, zero engines, copy-engine busy times) as
-     *  "name value" lines. */
-    void dumpStats(std::ostream &os);
-
-    /** JSON sibling of dumpStats: one object with the same data,
-     *  machine-parsable for bench tooling as the stat set grows. */
+     *  queue state, zero engines, copy-engine busy times and
+     *  descriptor counts) as one JSON object. */
     void dumpStatsJson(std::ostream &os);
 
   private:
@@ -367,6 +363,11 @@ class UvmDriver
     /** Zero-fill GPU pages of a block (chunk must exist). */
     sim::SimTime zeroGpuPages(VaBlock &block, const PageMask &pages,
                               GpuId gpu, sim::SimTime start);
+
+    /** First touch on the host: unpopulated @p pages become
+     *  zero-filled, CPU-resident pages with a CPU copy (Figure 1,
+     *  step 1).  The caller charges the CPU fault. */
+    void zeroFillOnCpu(VaBlock &block, const PageMask &pages);
 
     /**
      * Section 5.7: re-using a discarded page whose chunk was never

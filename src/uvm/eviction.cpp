@@ -132,13 +132,7 @@ UvmDriver::evictOne(GpuId id, sim::SimTime start)
             xfer_->skipped(*b, skipped,
                            interconnect::Direction::kDeviceToHost,
                            TransferCause::kEviction);
-            if (backing_.enabled()) {
-                mem::forEachSetPage(skipped, [&](std::uint32_t p) {
-                    backing_.dropPage(
-                        b->base + p * mem::kSmallPageSize,
-                        mem::CopySlot::kDevice);
-                });
-            }
+            backing_.dropPages(b->base, skipped, mem::CopySlot::kDevice);
             // Pages with a surviving pinned CPU copy fall back to it
             // (and stay discarded); the rest become unpopulated.
             b->resident_gpu.reset();

@@ -20,7 +20,7 @@ namespace uvmd::uvm {
 namespace {
 
 using interconnect::Direction;
-using mem::forEachSetPage;
+using mem::CopySlot;
 
 }  // namespace
 
@@ -33,13 +33,16 @@ UvmDriver::zeroGpuPages(VaBlock &block, const PageMask &pages,
     sim::Bytes bytes = block.pagesIn(pages) * mem::kSmallPageSize;
     sim::SimTime t = start + gpu(id).zero_engine.zeroCost(bytes);
     block.gpu_prepared |= pages;
-    if (backing_.enabled()) {
-        forEachSetPage(pages, [&](std::uint32_t p) {
-            backing_.zeroPage(block.base + p * mem::kSmallPageSize,
-                              mem::CopySlot::kDevice);
-        });
-    }
+    backing_.zeroPages(block.base, pages, CopySlot::kDevice);
     return t;
+}
+
+void
+UvmDriver::zeroFillOnCpu(VaBlock &block, const PageMask &pages)
+{
+    block.resident_cpu |= pages;
+    block.cpu_pages_present |= pages;
+    backing_.zeroPages(block.base, pages, CopySlot::kHost);
 }
 
 sim::SimTime
@@ -48,14 +51,10 @@ UvmDriver::rezeroChunk(VaBlock &block, GpuId id, sim::SimTime start)
     ++counters_[UvmStat::chunk_rezero_ops];
     sim::SimTime t =
         start + gpu(id).zero_engine.zeroCost(mem::kBigPageSize);
-    if (backing_.enabled()) {
-        PageMask unprepared = block.valid & ~block.gpu_prepared &
-                              block.resident_gpu;
-        forEachSetPage(unprepared, [&](std::uint32_t p) {
-            backing_.zeroPage(block.base + p * mem::kSmallPageSize,
-                              mem::CopySlot::kDevice);
-        });
-    }
+    backing_.zeroPages(block.base,
+                       block.valid & ~block.gpu_prepared &
+                           block.resident_gpu,
+                       CopySlot::kDevice);
     block.gpu_prepared |= block.valid;
     return t;
 }
@@ -122,13 +121,8 @@ UvmDriver::copyToGpu(VaBlock &block, const PageMask &pages, GpuId id,
     sim::SimTime t = unmapFromCpu(block, pages, start);
     t = xfer_->submit({&block, pages, Direction::kHostToDevice, cause, id},
                       t);
-    if (backing_.enabled()) {
-        forEachSetPage(pages, [&](std::uint32_t p) {
-            backing_.copyPage(block.base + p * mem::kSmallPageSize,
-                              mem::CopySlot::kHost,
-                              mem::CopySlot::kDevice);
-        });
-    }
+    backing_.copyPages(block.base, pages, CopySlot::kHost,
+                       CopySlot::kDevice);
     block.gpu_prepared |= pages;
     return t;
 }
@@ -156,12 +150,7 @@ UvmDriver::migrateGpuToGpu(VaBlock &block, const PageMask &pages,
     if (skipped.any()) {
         xfer_->skipped(block, skipped, Direction::kDeviceToHost,
                        cause, /*peer=*/true);
-        if (backing_.enabled()) {
-            forEachSetPage(skipped, [&](std::uint32_t p) {
-                backing_.dropPage(block.base + p * mem::kSmallPageSize,
-                                  mem::CopySlot::kDevice);
-            });
-        }
+        backing_.dropPages(block.base, skipped, CopySlot::kDevice);
         block.resident_cpu |= skipped & block.cpu_pages_present;
         clearDiscarded(block, skipped & ~block.cpu_pages_present);
     }
@@ -226,13 +215,8 @@ UvmDriver::migrateToCpu(VaBlock &block, const PageMask &pages,
         t = xfer_->submit({&block, live, Direction::kDeviceToHost,
                            cause, id},
                           t);
-        if (backing_.enabled()) {
-            forEachSetPage(live, [&](std::uint32_t p) {
-                backing_.copyPage(block.base + p * mem::kSmallPageSize,
-                                  mem::CopySlot::kDevice,
-                                  mem::CopySlot::kHost);
-            });
-        }
+        backing_.copyPages(block.base, live, CopySlot::kDevice,
+                           CopySlot::kHost);
         block.cpu_pages_present |= live;
     }
 
@@ -242,12 +226,7 @@ UvmDriver::migrateToCpu(VaBlock &block, const PageMask &pages,
     // without one become unpopulated and will read as zeros.
     xfer_->skipped(block, skipped, Direction::kDeviceToHost, cause);
 
-    if (backing_.enabled()) {
-        forEachSetPage(moving, [&](std::uint32_t p) {
-            backing_.dropPage(block.base + p * mem::kSmallPageSize,
-                              mem::CopySlot::kDevice);
-        });
-    }
+    backing_.dropPages(block.base, moving, CopySlot::kDevice);
 
     block.resident_gpu &= ~moving;
     block.gpu_prepared &= ~moving;

@@ -57,14 +57,7 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
             t = migrateToCpu(b, on_gpu, TransferCause::kPrefetch, t);
         PageMask unpop = m & ~b.populated();
         if (unpop.any()) {
-            b.resident_cpu |= unpop;
-            b.cpu_pages_present |= unpop;
-            if (backing_.enabled()) {
-                mem::forEachSetPage(unpop, [&](std::uint32_t p) {
-                    backing_.zeroPage(b.base + p * mem::kSmallPageSize,
-                                      mem::CopySlot::kHost);
-                });
-            }
+            zeroFillOnCpu(b, unpop);
             t += cfg_.cpu_fault_cost;
         }
         // Prefetching declares intent to use: pages are live again.

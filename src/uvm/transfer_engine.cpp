@@ -76,7 +76,6 @@ TransferEngine::submit(const TransferRequest &req, sim::SimTime start)
         return start;
 
     interconnect::Link &link = linkFor(req);
-    interconnect::DmaScheduler &sched = link.scheduler();
     const VaBlock &blk = *req.block;
     const VaBlock::Span span = blk.spanOf(req.pages);
     sim::Bytes bytes = span.pages * mem::kSmallPageSize;
@@ -94,22 +93,21 @@ TransferEngine::submit(const TransferRequest &req, sim::SimTime start)
         req.dir)];
     bool merge = cfg_.coalesce_transfers && batch_depth_ > 0 &&
                  tail.valid && tail.end_addr == first_addr &&
-                 !sched.engineOffline(req.dir, tail.engine);
+                 !link.engineOffline(req.dir, tail.engine);
     std::uint32_t new_descriptors = merge ? span.runs - 1 : span.runs;
     std::uint32_t engine =
-        merge ? tail.engine : sched.pickEngine(req.dir);
+        merge ? tail.engine : link.pickEngine(req.dir);
 
     sim::SimTime done =
-        sched.issueOn(engine, req.dir, start, bytes, new_descriptors);
+        link.issueOn(engine, req.dir, start, bytes, new_descriptors);
     descriptors_issued_ += new_descriptors;
     if (injector_ && injector_->enabled()) {
         done = injectDmaRetries(
-            sched, engine, req.dir, bytes, new_descriptors, done,
+            link, engine, req.dir, bytes, new_descriptors, done,
             byCause(UvmStat::transfer_retries_prefetch, req.cause),
             blk.base, span.pages);
     }
 
-    link.accountTraffic(bytes, req.dir);
     counters_[UvmStat::dma_descriptors] += new_descriptors;
     if (merge)
         ++counters_[UvmStat::dma_descriptors_coalesced];
@@ -131,7 +129,7 @@ TransferEngine::submit(const TransferRequest &req, sim::SimTime start)
 }
 
 sim::SimTime
-TransferEngine::injectDmaRetries(interconnect::DmaScheduler &sched,
+TransferEngine::injectDmaRetries(interconnect::Link &link,
                                  std::uint32_t engine, Direction dir,
                                  sim::Bytes bytes,
                                  std::uint32_t new_descriptors,
@@ -160,7 +158,8 @@ TransferEngine::injectDmaRetries(interconnect::DmaScheduler &sched,
                 injector_->plan().dma_retry_backoff *
                 (sim::SimDuration{1} << attempt);
             sim::SimTime before = done;
-            done = sched.retryOn(engine, dir, done + backoff, per_desc);
+            done = link.issueOn(engine, dir, done + backoff, per_desc, 1,
+                                /*retry=*/true);
             ++counters_[UvmStat::transfer_retries];
             ++counters_[cause_retries];
             counters_[UvmStat::transfer_retry_ns] += done - before;
@@ -190,7 +189,6 @@ TransferEngine::applyLinkEvents(sim::SimTime now)
         }
         if (!link)
             continue;  // event targets a link this run doesn't have
-        interconnect::DmaScheduler &sched = link->scheduler();
 
         // Tally through the injector exactly what was applied, so
         // fault_injected reconciles with the injector's own book.
@@ -199,7 +197,7 @@ TransferEngine::applyLinkEvents(sim::SimTime now)
         applied.offline_engine = -1;
 
         if (ev.bandwidth_factor < 1.0) {
-            sched.scaleBandwidth(ev.bandwidth_factor);
+            link->scaleBandwidth(ev.bandwidth_factor);
             applied.bandwidth_factor = ev.bandwidth_factor;
             ++counters_[UvmStat::fault_injected];
             if (observer_)
@@ -209,7 +207,7 @@ TransferEngine::applyLinkEvents(sim::SimTime now)
             Direction dir = ev.offline_dir == 0
                                 ? Direction::kHostToDevice
                                 : Direction::kDeviceToHost;
-            if (sched.setEngineOffline(
+            if (link->setEngineOffline(
                     dir, static_cast<std::uint32_t>(ev.offline_engine),
                     now)) {
                 invalidateTail(link_idx, dir);
@@ -249,13 +247,11 @@ TransferEngine::rawTransfer(GpuId gpu, sim::Bytes bytes,
     // coalescing tail was open for this link/direction is broken.
     invalidateTail(static_cast<std::size_t>(gpu), dir);
     interconnect::Link &link = *gpu_links_[gpu];
-    interconnect::DmaScheduler &sched = link.scheduler();
-    link.accountTraffic(bytes, dir);
-    std::uint32_t engine = sched.pickEngine(dir);
-    sim::SimTime done = sched.issueOn(engine, dir, start, bytes, 1);
+    std::uint32_t engine = link.pickEngine(dir);
+    sim::SimTime done = link.issueOn(engine, dir, start, bytes, 1);
     descriptors_issued_ += 1;
     if (injector_ && injector_->enabled()) {
-        done = injectDmaRetries(sched, engine, dir, bytes, 1, done,
+        done = injectDmaRetries(link, engine, dir, bytes, 1, done,
                                 UvmStat::transfer_retries_raw, 0, 0);
         applyLinkEvents(done);
     }

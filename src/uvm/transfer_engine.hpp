@@ -7,7 +7,7 @@
  * skip); the TransferEngine decides *how* it moves.  All residency
  * movement is expressed as a structured TransferRequest (block, page
  * mask, direction, cause) which the engine turns into DMA descriptors
- * on the owning link's copy engines (interconnect::DmaScheduler).
+ * on the owning interconnect::Link's copy engines.
  *
  * The engine is the single choke point for the transfer event spine:
  *   - per-cause traffic accounting (the uvm.bytes_{h2d,d2h}.* and
@@ -145,7 +145,7 @@ class TransferEngine
      * permanent transfer failure, which is fatal).
      * @return completion time including any retries.
      */
-    sim::SimTime injectDmaRetries(interconnect::DmaScheduler &sched,
+    sim::SimTime injectDmaRetries(interconnect::Link &link,
                                   std::uint32_t engine,
                                   interconnect::Direction dir,
                                   sim::Bytes bytes,

@@ -26,8 +26,7 @@ namespace uvmd::uvm {
 
 struct VaRange;
 
-/** Per-block bitmap with one bit per 4 KB page. */
-using PageMask = std::bitset<mem::kPagesPerBlock>;
+using mem::PageMask;
 
 /** Mask covering pages [first, last] inclusive. */
 PageMask makeMask(std::uint32_t first, std::uint32_t last);

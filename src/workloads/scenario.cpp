@@ -327,17 +327,11 @@ class ScenarioInterpreter
                 occupy = arg(i, 1, &parseSize);
             } else if (cmd == "copy_engines") {
                 arity(i, 2);
-                const std::string &n = argStr(i, 1);
-                int v = 0;
-                try {
-                    v = std::stoi(n);
-                } catch (const std::exception &) {
-                    v = 0;
-                }
-                if (v < 1)
-                    scriptError(line_no,
-                                "bad copy engine count '" + n + "'");
-                cfg.copy_engines_per_dir = v;
+                std::uint64_t n = arg(i, 1, &parseCount);
+                if (n < 1 || n > 64)
+                    scriptError(line_no, "copy_engines wants 1..64 "
+                                         "engines per direction");
+                cfg.copy_engines_per_dir = static_cast<int>(n);
             } else if (cmd == "coalesce") {
                 arity(i, 2);
                 const std::string &v = argStr(i, 1);

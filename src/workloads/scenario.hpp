@@ -9,7 +9,7 @@
  *     link pcie4                # pcie3 | pcie4 | nvlink
  *     policy lru                # lru | fifo | random
  *     occupy 128MB              # oversubscription occupier
- *     copy_engines 2            # DMA copy engines per direction
+ *     copy_engines 2            # DMA copy engines per direction (1..64)
  *     coalesce on               # on | off: DMA descriptor coalescing
  *     deadline 5s               # wall-clock budget for this scenario
  *                               # (enforced by verification harnesses

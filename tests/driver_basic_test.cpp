@@ -273,14 +273,24 @@ TEST_F(DriverTest, DumpStatsListsKeyCounters)
     t_ = drv_.hostAccess(a, kBigPageSize, AccessKind::kWrite, t_);
     t_ = drv_.prefetch(a, kBigPageSize, ProcessorId::gpu(0), t_);
     std::ostringstream os;
-    drv_.dumpStats(os);
+    drv_.dumpStatsJson(os);
     std::string s = os.str();
-    EXPECT_NE(s.find("uvm.bytes_h2d.prefetch"), std::string::npos);
-    EXPECT_NE(s.find("gpu0.link.bytes_h2d"), std::string::npos);
-    EXPECT_NE(s.find("gpu0.chunks.allocated 1"), std::string::npos);
-    EXPECT_NE(s.find("gpu0.queue.used 1"), std::string::npos);
-    EXPECT_NE(s.find("gpu0.link.dma_h2d.0.busy"), std::string::npos);
-    EXPECT_NE(s.find("uvm.dma_descriptors"), std::string::npos);
+    const std::string block = std::to_string(kBigPageSize);
+    const std::string busy = std::to_string(
+        drv_.link(0)
+            .engineAt(interconnect::Direction::kHostToDevice, 0)
+            .busyTime());
+    EXPECT_NE(s.find("\"bytes_h2d.prefetch\":" + block),
+              std::string::npos);
+    EXPECT_NE(s.find("\"gpus\":[{\"link\":{\"bytes_h2d\":" + block),
+              std::string::npos);
+    EXPECT_NE(s.find("\"allocated\":1,"), std::string::npos);
+    EXPECT_NE(s.find(",\"used\":1,"), std::string::npos);
+    EXPECT_NE(s.find("\"copy_engines\":{\"h2d\":{\"descriptors\":1,"
+                     "\"busy\":[" +
+                     busy + "]}"),
+              std::string::npos);
+    EXPECT_NE(s.find("\"dma_descriptors\":1,"), std::string::npos);
 }
 
 TEST_F(DriverTest, DumpStatsJsonIsBalancedAndListsKeyCounters)

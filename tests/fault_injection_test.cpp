@@ -348,7 +348,7 @@ TEST(LinkFaults, DegradationSlowsLaterTransfers)
     // first transfer runs at full speed, the second at half.
     EXPECT_EQ(first_f, first_c);
     EXPECT_GT(second_f, second_c);
-    EXPECT_EQ(drv.link(0).scheduler().bandwidthFactor(), 0.5);
+    EXPECT_EQ(drv.link(0).bandwidthFactor(), 0.5);
     EXPECT_EQ(drv.counters().get("fault_injected"),
               drv.faultInjector().totalInjected());
     EXPECT_EQ(drv.faultInjector().tally().get("link_degrades"), 1u);
@@ -368,10 +368,10 @@ TEST(LinkFaults, OfflineEngineRemovesItFromService)
     t = drv.hostAccess(a, 3 * kBigPageSize, AccessKind::kWrite, t);
     t = drv.prefetch(a, 3 * kBigPageSize, ProcessorId::gpu(0), t);
 
-    const auto &sched = drv.link(0).scheduler();
-    EXPECT_TRUE(sched.engineOffline(Direction::kHostToDevice, 0));
-    EXPECT_EQ(sched.onlineEngines(Direction::kHostToDevice), 1);
-    EXPECT_EQ(sched.onlineEngines(Direction::kDeviceToHost), 2);
+    const interconnect::Link &link = drv.link(0);
+    EXPECT_TRUE(link.engineOffline(Direction::kHostToDevice, 0));
+    EXPECT_EQ(link.onlineEngines(Direction::kHostToDevice), 1);
+    EXPECT_EQ(link.onlineEngines(Direction::kDeviceToHost), 2);
     EXPECT_EQ(drv.faultInjector().tally().get("engines_offlined"), 1u);
     EXPECT_EQ(drv.counters().get("fault_injected"),
               drv.faultInjector().totalInjected());
@@ -396,8 +396,8 @@ TEST(LinkFaults, LastOnlineEngineCannotBeKilled)
     t = drv.hostAccess(a, 2 * kBigPageSize, AccessKind::kWrite, t);
     t = drv.prefetch(a, 2 * kBigPageSize, ProcessorId::gpu(0), t);
 
-    const auto &sched = drv.link(0).scheduler();
-    EXPECT_FALSE(sched.engineOffline(Direction::kHostToDevice, 0));
+    EXPECT_FALSE(
+        drv.link(0).engineOffline(Direction::kHostToDevice, 0));
     EXPECT_EQ(drv.faultInjector().totalInjected(), 0u);
     EXPECT_EQ(drv.counters().get("fault_injected"), 0u);
 }

@@ -320,6 +320,34 @@ TEST(ScenarioRobust, ImplausibleSizesAreFatal)
     EXPECT_THROW(runScenario("alloc a 128GiB\n"), sim::FatalError);
 }
 
+TEST(ScenarioRobust, BadCopyEngineCountIsFatalBeforeRuntime)
+{
+    // Trailing junk, zero, and more engines than any GPU has each
+    // fail in the configuration pass, naming the line, before a
+    // Runtime (and its per-direction engine vectors) is built.
+    for (const char *count : {"2x", "0", "65"}) {
+        const std::string script = std::string("gpu_memory 8MiB\n"
+                                               "copy_engines ") +
+                                   count + "\nalloc a 4MiB\n";
+        ScenarioHooks hooks;
+        bool built = false;
+        hooks.mutate_config = [&](uvm::UvmConfig &) { built = true; };
+        try {
+            runScenario(script, hooks);
+            ADD_FAILURE() << "expected ScenarioParseError for " << count;
+        } catch (const ScenarioParseError &err) {
+            EXPECT_EQ(err.line_no, 2u) << count;
+            EXPECT_NE(std::string(err.what()).find("line 2"),
+                      std::string::npos)
+                << count;
+        }
+        EXPECT_FALSE(built) << count;
+    }
+    // The bounds themselves are accepted.
+    EXPECT_NO_THROW(runScenario("copy_engines 1\nalloc a 4MiB\n"));
+    EXPECT_NO_THROW(runScenario("copy_engines 64\nalloc a 4MiB\n"));
+}
+
 TEST(ScenarioRobust, FuzzedScriptsNeverCrash)
 {
     // Deterministic fuzz: mutate a valid script by truncation, token

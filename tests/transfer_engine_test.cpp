@@ -225,7 +225,7 @@ TEST(TransferEngine, SkipAccountingPerDirectionAndPeer)
     EXPECT_EQ(f.count("saved_h2d_bytes"), bytes);
     EXPECT_EQ(f.count("saved_d2d_bytes"), bytes);
     // Skips never touch the engines.
-    EXPECT_EQ(f.link.scheduler().totalDescriptors(), 0u);
+    EXPECT_EQ(f.link.totalDescriptors(), 0u);
 }
 
 TEST(TransferEngine, PeerRequestsRideThePeerLink)
@@ -236,8 +236,8 @@ TEST(TransferEngine, PeerRequestsRideThePeerLink)
                  0);
     EXPECT_EQ(f.count("bytes_d2d"), kChunk);
     EXPECT_EQ(f.peer.bytesH2d(), kChunk);
-    EXPECT_EQ(f.link.scheduler().totalDescriptors(), 0u);
-    EXPECT_EQ(f.peer.scheduler().totalDescriptors(), 1u);
+    EXPECT_EQ(f.link.totalDescriptors(), 0u);
+    EXPECT_EQ(f.peer.totalDescriptors(), 1u);
 }
 
 // ------------------------------------------------------------------
@@ -287,11 +287,8 @@ TEST(TransferEngineRegression, DefaultPrefetchMatchesSerialFormula)
     const interconnect::Link &l = rt.driver().link(0);
     sim::SimDuration dma = 2 * l.transferCost(kChunk);
     EXPECT_GE(elapsed, dma);
-    EXPECT_EQ(l.scheduler().totalDescriptors(), 2u);
-    EXPECT_EQ(l.scheduler()
-                  .engineAt(Direction::kHostToDevice, 0)
-                  .busyTime(),
-              dma);
+    EXPECT_EQ(l.totalDescriptors(), 2u);
+    EXPECT_EQ(l.engineAt(Direction::kHostToDevice, 0).busyTime(), dma);
     EXPECT_EQ(
         rt.driver().counters().get("dma_descriptors"),
         2u);
@@ -348,7 +345,7 @@ TEST(TransferEngineRegression, DisabledInjectorIsBitIdentical)
         rt.synchronize();
         rt.hostTouch(buf, size, AccessKind::kRead);
         std::ostringstream stats;
-        rt.driver().dumpStats(stats);
+        rt.driver().dumpStatsJson(stats);
         return std::pair<sim::SimTime, std::string>(rt.now(),
                                                     stats.str());
     };
