@@ -1,5 +1,7 @@
 #include "mem/backing_store.hpp"
 
+#include <algorithm>
+
 #include "sim/logging.hpp"
 
 namespace uvmd::mem {
@@ -20,33 +22,47 @@ BackingStore::BackingStore(bool enabled)
 {
 }
 
-BackingStore::Payload &
-BackingStore::writable(std::uint64_t page_no, CopySlot slot)
-{
-    PayloadPtr &ptr = pages_[page_no][at(slot)];
-    if (!ptr)
-        ptr = std::make_shared<Payload>();
-    else if (ptr.use_count() > 1)
-        ptr = std::make_shared<Payload>(*ptr);
-    return *ptr;
-}
-
 void
 BackingStore::write(VirtAddr va, const void *data, std::size_t len,
                     CopySlot slot)
 {
-    if (!enabled_)
+    if (!enabled_ || len == 0)
         return;
     if (smallPageNumber(va) != smallPageNumber(va + len - 1))
         sim::panic("BackingStore::write crosses a 4KB page boundary");
-    Payload &p = writable(smallPageNumber(va), slot);
-    std::memcpy(p.data() + va % kSmallPageSize, data, len);
+    Copy &c = pages_[smallPageNumber(va)][at(slot)];
+    if (!c.base)
+        c.base = zero_;
+    const std::size_t off = va % kSmallPageSize;
+    const auto line = static_cast<std::uint8_t>(off / kLineSize);
+    const bool shared = c.base.use_count() > 1;
+    if (shared && line == (off + len - 1) / kLineSize &&
+        (c.line == kNoLine || c.line == line)) {
+        if (c.line == kNoLine) {
+            std::memcpy(c.line_bytes.data(),
+                        c.base->data() + line * kLineSize, kLineSize);
+            c.line = line;
+        }
+        std::memcpy(c.line_bytes.data() + off % kLineSize, data, len);
+        return;
+    }
+    // Fold the line into a private base, then write in place.
+    if (shared)
+        c.base = std::make_shared<Payload>(*c.base);
+    if (c.line != kNoLine) {
+        std::memcpy(c.base->data() + c.line * kLineSize,
+                    c.line_bytes.data(), kLineSize);
+        c.line = kNoLine;
+    }
+    std::memcpy(c.base->data() + off, data, len);
 }
 
 void
 BackingStore::read(VirtAddr va, void *out, std::size_t len,
                    CopySlot slot) const
 {
+    if (len == 0)
+        return;
     if (!enabled_) {
         std::memset(out, 0, len);
         return;
@@ -54,13 +70,22 @@ BackingStore::read(VirtAddr va, void *out, std::size_t len,
     if (smallPageNumber(va) != smallPageNumber(va + len - 1))
         sim::panic("BackingStore::read crosses a 4KB page boundary");
     auto it = pages_.find(smallPageNumber(va));
-    const Payload *p =
-        it == pages_.end() ? nullptr : it->second[at(slot)].get();
-    if (!p) {
+    const Copy *c = it == pages_.end() ? nullptr : &it->second[at(slot)];
+    if (!c || !c->base) {
         std::memset(out, 0, len);
         return;
     }
-    std::memcpy(out, p->data() + va % kSmallPageSize, len);
+    const std::size_t off = va % kSmallPageSize;
+    std::memcpy(out, c->base->data() + off, len);
+    if (c->line == kNoLine)
+        return;
+    // Overlay the part of the private line that [off, off + len) covers.
+    const std::size_t line_lo = c->line * kLineSize;
+    const std::size_t lo = std::max(off, line_lo);
+    const std::size_t hi = std::min(off + len, line_lo + kLineSize);
+    if (lo < hi)
+        std::memcpy(static_cast<std::uint8_t *>(out) + (lo - off),
+                    c->line_bytes.data() + (lo - line_lo), hi - lo);
 }
 
 void
@@ -68,7 +93,7 @@ BackingStore::zeroPage(VirtAddr va, CopySlot slot)
 {
     if (!enabled_)
         return;
-    pages_[smallPageNumber(va)][at(slot)] = zero_;
+    pages_[smallPageNumber(va)][at(slot)] = Copy{zero_};
 }
 
 void
@@ -78,7 +103,7 @@ BackingStore::copyPage(VirtAddr va, CopySlot from, CopySlot to)
         return;
     PageCopies &pc = pages_[smallPageNumber(va)];
     // A never-materialized source reads as zeros, so the copy does.
-    pc[at(to)] = pc[at(from)] ? pc[at(from)] : zero_;
+    pc[at(to)] = pc[at(from)].base ? pc[at(from)] : Copy{zero_};
 }
 
 void
@@ -90,8 +115,8 @@ BackingStore::dropPage(VirtAddr va, CopySlot slot)
     if (it == pages_.end())
         return;
     PageCopies &pc = it->second;
-    pc[at(slot)].reset();
-    if (!pc[0] && !pc[1])
+    pc[at(slot)] = Copy{};
+    if (!pc[0].base && !pc[1].base)
         pages_.erase(it);
 }
 
@@ -132,7 +157,7 @@ bool
 BackingStore::hasPage(VirtAddr va, CopySlot slot) const
 {
     auto it = pages_.find(smallPageNumber(va));
-    return it != pages_.end() && it->second[at(slot)] != nullptr;
+    return it != pages_.end() && it->second[at(slot)].base != nullptr;
 }
 
 std::size_t
@@ -140,7 +165,7 @@ BackingStore::materializedPages() const
 {
     std::size_t n = 0;
     for (const auto &kv : pages_)
-        n += (kv.second[0] != nullptr) + (kv.second[1] != nullptr);
+        n += (kv.second[0].base != nullptr) + (kv.second[1].base != nullptr);
     return n;
 }
 

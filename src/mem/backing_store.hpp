@@ -19,12 +19,17 @@
  * holds a copy at a time and a single device slot suffices even with
  * multiple GPUs.
  *
- * Payloads are copy-on-write.  A simulated migration (copyPage) makes
- * the destination slot share the source's buffer, and a simulated
- * zero-fill (zeroPage) points the slot at the store's one all-zero
- * page, so neither moves 4 KB on the host.  Only a write to a shared
- * buffer (the zero page included) clones it first; a write to an
- * unshared buffer goes in place.
+ * Payloads are copy-on-write at two grains.  Each (page, slot) holds
+ * a shared 4 KB base plus at most one private 64-byte line that
+ * overrides it.  A simulated migration (copyPage) copies the base
+ * pointer and the line, and a simulated zero-fill (zeroPage) points
+ * the slot at the store's one all-zero page, so neither moves 4 KB on
+ * the host.  A write that fits in one line of a shared base (the zero
+ * page included) goes into that line and copies 64 bytes; any other
+ * write folds the line into a private base, cloning the base only if
+ * it is shared, and then writes in place.  One line suffices for the
+ * verification oracle's 8-byte content tags, which land on pages a
+ * migration or zero-fill has just shared.
  */
 
 #ifndef UVMD_MEM_BACKING_STORE_HPP
@@ -53,14 +58,15 @@ class BackingStore
     /**
      * Write @p len bytes at virtual address @p va into the @p slot
      * copy, materializing a zero page first if none exists.  The
-     * range must not cross a 4 KB page boundary.
+     * range must not cross a 4 KB page boundary; @p len 0 is a no-op.
      */
     void write(VirtAddr va, const void *data, std::size_t len,
                CopySlot slot);
 
     /**
      * Read @p len bytes at @p va from the @p slot copy.  Absent pages
-     * read as zeros (never-populated memory is zero-filled on touch).
+     * read as zeros (never-populated memory is zero-filled on touch);
+     * @p len 0 is a no-op.
      */
     void read(VirtAddr va, void *out, std::size_t len,
               CopySlot slot) const;
@@ -101,13 +107,24 @@ class BackingStore
     using Payload = std::array<std::uint8_t, kSmallPageSize>;
     using PayloadPtr = std::shared_ptr<Payload>;
 
-    /** A page's two copies, indexed by CopySlot; either may share its
-     *  buffer with the other slot or with the store's zero page. */
-    using PageCopies = std::array<PayloadPtr, 2>;
+    static constexpr std::size_t kLineSize = 64;
+    static constexpr std::uint8_t kNoLine = 0xff;
 
-    /** The @p slot buffer of page @p page_no, made unshared (cloned
-     *  if shared, zero-filled if absent) so it can be written. */
-    Payload &writable(std::uint64_t page_no, CopySlot slot);
+    /**
+     * One (page, slot) copy: @c base, which may be shared with the
+     * other slot or with the store's zero page (null: the slot is
+     * absent), overlaid with the private line @c line_bytes at line
+     * index @c line unless @c line is kNoLine.  A shared base is never
+     * written.
+     */
+    struct Copy {
+        PayloadPtr base;
+        std::uint8_t line = kNoLine;
+        std::array<std::uint8_t, kLineSize> line_bytes{};
+    };
+
+    /** A page's two copies, indexed by CopySlot. */
+    using PageCopies = std::array<Copy, 2>;
 
     bool enabled_;
     /** The all-zero payload every zeroed slot shares (null when the

@@ -31,11 +31,13 @@ joinTokens(const std::vector<std::string> &tokens)
 void
 Oracle::fail(const std::string &kind, const std::string &detail)
 {
+    const std::string op_text =
+        op_tokens_ ? joinTokens(*op_tokens_) : op_label_;
     std::ostringstream os;
     os << "{\"kind\":\"" << jsonEscape(kind) << "\""
        << ",\"op\":{\"index\":" << op_index_
        << ",\"line\":" << op_line_ << ",\"text\":\""
-       << jsonEscape(op_text_) << "\"}"
+       << jsonEscape(op_text) << "\"}"
        << ",\"detail\":\"" << jsonEscape(detail) << "\""
        << ",\"checks_run\":" << checks_ << ",\"snapshot\":";
     if (rt_)
@@ -44,7 +46,7 @@ Oracle::fail(const std::string &kind, const std::string &detail)
         os << "null";
     os << "}";
     throw VerificationError("oracle divergence [" + kind + "] after '" +
-                                op_text_ + "': " + detail,
+                                op_text + "': " + detail,
                             os.str());
 }
 
@@ -52,15 +54,6 @@ void
 Oracle::deferFail(const std::string &kind, const std::string &detail)
 {
     pending_.push_back(kind + ": " + detail);
-}
-
-void
-Oracle::check(bool ok, const std::string &kind,
-              const std::string &detail)
-{
-    ++checks_;
-    if (!ok)
-        fail(kind, detail);
 }
 
 // ------------------------------------------------------------------
@@ -242,47 +235,57 @@ Oracle::checkBlock(const uvm::VaBlock &b, const uvm::UvmConfig &cfg)
     static const BlockMirror kEmpty{};
     auto it = mirror_.find(b.base);
     const BlockMirror &m = it == mirror_.end() ? kEmpty : it->second;
-    std::string where = "block " + std::to_string(b.base);
+    auto where = [&] { return "block " + std::to_string(b.base); };
 
     // G1: event-built mirror == driver state.
-    check(b.mapped_cpu == m.mapped_cpu, "mirror-mapped-cpu",
-          where + ": driver mapped_cpu [" + maskToRuns(b.mapped_cpu) +
-              "] != mirror [" + maskToRuns(m.mapped_cpu) + "]");
-    check(b.mapped_gpu == m.mapped_gpu, "mirror-mapped-gpu",
-          where + ": driver mapped_gpu [" + maskToRuns(b.mapped_gpu) +
-              "] != mirror [" + maskToRuns(m.mapped_gpu) + "]");
-    check(b.discarded == m.discarded, "mirror-discarded",
-          where + ": driver discarded [" + maskToRuns(b.discarded) +
-              "] != mirror [" + maskToRuns(m.discarded) + "]");
-    check(b.link.on == m.queue, "mirror-queue",
-          where + ": driver queue " +
-              std::string(mem::toString(b.link.on)) + " != mirror " +
-              std::string(mem::toString(m.queue)));
+    check(b.mapped_cpu == m.mapped_cpu, "mirror-mapped-cpu", [&] {
+        return where() + ": driver mapped_cpu [" +
+               maskToRuns(b.mapped_cpu) + "] != mirror [" +
+               maskToRuns(m.mapped_cpu) + "]";
+    });
+    check(b.mapped_gpu == m.mapped_gpu, "mirror-mapped-gpu", [&] {
+        return where() + ": driver mapped_gpu [" +
+               maskToRuns(b.mapped_gpu) + "] != mirror [" +
+               maskToRuns(m.mapped_gpu) + "]";
+    });
+    check(b.discarded == m.discarded, "mirror-discarded", [&] {
+        return where() + ": driver discarded [" +
+               maskToRuns(b.discarded) + "] != mirror [" +
+               maskToRuns(m.discarded) + "]";
+    });
+    check(b.link.on == m.queue, "mirror-queue", [&] {
+        return where() + ": driver queue " +
+               std::string(mem::toString(b.link.on)) + " != mirror " +
+               std::string(mem::toString(m.queue));
+    });
 
     // Queue placement recomputed from first principles.
     mem::QueueKind want = expectedQueue(b, cfg);
-    check(b.link.on == want, "queue-rule",
-          where + ": on queue " +
-              std::string(mem::toString(b.link.on)) +
-              " but the discard/residency state requires " +
-              std::string(mem::toString(want)) + " (resident_gpu [" +
-              maskToRuns(b.resident_gpu) + "], discarded [" +
-              maskToRuns(b.discarded) + "])");
+    check(b.link.on == want, "queue-rule", [&] {
+        return where() + ": on queue " +
+               std::string(mem::toString(b.link.on)) +
+               " but the discard/residency state requires " +
+               std::string(mem::toString(want)) + " (resident_gpu [" +
+               maskToRuns(b.resident_gpu) + "], discarded [" +
+               maskToRuns(b.discarded) + "])";
+    });
 
     // G5 (oracle-derived): a pinned host copy only exists for pages
     // that are populated somewhere — an eviction that drops residency
     // without dropping the copy (or vice versa) shows up here.
     uvm::PageMask orphaned = b.cpu_pages_present & ~b.populated();
-    check(orphaned.none(), "orphaned-cpu-copy",
-          where + ": cpu_pages_present pages " + maskToRuns(orphaned) +
-              " are not resident anywhere");
+    check(orphaned.none(), "orphaned-cpu-copy", [&] {
+        return where() + ": cpu_pages_present pages " +
+               maskToRuns(orphaned) + " are not resident anywhere";
+    });
 
     // Derived: lazily-discarded is a refinement of discarded, and
     // only meaningful for GPU-resident pages.
     uvm::PageMask stray_lazy = b.discarded_lazily & ~b.discarded;
-    check(stray_lazy.none(), "lazy-not-discarded",
-          where + ": discarded_lazily pages " + maskToRuns(stray_lazy) +
-              " are not in discarded");
+    check(stray_lazy.none(), "lazy-not-discarded", [&] {
+        return where() + ": discarded_lazily pages " +
+               maskToRuns(stray_lazy) + " are not in discarded";
+    });
 }
 
 void
@@ -326,7 +329,7 @@ Oracle::afterOp(const workloads::ScenarioOp &op, cuda::Runtime &rt)
     rt_ = &rt;
     op_index_ = op.index;
     op_line_ = op.line_no;
-    op_text_ = joinTokens(*op.tokens);
+    op_tokens_ = op.tokens;
 
     // Failures spotted inside hooks surface here, outside any driver
     // mutation, so the snapshot below reflects a settled state.
@@ -363,10 +366,13 @@ Oracle::afterOp(const workloads::ScenarioOp &op, cuda::Runtime &rt)
                     [&](uvm::VaBlock &b, const uvm::PageMask &msk) {
                         uvm::PageMask still = msk & b.discarded;
                         check(still.none(), "prefetch-left-discarded",
-                              "block " + std::to_string(b.base) +
-                                  ": pages " + maskToRuns(still) +
-                                  " still discarded after a "
-                                  "successful prefetch");
+                              [&] {
+                                  return "block " +
+                                         std::to_string(b.base) +
+                                         ": pages " + maskToRuns(still) +
+                                         " still discarded after a "
+                                         "successful prefetch";
+                              });
                     });
             }
         } else if (cmd == "discard") {
@@ -377,11 +383,12 @@ Oracle::afterOp(const workloads::ScenarioOp &op, cuda::Runtime &rt)
                 if (!b)
                     continue;
                 uvm::PageMask missing = mask & ~b->discarded;
-                check(missing.none(), "discard-not-applied",
-                      "block " + std::to_string(base) + ": pages " +
-                          maskToRuns(missing) +
-                          " reported discarded but the dirty bit "
-                          "is still set");
+                check(missing.none(), "discard-not-applied", [&] {
+                    return "block " + std::to_string(base) + ": pages " +
+                           maskToRuns(missing) +
+                           " reported discarded but the dirty bit "
+                           "is still set";
+                });
             }
         }
     }
@@ -437,7 +444,8 @@ void
 Oracle::finalCheck(cuda::Runtime &rt)
 {
     rt_ = &rt;
-    op_text_ = "<final>";
+    op_tokens_ = nullptr;
+    op_label_ = "<final>";
     if (!pending_.empty()) {
         std::string joined;
         for (const auto &p : pending_) {

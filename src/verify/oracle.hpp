@@ -140,8 +140,17 @@ class Oracle : public uvm::TransferObserver
     [[noreturn]] void fail(const std::string &kind,
                            const std::string &detail);
     void deferFail(const std::string &kind, const std::string &detail);
-    void check(bool ok, const std::string &kind,
-               const std::string &detail);
+
+    /** Count one check and fail if @p ok is false.  @p detail is a
+     *  callable returning the failure text, so a passing check
+     *  builds no string. */
+    template <typename Detail>
+    void check(bool ok, const char *kind, Detail &&detail)
+    {
+        ++checks_;
+        if (!ok)
+            fail(kind, detail());
+    }
 
     void checkAll(cuda::Runtime &rt);
     void checkBlock(const uvm::VaBlock &block,
@@ -175,8 +184,10 @@ class Oracle : public uvm::TransferObserver
      *  mid-mutation. */
     std::vector<std::string> pending_;
 
-    /** Rendered text of the op being checked (for reports). */
-    std::string op_text_ = "<init>";
+    /** The op being checked, rendered only when fail() builds a
+     *  report: its tokens during afterOp, else a fixed label. */
+    const std::vector<std::string> *op_tokens_ = nullptr;
+    const char *op_label_ = "<init>";
     std::size_t op_index_ = 0;
     std::size_t op_line_ = 0;
 

@@ -3,12 +3,14 @@
  * Unit tests for the memory substrate: alignment helpers, the chunk
  * allocator (capacity, reservation, exhaustion), the intrusive page
  * queues, the backing store's copy-slot semantics (including
- * copy-on-write aliasing, checked against a deep-copy reference), and
- * the zero engine cost model.
+ * copy-on-write aliasing of pages and of private 64-byte lines,
+ * checked against a deep-copy reference), and the zero engine cost
+ * model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <map>
@@ -326,6 +328,50 @@ TEST(BackingStore, MaterializedPagesCountsSlotsNotBuffers)
     EXPECT_EQ(bs.materializedPages(), 4u);
 }
 
+TEST(BackingStore, ZeroLengthIoIsANoOp)
+{
+    // A page-aligned VA and VA 0: va + len - 1 lies on the previous
+    // page, or wraps around, so only an early return keeps these legal.
+    for (bool enabled : {true, false}) {
+        SCOPED_TRACE(enabled);
+        BackingStore bs(enabled);
+        std::uint8_t b = 0xab;
+        for (VirtAddr va : {VirtAddr{0}, VirtAddr{kSmallPageSize}}) {
+            bs.write(va, &b, 0, CopySlot::kHost);
+            bs.read(va, &b, 0, CopySlot::kHost);
+            EXPECT_FALSE(bs.hasPage(va, CopySlot::kHost));
+        }
+        EXPECT_EQ(b, 0xab);
+        EXPECT_EQ(bs.materializedPages(), 0u);
+    }
+}
+
+TEST(BackingStore, LineWriteOnSharedPageStaysPrivate)
+{
+    BackingStore bs(true);
+    bs.zeroPage(0x1000, CopySlot::kHost);
+    bs.zeroPage(0x3000, CopySlot::kHost);
+    // A tag poke into the zero page, carried along by a page copy,
+    // then a write to another line of the copy.
+    std::uint64_t tag = 0x1122334455667788, other = 0x99aabbccddeeff00;
+    bs.write(0x1000 + 8, &tag, sizeof(tag), CopySlot::kHost);
+    bs.copyPage(0x1000, CopySlot::kHost, CopySlot::kDevice);
+    bs.write(0x1000 + 200, &other, sizeof(other), CopySlot::kDevice);
+
+    std::array<std::uint8_t, kSmallPageSize> host{}, device{}, zeros{};
+    std::memcpy(host.data() + 8, &tag, sizeof(tag));
+    device = host;
+    std::memcpy(device.data() + 200, &other, sizeof(other));
+    std::array<std::uint8_t, kSmallPageSize> page{};
+    bs.read(0x1000, page.data(), page.size(), CopySlot::kHost);
+    EXPECT_EQ(page, host);
+    bs.read(0x1000, page.data(), page.size(), CopySlot::kDevice);
+    EXPECT_EQ(page, device);
+    bs.read(0x3000, page.data(), page.size(), CopySlot::kHost);
+    EXPECT_EQ(page, zeros);
+    EXPECT_EQ(bs.materializedPages(), 3u);
+}
+
 /**
  * Deep-copy reference for the backing store: one independent 4 KB
  * array per materialized (page, slot), copied byte for byte.
@@ -399,9 +445,14 @@ TEST(BackingStore, MatchesDeepCopyReferenceOnRandomOps)
             VirtAddr page_va = page_nos[rng.below(8)] * kSmallPageSize;
             CopySlot slot = slots[rng.below(2)];
             std::size_t off = rng.below(kSmallPageSize);
-            std::size_t len = 1 + rng.below(kSmallPageSize - off);
+            // Half the ops move at most 16 bytes, so most writes fit
+            // in one 64-byte line and some straddle two.
+            std::size_t max_len = kSmallPageSize - off;
+            if (rng.below(2))
+                max_len = std::min<std::size_t>(max_len, 16);
+            std::size_t len = 1 + rng.below(max_len);
             VirtAddr va = page_va + off;
-            switch (rng.below(5)) {
+            switch (rng.below(6)) {
               case 0:
                 for (std::size_t i = 0; i < len; ++i)
                     buf[i] = static_cast<std::uint8_t>(rng.next());
@@ -415,10 +466,15 @@ TEST(BackingStore, MatchesDeepCopyReferenceOnRandomOps)
                     << "op " << op;
                 break;
               case 2:
+                bs.read(page_va, buf.data(), buf.size(), slot);
+                ref.read(page_va, want.data(), want.size(), slot);
+                ASSERT_EQ(buf, want) << "op " << op;
+                break;
+              case 3:
                 bs.zeroPage(va, slot);
                 ref.zeroPage(va, slot);
                 break;
-              case 3: {
+              case 4: {
                 CopySlot to = slots[rng.below(2)];
                 bs.copyPage(va, slot, to);
                 ref.copyPage(va, slot, to);

@@ -51,7 +51,8 @@ free a
 sync
 )");
     EXPECT_EQ(res.outcome, Outcome::kOk) << res.message;
-    EXPECT_GT(res.checks, 0u);
+    // Exact, so a check that stops being evaluated or counted shows.
+    EXPECT_EQ(res.checks, 123u);
 }
 
 TEST_F(VerifyTest, ParseErrorIsClassified)
@@ -178,8 +179,17 @@ sync
     ASSERT_EQ(res.outcome, Outcome::kDivergence);
     // The report is a JSON artifact naming the op and carrying a full
     // driver-state snapshot for offline diffing.
-    EXPECT_NE(res.report.find("\"kind\""), std::string::npos);
-    EXPECT_NE(res.report.find("\"op\""), std::string::npos);
+    EXPECT_NE(res.report.find("\"kind\":\"mirror-discarded\""),
+              std::string::npos)
+        << res.report;
+    EXPECT_NE(res.report.find("\"text\":\"discard a eager\""),
+              std::string::npos)
+        << res.report;
+    // The detail names the block and both sides' page runs.
+    EXPECT_NE(res.report.find("\"detail\":\"block 1099511627776: driver "
+                              "discarded [0-511] != mirror []\""),
+              std::string::npos)
+        << res.report;
     EXPECT_NE(res.report.find("\"snapshot\""), std::string::npos);
 }
 
