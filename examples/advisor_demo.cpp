@@ -1,12 +1,12 @@
 /**
  * @file
- * Tooling example: the DiscardAdvisor diagnosing where to insert the
- * discard directive.
+ * Tooling example: the Auditor's per-range attribution diagnosing
+ * where to insert the discard directive.
  *
  * The paper's Section 8 points at compiler-assisted detection of
  * discard insertion points as an extension; uvmd ships that analysis
  * as a driver-side tool.  This demo runs a small training-like loop
- * under plain UVM, prints the advisor's ranked report, then applies
+ * under plain UVM, prints the ranked report, then applies
  * the suggested discards and shows the report go quiet — and the
  * traffic drop.
  *
@@ -18,7 +18,7 @@
 #include <string>
 
 #include "cuda/runtime.hpp"
-#include "trace/advisor.hpp"
+#include "trace/auditor.hpp"
 
 namespace {
 
@@ -38,8 +38,8 @@ runLoop(bool with_discards)
 
     cuda::Runtime runtime(cfg, interconnect::LinkSpec::pcie4());
     cuda::Runtime *rt = &runtime;
-    trace::DiscardAdvisor advisor_obj(rt->driver());
-    rt->driver().setObserver(&advisor_obj);
+    trace::Auditor auditor;
+    rt->driver().setObserver(&auditor);
 
     const sim::Bytes act = 16 * mem::kBigPageSize;   // activations
     const sim::Bytes ws = 12 * mem::kBigPageSize;    // workspace
@@ -90,7 +90,7 @@ runLoop(bool with_discards)
     }
     rt->synchronize();
     std::ostringstream report;
-    advisor_obj.report(report);
+    auditor.report(report);
     return {rt->now() - t0, rt->driver().totalTrafficBytes(),
             report.str()};
 }

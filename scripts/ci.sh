@@ -16,20 +16,25 @@
 #      bug (uvm::BugInjection, --bug NAME) over 50 seeds per fault
 #      mode; the stage fails if the Oracle misses any of them (a
 #      campaign that exits 0) or the campaign itself errors,
-#   7. the end-to-end benchmark smoke test: e2ebench/smoke_test.py
+#   7. example output byte-stability (default build): advisor_demo,
+#      and scenario_runner on its built-in demo and on every
+#      examples/scenarios/*.uvm, must print exactly the committed
+#      examples/expected/*.txt,
+#   8. the end-to-end benchmark smoke test: e2ebench/smoke_test.py
 #      builds e2ebench/uvmd_e2e.cpp on its own against src/ and checks
 #      every workload in both trace modes, so a library change that
 #      breaks the benchmark fails here,
-#   8. results byte-stability (release build): every results-producing
+#   9. results byte-stability (release build): every results-producing
 #      bench_* harness regenerates its CSVs at --jobs N, and
 #      scripts/check_results.py fails on any byte of drift from the
 #      committed results/ and names the drifting files,
-#   9. a perf smoke stage (release build): bench_host_perf emits
+#  10. a perf smoke stage (release build): bench_host_perf emits
 #      BENCH_perf.json at --jobs 2 whatever N is, so its
 #      dl_sweep_parallel stage runs the workload its baseline was
 #      taken with on every host; it is gated against the committed
 #      BENCH_baseline.json by scripts/perf_gate.py (throughput and
-#      wall-clock within a tolerance band, allocs_per_iter may never
+#      wall-clock within a tolerance band; the exact work counters,
+#      every allocs_per_* count and blocks_walked, may never
 #      increase; UVMD_PERF_STRICT=0 downgrades the gate to
 #      report-only for noisy machines); then one table sweep runs
 #      serial and parallel with the CSVs asserted bit-identical (the
@@ -97,6 +102,21 @@ for bug in lazy-rearm-keeps-dirty silent-dirty-bit-change \
          exit 1 ;;
     esac
 done
+
+echo "== example outputs match examples/expected/ =="
+rm -rf build/example-outputs
+mkdir -p build/example-outputs
+build/examples/advisor_demo > build/example-outputs/advisor_demo.txt
+build/examples/scenario_runner \
+    > build/example-outputs/scenario_runner_demo.txt
+for f in examples/scenarios/*.uvm; do
+    build/examples/scenario_runner "$f" \
+        > "build/example-outputs/$(basename "$f" .uvm).txt"
+done
+if ! diff -ru examples/expected build/example-outputs; then
+    echo "example output drifted from examples/expected/" >&2
+    exit 1
+fi
 
 echo "== configure + build (release) =="
 cmake --preset release

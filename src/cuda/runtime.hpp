@@ -187,11 +187,6 @@ class Runtime
     /** Host-thread wall clock (== total elapsed after synchronize). */
     sim::SimTime now() const { return host_time_; }
 
-    sim::Resource &computeEngine(uvm::GpuId gpu = 0)
-    {
-        return *compute_engines_[gpu];
-    }
-
   private:
     /** Is [addr, addr+size) contained in one managed range? */
     bool validManagedSpan(mem::VirtAddr addr, sim::Bytes size);

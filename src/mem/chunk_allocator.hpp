@@ -58,12 +58,6 @@ class ChunkAllocator
     }
 
     sim::Bytes
-    freeBytes() const
-    {
-        return freeChunks() * kBigPageSize;
-    }
-
-    sim::Bytes
     usableBytes() const
     {
         return (total_chunks_ - reserved_chunks_ - retired_chunks_) *

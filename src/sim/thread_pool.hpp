@@ -40,8 +40,6 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    std::size_t workerCount() const { return workers_.size(); }
-
     /** Enqueue @p task for execution on some worker. */
     void submit(std::function<void()> task);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "uvm/va_space.hpp"
+
 namespace uvmd::trace {
 
 using interconnect::Direction;
@@ -10,7 +12,25 @@ using interconnect::Direction;
 Auditor::BlockAudit &
 Auditor::auditOf(const uvm::VaBlock &block)
 {
-    return blocks_[block.blockIndex()];
+    auto [it, inserted] = blocks_.try_emplace(block.blockIndex());
+    if (inserted) {
+        // Block VAs are never reused, so the owning range is fixed;
+        // naming it now lets finalize() book leftovers by id alone.
+        it->second.range = block.range->id;
+        wasteOf(*block.range);
+    }
+    return it->second;
+}
+
+Auditor::RangeWaste &
+Auditor::wasteOf(const uvm::VaRange &range)
+{
+    if (range.id >= ranges_.size())
+        ranges_.resize(range.id + 1);
+    RangeWaste &waste = ranges_[range.id];
+    if (waste.range_name.empty())
+        waste.range_name = range.name;
+    return waste;
 }
 
 void
@@ -66,6 +86,7 @@ Auditor::onTransferSkipped(const uvm::VaBlock &block,
         skipped_h2d_ += bytes;
     else
         skipped_d2h_ += bytes;
+    wasteOf(*block.range).already_skipped += bytes;
 }
 
 void
@@ -93,6 +114,11 @@ Auditor::closeAudit(BlockAudit &audit, const uvm::PageMask &pages,
     } else {
         redundant_h2d_ += hb;
         redundant_d2h_ += db;
+        if (hb + db > 0) {
+            RangeWaste &waste = ranges_[audit.range];
+            waste.wasted_bytes += hb + db;
+            ++waste.dead_cycles;
+        }
     }
     open_bytes_ -= hb + db;
 }
@@ -153,14 +179,6 @@ Auditor::onFree(const uvm::VaBlock &block, const uvm::PageMask &pages)
 }
 
 void
-Auditor::finalizeBlock(const uvm::VaBlock &block)
-{
-    uvm::PageMask all;
-    all.set();
-    close(block, all, /*required=*/false);
-}
-
-void
 Auditor::finalize()
 {
     uvm::PageMask all;
@@ -168,6 +186,48 @@ Auditor::finalize()
     for (auto &kv : blocks_)
         closeAudit(kv.second, all, /*required=*/false);
     std::fill(open_.begin(), open_.end(), 0);
+}
+
+std::vector<Auditor::RangeWaste>
+Auditor::suggestions(sim::Bytes min_wasted)
+{
+    finalize();
+    std::vector<RangeWaste> result;
+    for (const RangeWaste &waste : ranges_) {
+        if (waste.wasted_bytes > 0 && waste.wasted_bytes >= min_wasted)
+            result.push_back(waste);
+    }
+    std::sort(result.begin(), result.end(),
+              [](const RangeWaste &a, const RangeWaste &b) {
+                  return a.wasted_bytes > b.wasted_bytes;
+              });
+    return result;
+}
+
+std::string
+Auditor::RangeWaste::advice() const
+{
+    return "buffer '" + range_name + "': " +
+           sim::formatBytes(wasted_bytes) +
+           " moved redundantly across " +
+           std::to_string(dead_cycles) +
+           " dead cycles - insert UvmDiscard after the last read of "
+           "each cycle (and a re-arming prefetch before reuse)";
+}
+
+void
+Auditor::report(std::ostream &os, sim::Bytes min_wasted)
+{
+    auto list = suggestions(min_wasted);
+    if (list.empty()) {
+        os << "DiscardAdvisor: no redundant transfers attributed - "
+              "nothing to suggest.\n";
+        return;
+    }
+    os << "DiscardAdvisor: " << list.size()
+       << " buffer(s) would benefit from the discard directive:\n";
+    for (const auto &s : list)
+        os << "  - " << s.advice() << "\n";
 }
 
 }  // namespace uvmd::trace

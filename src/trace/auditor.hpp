@@ -29,12 +29,26 @@
  * over pages.  A dense bit per block records whether it has any open
  * transfer at all, so the common access to a block with nothing open
  * costs one bit test, not a hash lookup.
+ *
+ * The auditor also diagnoses where an application should insert the
+ * discard directive.  The paper's related work (Section 8) suggests
+ * that "a compiler-assisted approach that detects the buffer reuse
+ * distance can be extended to diagnose the insertion of UvmDiscard
+ * API calls"; this is that tool, built on the driver instrumentation
+ * instead of a compiler.  Every redundant close and every skipped
+ * transfer is booked to the managed range the block belongs to, in
+ * a table indexed by VaRange::id, and suggestions() ranks the ranges
+ * a discard call would help.  Run the application under plain UVM
+ * and read the report; running the fixed application again should
+ * produce an empty one.
  */
 
 #ifndef UVMD_TRACE_AUDITOR_HPP
 #define UVMD_TRACE_AUDITOR_HPP
 
 #include <cstdint>
+#include <ostream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -68,13 +82,11 @@ class Auditor : public uvm::TransferObserver
 
     /**
      * Close still-open transfers as redundant (a value that is never
-     * read again did not need its last moves).  Call once after the
-     * workload's results have been consumed.
+     * read again did not need its last moves).  Call after the
+     * workload's results have been consumed; calling it again closes
+     * nothing more.
      */
     void finalize();
-
-    /** finalize() restricted to one block (per-range attribution). */
-    void finalizeBlock(const uvm::VaBlock &block);
 
     // ---- Results (bytes) ----
 
@@ -107,6 +119,32 @@ class Auditor : public uvm::TransferObserver
     /** Bytes of transfers not yet classified. */
     sim::Bytes openBytes() const { return open_bytes_; }
 
+    // ---- Per-range attribution (discard advice) ----
+
+    /** What one managed range's dead data cost. */
+    struct RangeWaste {
+        std::string range_name;
+        sim::Bytes wasted_bytes = 0;     ///< redundant transfers caused
+        std::uint64_t dead_cycles = 0;   ///< redundant closes with bytes
+        sim::Bytes already_skipped = 0;  ///< existing discards' effect
+
+        /** The human-readable advice line. */
+        std::string advice() const;
+    };
+
+    /** Indexed by VaRange::id; a range that never moved or skipped
+     *  bytes has an empty, zero entry (or none past the end). */
+    const std::vector<RangeWaste> &ranges() const { return ranges_; }
+
+    /**
+     * finalize(), then rank the ranges that wasted bytes by wasted
+     * bytes (descending), dropping those below @p min_wasted.
+     */
+    std::vector<RangeWaste> suggestions(sim::Bytes min_wasted = 0);
+
+    /** Print the ranked suggestions. */
+    void report(std::ostream &os, sim::Bytes min_wasted = 0);
+
   private:
     /**
      * Per-page open-transfer counts of one block and direction, bit
@@ -134,12 +172,17 @@ class Auditor : public uvm::TransferObserver
     struct BlockAudit {
         OpenCounts h2d;
         OpenCounts d2h;
+        std::uint32_t range = 0;  ///< owning VaRange::id
     };
 
     BlockAudit &auditOf(const uvm::VaBlock &block);
 
+    /** The table entry of @p range, named on first use. */
+    RangeWaste &wasteOf(const uvm::VaRange &range);
+
     /** Close open transfers of the masked pages.
-     *  @param required classify as required (else redundant). */
+     *  @param required classify as required (else redundant, booked
+     *         to the block's range as one dead cycle). */
     void close(const uvm::VaBlock &block, const uvm::PageMask &pages,
                bool required);
     void closeAudit(BlockAudit &audit, const uvm::PageMask &pages,
@@ -157,6 +200,7 @@ class Auditor : public uvm::TransferObserver
     /** Bit blockIndex() set iff that block's BlockAudit has an open
      *  transfer. */
     std::vector<std::uint64_t> open_;
+    std::vector<RangeWaste> ranges_;
     sim::Bytes required_h2d_ = 0;
     sim::Bytes required_d2h_ = 0;
     sim::Bytes redundant_h2d_ = 0;

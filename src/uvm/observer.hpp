@@ -6,7 +6,9 @@
  * split "PCIe traffic the driver performed" from "transfers actually
  * required for correctness" (Figure 3).  The driver reports every
  * migration, skip, access, discard and free through this interface;
- * trace::Auditor implements it to classify transfers as redundant.
+ * trace::Auditor implements it to classify transfers as redundant
+ * and attribute them to managed ranges, and verify::Oracle to mirror
+ * the driver's state machine.
  */
 
 #ifndef UVMD_UVM_OBSERVER_HPP
@@ -108,8 +110,8 @@ class TransferObserver
     // block state after every operation, so every mutation of the
     // mapping masks, the software dirty bit, and the queue membership
     // must flow through them.  All default to no-ops: observers that
-    // only care about data movement (auditor, advisor, trace log) are
-    // unaffected, and the fault-free simulation stays bit-identical.
+    // only care about data movement (the auditor) are unaffected, and
+    // the fault-free simulation stays bit-identical.
     // ------------------------------------------------------------
 
     /** Pages of @p block that just gained a PTE at @p where. */
@@ -162,8 +164,8 @@ class TransferObserver
 /**
  * Fan-out observer: forwards every event to each attached observer in
  * attach order.  Lets the verification oracle ride alongside the
- * advisor/auditor that a harness already installed (the driver itself
- * holds a single observer pointer).
+ * auditor that a harness already installed (the driver itself holds
+ * a single observer pointer).
  */
 class ObserverMux : public TransferObserver
 {

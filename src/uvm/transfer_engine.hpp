@@ -13,7 +13,7 @@
  *   - per-cause traffic accounting (the uvm.bytes_{h2d,d2h}.* and
  *     uvm.saved_*_bytes counters every evaluation table reads),
  *   - link-level byte/transfer totals,
- *   - TransferObserver notification (auditor, advisor, trace log),
+ *   - TransferObserver notification (auditor, oracle),
  *   - the dma_descriptors counter.
  *
  * Within a batch scope (one prefetch, one kernel's fault walk, one

@@ -184,9 +184,6 @@ struct VaBlock {
     /** Pages populated anywhere. */
     PageMask populated() const { return resident_cpu | resident_gpu; }
 
-    /** GPU-resident pages holding live (non-discarded) data. */
-    PageMask liveOnGpu() const { return resident_gpu & ~discarded; }
-
     /** True if every GPU-resident page of the block is discarded
      *  (the condition for sitting on the discarded queue). */
     bool

@@ -152,7 +152,6 @@ class VaSpace
      *  ascending address order regardless of hash layout. */
     void forEachBlockAll(sim::FunctionRef<void(VaBlock &)> fn);
 
-    std::size_t rangeCount() const { return ranges_.size(); }
     std::size_t blockCount() const { return live_blocks_; }
 
   private:

@@ -156,8 +156,6 @@ struct RunResult {
     {
         return static_cast<double>(trafficTotal()) / 1e9;
     }
-
-    double elapsedSec() const { return sim::toSeconds(elapsed); }
 };
 
 /** Fill the counter-derived fields of @p result from a finished run. */

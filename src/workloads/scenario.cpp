@@ -8,7 +8,7 @@
 
 #include "cuda/runtime.hpp"
 #include "sim/logging.hpp"
-#include "trace/advisor.hpp"
+#include "trace/auditor.hpp"
 
 namespace uvmd::workloads {
 
@@ -79,15 +79,25 @@ parseDuration(std::size_t line_no, const std::string &token)
     if (!(value >= 0))
         scriptError(line_no, "negative duration '" + token + "'");
     std::string unit = token.substr(pos);
+    double factor = 0;
     if (unit == "ns")
-        return sim::nanoseconds(value);
-    if (unit == "us")
-        return sim::microseconds(value);
-    if (unit == "ms")
-        return sim::milliseconds(value);
-    if (unit == "s")
-        return sim::seconds(value);
-    scriptError(line_no, "bad duration unit '" + unit + "'");
+        factor = 1;
+    else if (unit == "us")
+        factor = 1e3;
+    else if (unit == "ms")
+        factor = 1e6;
+    else if (unit == "s")
+        factor = 1e9;
+    else
+        scriptError(line_no, "bad duration unit '" + unit + "'");
+    // Infinite or absurd durations would overflow the int64
+    // nanosecond cast (undefined behaviour) and the clock sums
+    // downstream; cap them as parseSize caps sizes.
+    double ns = value * factor;
+    if (!(ns <= static_cast<double>(sim::SimDuration{1} << 62)))
+        scriptError(line_no, "duration '" + token + "' is implausibly "
+                             "long");
+    return sim::nanoseconds(ns);
 }
 
 /** Parse a whole-token non-negative integer ("5", "1000"). */
@@ -360,14 +370,12 @@ class ScenarioInterpreter
             hooks_.mutate_config(cfg);
 
         rt_ = std::make_unique<cuda::Runtime>(cfg, link);
-        advisor_ =
-            std::make_unique<trace::DiscardAdvisor>(rt_->driver());
         if (hooks_.observer) {
-            mux_.add(advisor_.get());
+            mux_.add(&auditor_);
             mux_.add(hooks_.observer);
             rt_->driver().setObserver(&mux_);
         } else {
-            rt_->driver().setObserver(advisor_.get());
+            rt_->driver().setObserver(&auditor_);
         }
         if (occupy > 0)
             rt_->driver().reserveGpuMemory(0, occupy);
@@ -410,12 +418,12 @@ class ScenarioInterpreter
         result.pages_retired = drv.counters().get("pages_retired");
         result.oom_fallbacks = drv.counters().get("oom_fallbacks");
         std::ostringstream report;
-        advisor_->report(report);
+        auditor_.report(report);
         result.advisor_report = report.str();
-        result.required = advisor_->auditor().requiredTotal();
-        result.redundant = advisor_->auditor().redundantTotal();
-        result.skipped_by_discard = advisor_->auditor().skippedH2d() +
-                                    advisor_->auditor().skippedD2h();
+        result.required = auditor_.requiredTotal();
+        result.redundant = auditor_.redundantTotal();
+        result.skipped_by_discard =
+            auditor_.skippedH2d() + auditor_.skippedD2h();
         return result;
     }
 
@@ -543,7 +551,7 @@ class ScenarioInterpreter
     ScenarioHooks hooks_;
     std::vector<Line> lines_;
     std::unique_ptr<cuda::Runtime> rt_;
-    std::unique_ptr<trace::DiscardAdvisor> advisor_;
+    trace::Auditor auditor_;
     uvm::ObserverMux mux_;
     std::map<std::string, Buffer> buffers_;
 };

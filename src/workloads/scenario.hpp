@@ -95,7 +95,7 @@ struct ScenarioResult {
     std::uint64_t pages_retired = 0;
     std::uint64_t oom_fallbacks = 0;
 
-    /** The advisor's ranked discard suggestions for this run. */
+    /** The auditor's ranked discard suggestions for this run. */
     std::string advisor_report;
 
     /** Human-readable multi-line summary of everything above. */
@@ -127,7 +127,7 @@ struct ScenarioOp {
  * ScenarioHooks reproduces the plain runScenario behaviour exactly.
  */
 struct ScenarioHooks {
-    /** Attached to the driver alongside the advisor (via an
+    /** Attached to the driver alongside the auditor (via an
      *  ObserverMux), so it sees every transfer/map/discard event. */
     uvm::TransferObserver *observer = nullptr;
 

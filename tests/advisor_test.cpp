@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the DiscardAdvisor: it must flag buffers whose dead data
- * caused redundant transfers, ignore healthy buffers, attribute
- * wasted bytes to the right range, and fall silent once the
- * application inserts the discards it suggested.
+ * Tests for the Auditor's discard advice: it must flag buffers whose
+ * dead data caused redundant transfers, ignore healthy buffers,
+ * attribute wasted bytes to the right range (every redundant and
+ * skipped byte to some range), and fall silent once the application
+ * inserts the discards it suggested.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,7 @@
 #include <sstream>
 
 #include "test_util.hpp"
-#include "trace/advisor.hpp"
+#include "trace/auditor.hpp"
 #include "uvm/driver.hpp"
 #include "workloads/hash_join.hpp"
 
@@ -29,8 +30,7 @@ class AdvisorTest : public ::testing::Test
 {
   protected:
     AdvisorTest()
-        : drv_(test::tinyConfig(/*chunks=*/2), test::testLink()),
-          advisor_(drv_)
+        : drv_(test::tinyConfig(/*chunks=*/2), test::testLink())
     {
         drv_.setObserver(&advisor_);
     }
@@ -67,7 +67,7 @@ class AdvisorTest : public ::testing::Test
     }
 
     UvmDriver drv_;
-    DiscardAdvisor advisor_;
+    Auditor advisor_;
     sim::SimTime t_ = 0;
 };
 
@@ -75,6 +75,7 @@ TEST_F(AdvisorTest, FlagsTheTempBuffer)
 {
     runTempPattern(/*with_discard=*/false);
     auto suggestions = advisor_.suggestions();
+    test::expectAttributionConserved(advisor_, "temp pattern");
     ASSERT_FALSE(suggestions.empty());
     EXPECT_EQ(suggestions.front().range_name, "temp");
     EXPECT_GT(suggestions.front().wasted_bytes, 0u);
@@ -96,6 +97,7 @@ TEST_F(AdvisorTest, SilentOnceDiscardsAreInserted)
 {
     runTempPattern(/*with_discard=*/true);
     auto suggestions = advisor_.suggestions();
+    test::expectAttributionConserved(advisor_, "temp pattern, fixed");
     for (const auto &s : suggestions)
         EXPECT_EQ(s.wasted_bytes, 0u) << s.range_name;
     EXPECT_TRUE(suggestions.empty());
@@ -133,7 +135,7 @@ TEST(AdvisorWorkloadTest, FindsHashJoinIntermediates)
     uvm::UvmConfig cfg = uvm::UvmConfig::rtx3080ti();
     cfg.gpu_memory = 1 * sim::kGiB;
     cuda::Runtime rt(cfg, test::testLink());
-    trace::DiscardAdvisor advisor(rt.driver());
+    Auditor advisor;
     rt.driver().setObserver(&advisor);
 
     // A miniature hash-join round, Listing-5-free (pure UVM).
@@ -170,6 +172,7 @@ TEST(AdvisorWorkloadTest, FindsHashJoinIntermediates)
     }
 
     auto suggestions = advisor.suggestions(sim::kMiB);
+    test::expectAttributionConserved(advisor, "hash-join");
     ASSERT_GE(suggestions.size(), 2u);
     std::vector<std::string> names;
     std::map<std::string, sim::Bytes> wasted;

@@ -43,10 +43,14 @@ class AuditorUnitTest : public ::testing::Test
   protected:
     AuditorUnitTest()
     {
+        range_.id = 1;
+        range_.name = "unit";
         block_.base = 4 * kBigPageSize;
+        block_.range = &range_;
         block_.setValid(fullMask());
     }
 
+    uvm::VaRange range_{};
     VaBlock block_;
     Auditor auditor_;
 };
@@ -159,10 +163,13 @@ TEST_F(AuditorUnitTest, FinalizeClosesLeftoversAsRedundant)
 // whole words empty.
 TEST(AuditorRunTest, AccessRunMatchesPerBlockAccesses)
 {
+    uvm::VaRange range{};
+    range.id = 1;
     std::vector<VaBlock> blocks(200);
     std::vector<VaBlock *> run;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         blocks[i].base = (60 + i) * kBigPageSize;
+        blocks[i].range = &range;
         blocks[i].setValid(fullMask());
         run.push_back(&blocks[i]);
     }
@@ -199,6 +206,13 @@ TEST(AuditorRunTest, AccessRunMatchesPerBlockAccesses)
         EXPECT_EQ(whole.requiredTotal(), per_block.requiredTotal());
         EXPECT_EQ(whole.redundantTotal(), per_block.redundantTotal());
         EXPECT_EQ(whole.openBytes(), per_block.openBytes());
+        // The range is booked the same: one dead cycle per block
+        // closed with bytes.
+        EXPECT_EQ(whole.ranges()[1].wasted_bytes,
+                  per_block.ranges()[1].wasted_bytes);
+        EXPECT_EQ(whole.ranges()[1].dead_cycles,
+                  per_block.ranges()[1].dead_cycles);
+        EXPECT_EQ(whole.ranges()[1].dead_cycles, is_read ? 0u : 7u);
     }
 }
 
@@ -519,19 +533,28 @@ class ReferenceAuditor : public uvm::TransferObserver
 /**
  * Run @p script with the reference attached beside the scenario's own
  * Auditor and expect the same required, redundant and skipped bytes.
+ * A second Auditor rides along to check that its per-range table
+ * conserves the redundant and skipped bytes.
  * @return the largest per-page open count the script reached.
  */
 std::uint64_t
 expectMatchesReference(const std::string &script, const std::string &label)
 {
     ReferenceAuditor ref;
+    Auditor attributed;
+    uvm::ObserverMux mux;
+    mux.add(&ref);
+    mux.add(&attributed);
     workloads::ScenarioHooks hooks;
-    hooks.observer = &ref;
+    hooks.observer = &mux;
     workloads::ScenarioResult r = workloads::runScenario(script, hooks);
     ref.finalize();
     EXPECT_EQ(r.required, ref.required) << label;
     EXPECT_EQ(r.redundant, ref.redundant) << label;
     EXPECT_EQ(r.skipped_by_discard, ref.skipped) << label;
+    attributed.finalize();
+    EXPECT_EQ(attributed.redundantTotal(), ref.redundant) << label;
+    test::expectAttributionConserved(attributed, label);
     return ref.max_count;
 }
 

@@ -9,9 +9,9 @@
  *     every operation,
  *   - workload data is bit-exact against both the written model and
  *     the fault-free reference run — recovery never corrupts data,
- *   - every injected fault is observable: the TransferLog fault events
- *     and the driver's fault counters reconcile exactly with the
- *     injector's own tally.
+ *   - every injected fault is observable: the onFault events an
+ *     observer receives and the driver's fault counters reconcile
+ *     exactly with the injector's own tally.
  *
  * Runs under the `chaos` ctest label (and `sanitized` in asan builds).
  */
@@ -22,7 +22,6 @@
 
 #include "sim/random.hpp"
 #include "test_util.hpp"
-#include "trace/transfer_log.hpp"
 #include "uvm/driver.hpp"
 
 namespace uvmd::uvm {
@@ -68,7 +67,7 @@ TEST(Chaos, RandomFaultSchedulesPreserveDataAndInvariants)
 
         UvmDriver faulty(chaosConfig(seed), test::testLink());
         UvmDriver ref(test::tinyConfig(/*chunks=*/4), test::testLink());
-        trace::TransferLog log;
+        test::EventRecorder log;
         faulty.setObserver(&log);
 
         mem::VirtAddr base_f =
@@ -168,28 +167,15 @@ TEST(Chaos, RandomFaultSchedulesPreserveDataAndInvariants)
         EXPECT_EQ(c.get("fault_injected"),
                   faulty.faultInjector().totalInjected());
 
-        std::uint64_t log_faults = 0, log_retries = 0,
-                      log_retirements = 0, log_fallbacks = 0;
-        log.forEach([&](const trace::TransferLog::Entry &e) {
-            switch (e.event) {
-              case trace::TransferLog::Event::kFault:
-                ++log_faults;
-                break;
-              case trace::TransferLog::Event::kRetry:
-                ++log_retries;
-                break;
-              case trace::TransferLog::Event::kRetirement:
-                ++log_retirements;
-                break;
-              case trace::TransferLog::Event::kOomFallback:
-                ++log_fallbacks;
-                break;
-              default:
-                break;
-            }
-        });
+        std::uint64_t log_retries = log.faults(FaultEvent::kDmaRetry);
+        std::uint64_t log_retirements =
+            log.faults(FaultEvent::kChunkRetired);
+        std::uint64_t log_fallbacks =
+            log.faults(FaultEvent::kOomFallback);
+        std::uint64_t log_faults = log.only("X").size() - log_retries -
+                                   log_retirements - log_fallbacks;
         // Every fault_injected increment produced exactly one fault or
-        // retirement log entry.
+        // retirement event.
         EXPECT_EQ(log_faults + log_retirements,
                   c.get("fault_injected"));
         EXPECT_EQ(log_retries, c.get("transfer_retries"));

@@ -4,7 +4,7 @@
  * retry/backoff, ECC-style chunk retirement, mid-run link degradation
  * and copy-engine loss, injected allocation failures, OOM fallback to
  * remote access, the recoverable runtime error codes, and the
- * observability contract (TransferLog fault events and dumpStatsJson
+ * observability contract (observer fault events and dumpStatsJson
  * counters reconcile with the injector's own tally).
  */
 
@@ -17,7 +17,6 @@
 #include "cuda/runtime.hpp"
 #include "sim/fault_injector.hpp"
 #include "test_util.hpp"
-#include "trace/transfer_log.hpp"
 #include "uvm/driver.hpp"
 
 namespace uvmd::uvm {
@@ -204,23 +203,18 @@ TEST(DmaFaults, ExhaustedRetriesAreFatal)
 TEST(DmaFaults, FaultAndRetryEventsReachTheTransferLog)
 {
     UvmDriver drv(faultyDmaConfig(0.5), test::testLink());
-    trace::TransferLog log;
+    test::EventRecorder log;
     drv.setObserver(&log);
     sim::SimTime t = 0;
     mem::VirtAddr a = drv.allocManaged(4 * kBigPageSize, "a");
     t = drv.hostAccess(a, 4 * kBigPageSize, AccessKind::kWrite, t);
     t = drv.prefetch(a, 4 * kBigPageSize, ProcessorId::gpu(0), t);
 
-    std::size_t faults = 0, retries = 0;
-    log.forEach([&](const trace::TransferLog::Entry &e) {
-        if (e.event == trace::TransferLog::Event::kFault)
-            ++faults;
-        if (e.event == trace::TransferLog::Event::kRetry)
-            ++retries;
-    });
+    std::size_t faults = log.faults(FaultEvent::kDmaFault);
     EXPECT_GT(faults, 0u);
     EXPECT_EQ(faults, drv.counters().get("fault_injected"));
-    EXPECT_EQ(retries, drv.counters().get("transfer_retries"));
+    EXPECT_EQ(log.faults(FaultEvent::kDmaRetry),
+              drv.counters().get("transfer_retries"));
 }
 
 // ------------------------------------------------------------------
@@ -279,7 +273,7 @@ TEST(ChunkRetirement, RetirementEventsReachTheTransferLog)
     cfg.faults.chunk_retire_rate = 1.0;
     cfg.faults.chunk_retire_floor = 2;
     UvmDriver drv(cfg, test::testLink());
-    trace::TransferLog log;
+    test::EventRecorder log;
     drv.setObserver(&log);
 
     sim::SimTime t = 0;
@@ -289,12 +283,12 @@ TEST(ChunkRetirement, RetirementEventsReachTheTransferLog)
     t = drv.gpuAccess(0, rw(a, kBigPageSize), t);
 
     std::size_t retirements = 0;
-    log.forEach([&](const trace::TransferLog::Entry &e) {
-        if (e.event == trace::TransferLog::Event::kRetirement) {
+    for (const auto &e : log.only("X")) {
+        if (e.a == int(FaultEvent::kChunkRetired)) {
             ++retirements;
-            EXPECT_EQ(e.pages, mem::kPagesPerBlock);
+            EXPECT_EQ(e.b, int(mem::kPagesPerBlock));
         }
-    });
+    }
     EXPECT_EQ(retirements, drv.allocator(0).retiredChunks());
     EXPECT_GT(retirements, 0u);
 }

@@ -327,94 +327,7 @@ TEST_F(RangeSummaryTest, StaleDiscardedSummaryIsAnInvariantViolation)
 // Differential order test
 // ------------------------------------------------------------------
 
-/**
- * Records every observer event as a comparable tuple.  onAccessRun
- * keeps its default, so a whole-range access appears as the per-block
- * onAccess events the walk would report.
- */
-class EventRecorder : public TransferObserver
-{
-  public:
-    struct Event {
-        char kind;
-        mem::VirtAddr base;
-        PageMask pages;
-        int a;
-        int b;
-        bool operator==(const Event &) const = default;
-    };
-
-    std::vector<Event> events;
-
-    void
-    onTransfer(const VaBlock &blk, const PageMask &pages,
-               interconnect::Direction dir, TransferCause cause) override
-    {
-        add('T', blk.base, pages, int(dir), int(cause));
-    }
-    void
-    onTransferSkipped(const VaBlock &blk, const PageMask &pages,
-                      interconnect::Direction dir,
-                      TransferCause cause) override
-    {
-        add('S', blk.base, pages, int(dir), int(cause));
-    }
-    void
-    onAccess(const VaBlock &blk, const PageMask &pages, bool is_read,
-             bool is_write, ProcessorId where) override
-    {
-        add('A', blk.base, pages, is_read * 2 + is_write, code(where));
-    }
-    void
-    onDiscard(const VaBlock &blk, const PageMask &pages) override
-    {
-        add('D', blk.base, pages, 0, 0);
-    }
-    void
-    onFree(const VaBlock &blk, const PageMask &pages) override
-    {
-        add('F', blk.base, pages, 0, 0);
-    }
-    void
-    onFault(FaultEvent event, mem::VirtAddr base,
-            std::uint32_t pages) override
-    {
-        add('X', base, {}, int(event), int(pages));
-    }
-    void
-    onMap(const VaBlock &blk, const PageMask &pages,
-          ProcessorId where) override
-    {
-        add('M', blk.base, pages, code(where), 0);
-    }
-    void
-    onUnmap(const VaBlock &blk, const PageMask &pages,
-            ProcessorId where) override
-    {
-        add('U', blk.base, pages, code(where), 0);
-    }
-    void
-    onDiscardStateChange(const VaBlock &blk, const PageMask &pages,
-                         bool discarded) override
-    {
-        add('C', blk.base, pages, discarded, 0);
-    }
-    void
-    onQueueMove(const VaBlock &blk, mem::QueueKind from,
-                mem::QueueKind to) override
-    {
-        add('Q', blk.base, {}, int(from), int(to));
-    }
-
-  private:
-    static int code(ProcessorId p) { return p.isCpu() ? -1 : p.gpuIndex(); }
-
-    void
-    add(char kind, mem::VirtAddr base, const PageMask &pages, int a, int b)
-    {
-        events.push_back({kind, base, pages, a, b});
-    }
-};
+using test::EventRecorder;
 
 /** Both recorders saw the same events since the last call. */
 void

@@ -320,6 +320,40 @@ TEST(ScenarioRobust, ImplausibleSizesAreFatal)
     EXPECT_THROW(runScenario("alloc a 128GiB\n"), sim::FatalError);
 }
 
+TEST(ScenarioRobust, ImplausibleDurationsAreFatalWithLineNumber)
+{
+    // Each directive that takes a duration, with a value past 2^62 ns
+    // and with infinity; either would overflow the int64 nanosecond
+    // cast.
+    const char *scripts[] = {
+        "alloc a 4MiB\nkernel k rw a compute 1e300s\n",
+        "alloc a 4MiB\nkernel k rw a compute infus\n",
+        "gpu_memory 8MiB\ndeadline 1e300s\n",
+        "gpu_memory 8MiB\ndeadline infms\n",
+        "gpu_memory 8MiB\ninject dma_backoff infs\n",
+        "gpu_memory 8MiB\ninject dma_backoff 4611686018427387905000ns\n",
+    };
+    for (const char *script : scripts) {
+        try {
+            runScenario(script);
+            ADD_FAILURE() << "expected ScenarioParseError: " << script;
+        } catch (const ScenarioParseError &err) {
+            EXPECT_EQ(err.line_no, 2u) << script;
+            EXPECT_NE(std::string(err.what()).find("line 2: duration"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    // 2^62 ns itself is accepted, and arrives exactly.
+    ScenarioHooks hooks;
+    sim::SimDuration deadline = 0;
+    hooks.on_deadline = [&](sim::SimDuration d) { deadline = d; };
+    EXPECT_NO_THROW(
+        runScenario("deadline 4611686018427387904ns\nalloc a 4MiB\n",
+                    hooks));
+    EXPECT_EQ(deadline, sim::SimDuration{1} << 62);
+}
+
 TEST(ScenarioRobust, BadCopyEngineCountIsFatalBeforeRuntime)
 {
     // Trailing junk, zero, and more engines than any GPU has each
