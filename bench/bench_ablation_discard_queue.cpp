@@ -20,7 +20,7 @@ main(int argc, char **argv)
     using namespace uvmd::bench;
     using namespace uvmd::workloads;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Ablation: discarded page queue (Section 5.5)");
 
     trace::Table table("UvmDiscard with/without the discarded queue "
@@ -35,7 +35,7 @@ main(int argc, char **argv)
     const std::vector<Config> grid = {
         {true, false}, {true, true}, {false, false}, {false, true}};
     runIndexedSweep(
-        opt, grid.size(),
+        jobs, grid.size(),
         [&](std::size_t i) {
             const Config &c = grid[i];
             uvm::UvmConfig cfg = uvm::UvmConfig::rtx3080ti();

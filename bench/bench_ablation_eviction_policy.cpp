@@ -21,7 +21,7 @@ main(int argc, char **argv)
     using namespace uvmd::bench;
     using namespace uvmd::workloads;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Ablation: used-queue eviction policy (LRU vs FIFO vs "
            "random)");
 
@@ -65,7 +65,7 @@ main(int argc, char **argv)
         }
     }
     runIndexedSweep(
-        opt, grid.size(),
+        jobs, grid.size(),
         [&](std::size_t i) {
             const Config &c = grid[i];
             uvm::UvmConfig cfg = base;

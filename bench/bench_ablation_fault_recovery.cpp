@@ -28,7 +28,7 @@ main(int argc, char **argv)
     using namespace uvmd::bench;
     using namespace uvmd::workloads;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Ablation: fault recovery cost (radix sort, PCIe-4)");
 
     // A smaller payload than Tables 5/6 keeps the grid quick while
@@ -67,7 +67,7 @@ main(int argc, char **argv)
     // precedes that mode's other rows in grid (and so consume) order.
     double baseline_ms = 0.0;
     runIndexedSweep(
-        opt, grid.size(),
+        jobs, grid.size(),
         [&](std::size_t i) {
             const Config &c = grid[i];
             uvm::UvmConfig cfg = uvm::UvmConfig::rtx3080ti();

@@ -93,7 +93,7 @@ main(int argc, char **argv)
     using namespace uvmd;
     using namespace uvmd::bench;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Ablation: partial-discard granularity (Section 5.4)");
 
     trace::Table table("Partial discards: ignore (paper) vs split");
@@ -102,7 +102,7 @@ main(int argc, char **argv)
                   "Transfers skipped (GB)"});
     const bool honour_grid[] = {false, true};
     runIndexedSweep(
-        opt, 2, [&](std::size_t i) { return runScenario(honour_grid[i]); },
+        jobs, 2, [&](std::size_t i) { return runScenario(honour_grid[i]); },
         [&](std::size_t i, Outcome &&o) {
             table.row({honour_grid[i] ? "split 2MB mappings"
                                       : "ignore (paper)",

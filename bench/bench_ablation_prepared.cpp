@@ -59,7 +59,7 @@ main(int argc, char **argv)
     using namespace uvmd;
     using namespace uvmd::bench;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Ablation: fully-prepared tracking (Section 5.7)");
 
     trace::Table table(
@@ -67,7 +67,7 @@ main(int argc, char **argv)
     table.header({"Tracking", "Runtime (ms)", "Whole-chunk re-zeroes"});
     const bool track_grid[] = {true, false};
     runIndexedSweep(
-        opt, 2, [&](std::size_t i) { return runScenario(track_grid[i]); },
+        jobs, 2, [&](std::size_t i) { return runScenario(track_grid[i]); },
         [&](std::size_t i, Outcome &&o) {
             table.row({track_grid[i] ? "on (paper)" : "off",
                        trace::fmt(sim::toMilliseconds(o.elapsed), 2),

@@ -160,7 +160,7 @@ main(int argc, char **argv)
     using namespace uvmd;
     using namespace uvmd::bench;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Extension: coherent remote access vs migration vs "
            "discard (Sections 2.3/3.2)");
 
@@ -178,7 +178,7 @@ main(int argc, char **argv)
         // remote/migrate results, so buffer the outcomes first.
         Outcome part_a[4][2];
         runIndexedSweep(
-            opt, 8,
+            jobs, 8,
             [&](std::size_t i) {
                 return runReuse(/*remote=*/i % 2 == 0,
                                 reuse_grid[i / 2], link);
@@ -202,7 +202,7 @@ main(int argc, char **argv)
                           "12 iterations, " + link.name);
         dead.header({"Policy", "Runtime (ms)", "Link traffic (GB)"});
         runIndexedSweep(
-            opt, 3,
+            jobs, 3,
             [&](std::size_t i) {
                 return runDeadData(dead_grid[i], link);
             },

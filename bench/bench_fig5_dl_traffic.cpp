@@ -17,7 +17,7 @@ main(int argc, char **argv)
     using namespace uvmd::bench;
     using namespace uvmd::workloads;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Figure 5: DL PCIe traffic vs batch size (PCIe-4)");
 
     // results[net][batch][system] = traffic GB
@@ -25,7 +25,7 @@ main(int argc, char **argv)
         traffic;
     dlSweep({System::kUvmOpt, System::kUvmDiscard,
              System::kUvmDiscardLazy},
-            interconnect::LinkSpec::pcie4(), opt,
+            interconnect::LinkSpec::pcie4(), jobs,
             [&](const dl::NetSpec &net, int batch, System sys,
                 const dl::TrainResult &r) {
                 traffic[net.name][batch][sys] =

@@ -16,14 +16,14 @@ main(int argc, char **argv)
     using namespace uvmd::bench;
     using namespace uvmd::workloads;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Figure 7: DL training throughput (img/sec), PCIe-3");
 
     std::map<std::string, std::map<int, std::map<System, double>>>
         thr;
     dlSweep({System::kNoUvm, System::kUvmOpt, System::kUvmDiscard,
              System::kUvmDiscardLazy},
-            interconnect::LinkSpec::pcie3(), opt,
+            interconnect::LinkSpec::pcie3(), jobs,
             [&](const dl::NetSpec &net, int batch, System sys,
                 const dl::TrainResult &r) {
                 thr[net.name][batch][sys] = r.throughput;

@@ -17,7 +17,7 @@ main(int argc, char **argv)
     using namespace uvmd::bench;
     using namespace uvmd::workloads;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Tables 3+4: FIR normalized runtime and PCIe traffic");
 
     const System systems[] = {System::kUvmOpt, System::kUvmDiscard,
@@ -42,7 +42,7 @@ main(int argc, char **argv)
     // results[system][ratio][link_index]
     std::map<System, std::map<double, RunResult[2]>> results;
     runIndexedSweep(
-        opt, grid.size(),
+        jobs, grid.size(),
         [&](std::size_t i) {
             const Config &c = grid[i];
             FirParams p;

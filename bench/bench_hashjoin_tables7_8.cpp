@@ -19,7 +19,7 @@ main(int argc, char **argv)
     using namespace uvmd::bench;
     using namespace uvmd::workloads;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Tables 7+8: Hash-join normalized runtime and traffic");
 
     const System systems[] = {System::kUvmOpt, System::kUvmDiscard,
@@ -43,7 +43,7 @@ main(int argc, char **argv)
 
     std::map<System, std::map<double, RunResult[2]>> results;
     runIndexedSweep(
-        opt, grid.size(),
+        jobs, grid.size(),
         [&](std::size_t i) {
             const Config &c = grid[i];
             HashJoinParams p;

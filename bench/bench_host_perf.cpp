@@ -63,7 +63,6 @@
 
 #include "cuda/runtime.hpp"
 #include "dl_sweep.hpp"
-#include "sim/thread_pool.hpp"
 #include "sweep_runner.hpp"
 #include "verify/fuzzer.hpp"
 #include "verify/verified_run.hpp"
@@ -419,11 +418,9 @@ benchDlSweep(int jobs, bool quick)
     }
 
     Clock::time_point start = Clock::now();
-    SweepOptions opt;
-    opt.jobs = jobs;
     double checksum = 0.0;
     runIndexedSweep(
-        opt, grid.size(),
+        jobs, grid.size(),
         [&](std::size_t i) {
             workloads::dl::TrainParams p;
             p.net = net;
@@ -574,9 +571,9 @@ writeJson(const std::string &path, int jobs, bool quick,
     std::fprintf(f, "{\n  \"schema\": \"uvmd-perf-v1\",\n");
     std::fprintf(
         f,
-        "  \"host\": { \"cores\": %zu, \"jobs\": %d, "
+        "  \"host\": { \"cores\": %d, \"jobs\": %d, "
         "\"quick\": %s },\n",
-        sim::ThreadPool::hardwareConcurrency(), jobs,
+        hardwareJobs(), jobs,
         quick ? "true" : "false");
     std::fprintf(f, "  \"benches\": [\n");
     for (std::size_t i = 0; i < benches.size(); ++i) {

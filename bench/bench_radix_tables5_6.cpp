@@ -20,7 +20,7 @@ main(int argc, char **argv)
     using namespace uvmd::bench;
     using namespace uvmd::workloads;
 
-    SweepOptions opt = parseSweepArgs(argc, argv);
+    int jobs = parseSweepArgs(argc, argv);
     banner("Tables 5+6: Radix-sort normalized runtime and traffic");
 
     const System systems[] = {System::kUvmOpt, System::kUvmDiscard,
@@ -44,7 +44,7 @@ main(int argc, char **argv)
 
     std::map<System, std::map<double, RunResult[2]>> results;
     runIndexedSweep(
-        opt, grid.size(),
+        jobs, grid.size(),
         [&](std::size_t i) {
             const Config &c = grid[i];
             RadixParams p;

@@ -33,15 +33,15 @@ batchGrid(const workloads::dl::NetSpec &net)
  * Run every (network, batch, system) combination on @p link and hand
  * each result to @p consume, always in grid order (network-major, as
  * the serial loops always ran).  No-UVM is skipped (as in the paper's
- * figures) once the allocation no longer fits.  With opt.jobs > 1 the
- * independent training runs execute on a thread pool; consume still
- * sees them serially in grid order, so figure output is identical.
+ * figures) once the allocation no longer fits.  With @p jobs > 1 the
+ * independent training runs execute on that many threads; consume
+ * still sees them serially in grid order, so figure output is
+ * identical.
  */
 template <typename Consume>
 void
 dlSweep(const std::vector<workloads::System> &systems,
-        interconnect::LinkSpec link, const SweepOptions &opt,
-        Consume &&consume)
+        interconnect::LinkSpec link, int jobs, Consume &&consume)
 {
     using workloads::System;
     namespace dl = workloads::dl;
@@ -68,7 +68,7 @@ dlSweep(const std::vector<workloads::System> &systems,
     }
 
     runIndexedSweep(
-        opt, grid.size(),
+        jobs, grid.size(),
         [&](std::size_t i) {
             const Config &c = grid[i];
             dl::TrainParams p;

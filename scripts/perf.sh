@@ -12,8 +12,8 @@
 # BENCH_baseline.json instead of being gated (commit the result).
 #
 # Usage: scripts/perf.sh [-j N] [-q] [-F] [-B] [-o FILE]
-#   -j N   worker threads for the parallel sweep stages
-#          (default: all hardware threads; 1 disables the pool)
+#   -j N   threads for the parallel sweep stages, and build jobs
+#          (default: all hardware threads; 1 runs the sweeps serially)
 #   -q     quick mode — reduced iteration counts, for CI smoke
 #   -F     also time bench_fig5/6/7 and the table harnesses
 #   -B     re-baseline: overwrite BENCH_baseline.json, skip the gate

@@ -51,6 +51,8 @@ mem::VirtAddr
 Runtime::mallocDevice(sim::Bytes size, std::string name,
                       uvm::GpuId gpu)
 {
+    if (!validGpu(gpu))
+        sim::fatal("mallocDevice: unknown GPU");
     host_time_ += apiCost(ApiOp::kCudaMalloc, size);
     // Explicit device buffers consume framebuffer capacity directly;
     // this is where the Listing-4 style fails on oversubscription.
@@ -67,6 +69,8 @@ CudaError
 Runtime::tryMallocDevice(sim::Bytes size, std::string name,
                          mem::VirtAddr *out, uvm::GpuId gpu)
 {
+    if (!validGpu(gpu))
+        return CudaError::kErrorInvalidValue;
     host_time_ += apiCost(ApiOp::kCudaMalloc, size);
     if (!driver_.tryReserveGpuMemory(gpu, size))
         return CudaError::kErrorMemoryAllocation;
@@ -114,11 +118,21 @@ Runtime::createStream()
     return static_cast<StreamId>(streams_.size()) - 1;
 }
 
+bool
+Runtime::validStream(StreamId stream) const
+{
+    return stream >= 0 && stream < static_cast<StreamId>(streams_.size());
+}
+
+bool
+Runtime::validGpu(uvm::GpuId gpu) const
+{
+    return gpu >= 0 && gpu < static_cast<uvm::GpuId>(compute_engines_.size());
+}
+
 void
 Runtime::enqueue(StreamId stream, StreamOp op)
 {
-    if (stream < 0 || stream >= static_cast<StreamId>(streams_.size()))
-        sim::fatal("enqueue: unknown stream");
     op.issue_time = host_time_;
     streams_[stream].ops.push_back(std::move(op));
     pump(stream);
@@ -138,8 +152,8 @@ Runtime::prefetchAsync(mem::VirtAddr addr, sim::Bytes size,
     // The issue cost is paid even when validation rejects the call:
     // the API crossing happens either way.
     host_time_ += apiCost(ApiOp::kApiIssue, size);
-    if (!validManagedSpan(addr, size) || stream < 0 ||
-        stream >= static_cast<StreamId>(streams_.size()))
+    if (!validManagedSpan(addr, size) || !validStream(stream) ||
+        !(dst.isCpu() || (dst.isGpu() && validGpu(dst.gpuIndex()))))
         return CudaError::kErrorInvalidValue;
     StreamOp op;
     op.type = StreamOp::Type::kPrefetch;
@@ -154,6 +168,8 @@ void
 Runtime::memAdvise(mem::VirtAddr addr, sim::Bytes size,
                    uvm::MemAdvise advice, uvm::GpuId gpu)
 {
+    if (!validGpu(gpu))
+        sim::fatal("memAdvise: unknown GPU");
     host_time_ += apiCost(ApiOp::kApiIssue, size);
     runUntil(host_time_);
     driver_.memAdvise(addr, size, advice, gpu);
@@ -164,8 +180,7 @@ Runtime::discardAsync(mem::VirtAddr addr, sim::Bytes size,
                       uvm::DiscardMode mode, StreamId stream)
 {
     host_time_ += apiCost(ApiOp::kApiIssue, size);
-    if (!validManagedSpan(addr, size) || stream < 0 ||
-        stream >= static_cast<StreamId>(streams_.size()))
+    if (!validManagedSpan(addr, size) || !validStream(stream))
         return CudaError::kErrorInvalidValue;
     StreamOp op;
     op.type = StreamOp::Type::kDiscard;
@@ -179,6 +194,8 @@ Runtime::discardAsync(mem::VirtAddr addr, sim::Bytes size,
 void
 Runtime::launch(KernelDesc kernel, StreamId stream, uvm::GpuId gpu)
 {
+    if (!validStream(stream) || !validGpu(gpu))
+        sim::fatal("launch: unknown stream or GPU");
     host_time_ += apiCost(ApiOp::kLaunch, 0);
     StreamOp op;
     op.type = StreamOp::Type::kKernel;
@@ -193,6 +210,8 @@ Runtime::memcpyAsync(mem::VirtAddr device_addr, sim::Bytes size,
 {
     if (!device_buffers_.count(device_addr))
         sim::fatal("memcpyAsync: unknown device pointer");
+    if (!validStream(stream) || !validGpu(gpu))
+        sim::fatal("memcpyAsync: unknown stream or GPU");
     host_time_ += apiCost(ApiOp::kApiIssue, size);
     StreamOp op;
     op.type = to_device ? StreamOp::Type::kMemcpyH2D
@@ -206,6 +225,8 @@ Runtime::memcpyAsync(mem::VirtAddr device_addr, sim::Bytes size,
 EventHandle
 Runtime::recordEvent(StreamId stream)
 {
+    if (!validStream(stream))
+        sim::fatal("recordEvent: unknown stream");
     host_time_ += apiCost(ApiOp::kApiIssue, 0);
     events_.emplace_back();
     EventHandle handle = static_cast<EventHandle>(events_.size()) - 1;
@@ -221,6 +242,8 @@ Runtime::streamWaitEvent(StreamId stream, EventHandle event)
 {
     if (event < 0 || event >= static_cast<EventHandle>(events_.size()))
         sim::fatal("streamWaitEvent: unknown event");
+    if (!validStream(stream))
+        sim::fatal("streamWaitEvent: unknown stream");
     host_time_ += apiCost(ApiOp::kApiIssue, 0);
     StreamOp op;
     op.type = StreamOp::Type::kEventWait;
@@ -381,6 +404,8 @@ Runtime::synchronize()
 void
 Runtime::streamSynchronize(StreamId stream)
 {
+    if (!validStream(stream))
+        sim::fatal("streamSynchronize: unknown stream");
     StreamState &s = streams_[stream];
     while (!s.ops.empty() || s.dispatch_scheduled) {
         if (!step(sim::kTimeNever))

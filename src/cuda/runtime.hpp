@@ -60,13 +60,14 @@ class Runtime
 
     /** cudaMalloc: an explicit device buffer (No-UVM path).  Fails
      *  fatally when the device is out of memory — the Listing-4
-     *  failure mode. */
+     *  failure mode — or @p gpu does not exist. */
     mem::VirtAddr mallocDevice(sim::Bytes size, std::string name,
                                uvm::GpuId gpu = 0);
 
     /** Like mallocDevice(), but an out-of-memory device returns
      *  kErrorMemoryAllocation (with @p out untouched) instead of
-     *  dying — the checked Listing-4 variant. */
+     *  dying — the checked Listing-4 variant — and an unknown @p gpu
+     *  kErrorInvalidValue. */
     CudaError tryMallocDevice(sim::Bytes size, std::string name,
                               mem::VirtAddr *out, uvm::GpuId gpu = 0);
 
@@ -86,11 +87,13 @@ class Runtime
 
     /** cudaMemPrefetchAsync.  @return kErrorInvalidValue (without
      *  enqueuing) when [addr, addr+size) is not within one managed
-     *  range or the stream is unknown. */
+     *  range, the stream is unknown, or @p dst is neither the CPU nor
+     *  an existing GPU. */
     CudaError prefetchAsync(mem::VirtAddr addr, sim::Bytes size,
                             uvm::ProcessorId dst, StreamId stream = 0);
 
-    /** cudaMemAdvise (synchronous hint; see uvm::MemAdvise). */
+    /** cudaMemAdvise (synchronous hint; see uvm::MemAdvise).  An
+     *  unknown @p gpu is fatal. */
     void memAdvise(mem::VirtAddr addr, sim::Bytes size,
                    uvm::MemAdvise advice, uvm::GpuId gpu = 0);
 
@@ -99,7 +102,8 @@ class Runtime
     CudaError discardAsync(mem::VirtAddr addr, sim::Bytes size,
                            uvm::DiscardMode mode, StreamId stream = 0);
 
-    /** Kernel launch. */
+    /** Kernel launch.  An unknown stream or GPU is fatal, as for every
+     *  stream op below that returns no CudaError. */
     void launch(KernelDesc kernel, StreamId stream = 0,
                 uvm::GpuId gpu = 0);
 
@@ -191,6 +195,12 @@ class Runtime
     /** Is [addr, addr+size) contained in one managed range? */
     bool validManagedSpan(mem::VirtAddr addr, sim::Bytes size);
 
+    /** Id checks.  Every API runs them before it changes any state,
+     *  apart from the issue cost the CudaError-returning ops charge. */
+    bool validStream(StreamId stream) const;
+    bool validGpu(uvm::GpuId gpu) const;
+
+    /** Append @p op to a stream the caller validated. */
     void enqueue(StreamId stream, StreamOp op);
 
     /** Schedule a dispatch for @p stream if it has runnable work. */

@@ -181,6 +181,8 @@ Auditor::onFree(const uvm::VaBlock &block, const uvm::PageMask &pages)
 void
 Auditor::finalize()
 {
+    if (open_bytes_ == 0)
+        return;  // nothing open: a repeated call stays free
     uvm::PageMask all;
     all.set();
     for (auto &kv : blocks_)

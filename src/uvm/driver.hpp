@@ -292,13 +292,6 @@ class UvmDriver
      */
     std::vector<InvariantViolation> collectInvariantViolations();
 
-    /** Violations seen by checkInvariants() so far (non-panicking
-     *  mode); also emitted by dumpStatsJson. */
-    std::uint64_t invariantViolationCount() const
-    {
-        return invariant_violations_;
-    }
-
     /** Attach a forward-progress sink; the eviction retry loops
      *  report each iteration through it (nullptr detaches). */
     void setProgressSink(sim::ProgressSink *sink)

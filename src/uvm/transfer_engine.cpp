@@ -100,7 +100,6 @@ TransferEngine::submit(const TransferRequest &req, sim::SimTime start)
 
     sim::SimTime done =
         link.issueOn(engine, req.dir, start, bytes, new_descriptors);
-    descriptors_issued_ += new_descriptors;
     if (injector_ && injector_->enabled()) {
         done = injectDmaRetries(
             link, engine, req.dir, bytes, new_descriptors, done,
@@ -175,8 +174,13 @@ TransferEngine::injectDmaRetries(interconnect::Link &link,
 void
 TransferEngine::applyLinkEvents(sim::SimTime now)
 {
+    // The wired links count first issues, raw and peer descriptors
+    // included, and never retries: exactly the events' threshold.
+    std::uint64_t issued = peer_link_ ? peer_link_->totalDescriptors() : 0;
+    for (const interconnect::Link *link : gpu_links_)
+        issued += link->totalDescriptors();
     for (const sim::LinkFaultEvent &ev :
-         injector_->takeDueLinkEvents(descriptors_issued_)) {
+         injector_->takeDueLinkEvents(issued)) {
         interconnect::Link *link = nullptr;
         std::size_t link_idx = 0;
         if (ev.gpu < 0) {
@@ -249,7 +253,6 @@ TransferEngine::rawTransfer(GpuId gpu, sim::Bytes bytes,
     interconnect::Link &link = *gpu_links_[gpu];
     std::uint32_t engine = link.pickEngine(dir);
     sim::SimTime done = link.issueOn(engine, dir, start, bytes, 1);
-    descriptors_issued_ += 1;
     if (injector_ && injector_->enabled()) {
         done = injectDmaRetries(link, engine, dir, bytes, 1, done,
                                 UvmStat::transfer_retries_raw, 0, 0);

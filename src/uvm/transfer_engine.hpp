@@ -165,7 +165,6 @@ class TransferEngine
     interconnect::Link *peer_link_ = nullptr;
     TransferObserver *observer_ = nullptr;
     sim::FaultInjector *injector_ = nullptr;
-    std::uint64_t descriptors_issued_ = 0;
     int batch_depth_ = 0;
     /** Indexed by [linkIndex][direction]; last slot is the peer. */
     sim::SmallVec<std::array<Tail, 2>, 5> tails_;

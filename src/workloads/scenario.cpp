@@ -404,26 +404,10 @@ class ScenarioInterpreter
 
         ScenarioResult result;
         result.elapsed = rt_->now();
-        uvm::UvmDriver &drv = rt_->driver();
-        result.traffic_h2d = drv.trafficH2d();
-        result.traffic_d2h = drv.trafficD2h();
-        result.gpu_fault_batches =
-            drv.counters().get("gpu_fault_batches");
-        result.evictions_used = drv.counters().get("evictions_used");
-        result.evictions_discarded =
-            drv.counters().get("evictions_discarded");
-        result.fault_injected = drv.counters().get("fault_injected");
-        result.transfer_retries =
-            drv.counters().get("transfer_retries");
-        result.pages_retired = drv.counters().get("pages_retired");
-        result.oom_fallbacks = drv.counters().get("oom_fallbacks");
+        harvest(result, *rt_, auditor_);
         std::ostringstream report;
         auditor_.report(report);
         result.advisor_report = report.str();
-        result.required = auditor_.requiredTotal();
-        result.redundant = auditor_.redundantTotal();
-        result.skipped_by_discard =
-            auditor_.skippedH2d() + auditor_.skippedD2h();
         return result;
     }
 

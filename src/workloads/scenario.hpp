@@ -76,25 +76,9 @@ class ScenarioParseError : public sim::FatalError
     std::size_t line_no;
 };
 
-struct ScenarioResult {
-    /** Simulated wall clock at the end of the script. */
-    sim::SimDuration elapsed = 0;
-
-    sim::Bytes traffic_h2d = 0;
-    sim::Bytes traffic_d2h = 0;
-    sim::Bytes required = 0;
-    sim::Bytes redundant = 0;
-    sim::Bytes skipped_by_discard = 0;
-    std::uint64_t gpu_fault_batches = 0;
-    std::uint64_t evictions_used = 0;
-    std::uint64_t evictions_discarded = 0;
-
-    // Fault-injection outcomes (all zero when injection is off).
-    std::uint64_t fault_injected = 0;
-    std::uint64_t transfer_retries = 0;
-    std::uint64_t pages_retired = 0;
-    std::uint64_t oom_fallbacks = 0;
-
+/** A scenario run's RunResult, plus the auditor's report.  `elapsed`
+ *  is the simulated clock at the end of the script. */
+struct ScenarioResult : RunResult {
     /** The auditor's ranked discard suggestions for this run. */
     std::string advisor_report;
 

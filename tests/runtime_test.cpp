@@ -271,6 +271,83 @@ TEST_F(RuntimeTest, ZeroCopyKernelLaunchCostIsCharged)
     rt_.synchronize();
 }
 
+// Unknown ids are rejected with a FatalError before the call charges
+// host time or queues anything, so the runtime stays usable.
+
+TEST_F(RuntimeTest, LaunchOnUnknownGpuIsFatalWithoutSideEffects)
+{
+    sim::SimTime t0 = rt_.now();
+    EXPECT_THROW(rt_.launch(computeKernel("k", 10), 0, /*gpu=*/1),
+                 sim::FatalError);
+    EXPECT_THROW(rt_.launch(computeKernel("k", 10), 0, /*gpu=*/-1),
+                 sim::FatalError);
+    EXPECT_THROW(rt_.launch(computeKernel("k", 10), /*stream=*/3),
+                 sim::FatalError);
+    EXPECT_EQ(rt_.now(), t0);
+    rt_.synchronize();
+    EXPECT_EQ(rt_.eventQueue().executed(), 0u);
+}
+
+TEST_F(RuntimeTest, MemcpyOnUnknownGpuIsFatalWithoutSideEffects)
+{
+    mem::VirtAddr d = rt_.mallocDevice(4 * sim::kMiB, "d");
+    sim::SimTime t0 = rt_.now();
+    EXPECT_THROW(rt_.memcpyAsync(d, sim::kMiB, /*to_device=*/true, 0,
+                                 /*gpu=*/2),
+                 sim::FatalError);
+    EXPECT_THROW(rt_.memcpyAsync(d, sim::kMiB, /*to_device=*/true,
+                                 /*stream=*/4),
+                 sim::FatalError);
+    EXPECT_EQ(rt_.now(), t0);
+    rt_.synchronize();
+    EXPECT_EQ(rt_.driver().trafficH2d(), 0u);
+}
+
+TEST_F(RuntimeTest, AllocPrefetchAndAdviseRejectUnknownGpu)
+{
+    mem::VirtAddr a = rt_.mallocManaged(kBigPageSize, "a");
+    sim::SimTime t0 = rt_.now();
+    EXPECT_THROW(rt_.mallocDevice(sim::kMiB, "d", /*gpu=*/1),
+                 sim::FatalError);
+    mem::VirtAddr out = 0;
+    EXPECT_EQ(rt_.tryMallocDevice(sim::kMiB, "d", &out, /*gpu=*/-1),
+              CudaError::kErrorInvalidValue);
+    EXPECT_EQ(out, 0u);
+    // The hint mask has room for 8 GPUs; this runtime has one.
+    EXPECT_THROW(rt_.memAdvise(a, kBigPageSize,
+                               uvm::MemAdvise::kSetAccessedBy, /*gpu=*/3),
+                 sim::FatalError);
+    EXPECT_EQ(rt_.driver().vaSpace().blockOf(a)->accessed_by, 0u);
+    EXPECT_EQ(rt_.now(), t0);
+
+    EXPECT_EQ(rt_.prefetchAsync(a, kBigPageSize, ProcessorId::gpu(1)),
+              CudaError::kErrorInvalidValue);
+    EXPECT_EQ(rt_.prefetchAsync(a, kBigPageSize, ProcessorId{}),
+              CudaError::kErrorInvalidValue);
+    rt_.synchronize();
+    EXPECT_EQ(rt_.driver().trafficH2d(), 0u);
+}
+
+TEST_F(RuntimeTest, StreamSynchronizeOnUnknownStreamIsFatal)
+{
+    EXPECT_THROW(rt_.streamSynchronize(1), sim::FatalError);
+    EXPECT_THROW(rt_.streamSynchronize(-1), sim::FatalError);
+}
+
+TEST_F(RuntimeTest, EventOpsOnUnknownStreamAreFatalWithoutSideEffects)
+{
+    sim::SimTime t0 = rt_.now();
+    EXPECT_THROW(rt_.recordEvent(5), sim::FatalError);
+    EXPECT_EQ(rt_.now(), t0);
+    // The rejected record left no event behind: the next is the first.
+    EventHandle ev = rt_.recordEvent(0);
+    EXPECT_EQ(ev, 0);
+    t0 = rt_.now();
+    EXPECT_THROW(rt_.streamWaitEvent(5, ev), sim::FatalError);
+    EXPECT_EQ(rt_.now(), t0);
+    rt_.synchronize();
+}
+
 TEST(RuntimeMultiGpu, KernelsRunOnSeparateComputeEngines)
 {
     uvm::UvmConfig cfg = test::tinyConfig(8);

@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the host-parallel sweep machinery: the sim::ThreadPool
- * itself, the runIndexedSweep determinism contract (parallel results
- * are consumed in index order, so output matches the serial run
- * exactly), and a real simulator sweep run serially and in parallel
- * with per-config results asserted identical.
+ * Tests for the host-parallel sweep runner: the runIndexedSweep
+ * contract (every index runs once, results are consumed in index
+ * order so output matches the serial run exactly, a task exception is
+ * rethrown after every index ran), and a real simulator sweep run
+ * serially and in parallel with per-config results asserted
+ * identical.
  */
 
 #include <gtest/gtest.h>
@@ -14,60 +15,19 @@
 #include <string>
 #include <vector>
 
-#include "sim/thread_pool.hpp"
 #include "sweep_runner.hpp"
 #include "workloads/fir.hpp"
 
 namespace uvmd {
 namespace {
 
-TEST(ThreadPool, RunsAllSubmittedTasks)
-{
-    sim::ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitRethrowsTaskException)
-{
-    sim::ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&ran, i] {
-            ++ran;
-            if (i == 3)
-                throw std::runtime_error("task failed");
-        });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 8);
-    // The pool stays usable after an error.
-    pool.submit([&ran] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 9);
-}
-
-TEST(ThreadPool, WaitWithNoWorkReturnsImmediately)
-{
-    sim::ThreadPool pool(2);
-    pool.wait();
-    pool.submit([] {});
-    pool.wait();
-    pool.wait();
-}
-
 TEST(SweepRunner, ConsumesInIndexOrderRegardlessOfJobs)
 {
     for (int jobs : {1, 2, 7}) {
-        bench::SweepOptions opt;
-        opt.jobs = jobs;
         std::vector<std::size_t> order;
         std::vector<int> values;
         bench::runIndexedSweep(
-            opt, 20,
+            jobs, 20,
             [](std::size_t i) { return static_cast<int>(i * i); },
             [&](std::size_t i, int &&v) {
                 order.push_back(i);
@@ -85,11 +45,9 @@ TEST(SweepRunner, SerialInterleavesTaskAndConsume)
 {
     // jobs == 1 must preserve the historical behavior: each config is
     // consumed before the next one runs (no buffering).
-    bench::SweepOptions opt;
-    opt.jobs = 1;
     std::vector<std::string> trace;
     bench::runIndexedSweep(
-        opt, 3,
+        1, 3,
         [&](std::size_t i) {
             trace.push_back("task" + std::to_string(i));
             return 0;
@@ -105,25 +63,65 @@ TEST(SweepRunner, SerialInterleavesTaskAndConsume)
 
 TEST(SweepRunner, TaskExceptionPropagates)
 {
-    bench::SweepOptions opt;
-    opt.jobs = 3;
+    // A failing config does not stop the others; the first failure is
+    // rethrown once every index ran, and nothing is consumed.
+    std::vector<std::atomic<int>> runs(10);
+    int consumed = 0;
     EXPECT_THROW(
         bench::runIndexedSweep(
-            opt, 10,
-            [](std::size_t i) {
-                if (i == 5)
+            3, runs.size(),
+            [&](std::size_t i) {
+                ++runs[i];
+                if (i == 2 || i == 5)
                     throw std::runtime_error("config failed");
                 return 1;
             },
-            [](std::size_t, int &&) {}),
+            [&](std::size_t, int &&) { ++consumed; }),
         std::runtime_error);
+    EXPECT_EQ(consumed, 0);
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(runs[i].load(), 1) << i;
+}
+
+TEST(SweepRunner, MoreJobsThanIndicesRunsEachIndexOnce)
+{
+    std::vector<std::atomic<int>> runs(5);
+    std::vector<std::size_t> order;
+    bench::runIndexedSweep(
+        16, runs.size(),
+        [&](std::size_t i) {
+            ++runs[i];
+            return i;
+        },
+        [&](std::size_t i, std::size_t &&v) {
+            EXPECT_EQ(v, i);
+            order.push_back(i);
+        });
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(runs[i].load(), 1) << i;
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(SweepRunner, EmptySweepRunsAndConsumesNothing)
+{
+    for (int jobs : {1, 4}) {
+        int calls = 0;
+        bench::runIndexedSweep(
+            jobs, 0,
+            [&](std::size_t) {
+                ++calls;
+                return 0;
+            },
+            [&](std::size_t, int &&) { ++calls; });
+        EXPECT_EQ(calls, 0) << "jobs=" << jobs;
+    }
 }
 
 TEST(SweepRunner, SimulatorSweepIsIdenticalSerialAndParallel)
 {
     // The real contract behind the fig/table harnesses: independent
     // simulator instances produce bit-identical per-config results
-    // whether they ran serially or on the pool.
+    // whether they ran serially or on worker threads.
     using workloads::FirParams;
     using workloads::RunResult;
     using workloads::System;
@@ -155,10 +153,8 @@ TEST(SweepRunner, SimulatorSweepIsIdenticalSerialAndParallel)
     };
 
     auto run = [&](int jobs) {
-        bench::SweepOptions opt;
-        opt.jobs = jobs;
         std::vector<RunResult> out;
-        bench::runIndexedSweep(opt, grid.size(), task,
+        bench::runIndexedSweep(jobs, grid.size(), task,
                                [&](std::size_t, RunResult &&r) {
                                    out.push_back(std::move(r));
                                });
