@@ -20,16 +20,26 @@
  * multiple GPUs.
  *
  * Payloads are copy-on-write at two grains.  Each (page, slot) holds
- * a shared 4 KB base plus at most one private 64-byte line that
- * overrides it.  A simulated migration (copyPage) copies the base
- * pointer and the line, and a simulated zero-fill (zeroPage) points
- * the slot at the store's one all-zero page, so neither moves 4 KB on
- * the host.  A write that fits in one line of a shared base (the zero
+ * a 4 KB base, which is absent, the zero page or a reference-counted
+ * payload that may be shared with other slots, plus at most one
+ * private 64-byte line that overrides it.  A simulated migration
+ * (copyPage) takes one more reference on the base and copies the line,
+ * and a simulated zero-fill (zeroPage) points the slot at the zero
+ * page, a state rather than a buffer, so neither moves 4 KB on the
+ * host.  A write that fits in one line of a shared base (the zero
  * page included) goes into that line and copies 64 bytes; any other
  * write folds the line into a private base, cloning the base only if
  * it is shared, and then writes in place.  One line suffices for the
  * verification oracle's 8-byte content tags, which land on pages a
  * migration or zero-fill has just shared.
+ *
+ * Slots are grouped per 2 MB va_block: one hash lookup finds a
+ * block's entry, which holds both slots of its 512 pages as 8-byte
+ * records indexed by mem::pageIndexInBlock.  Payloads and lines live
+ * in store-wide pools addressed by 32-bit index and recycled through
+ * free lists, so the per-mask operations the driver calls are loops
+ * over an array with no per-page hashing or allocation, and teardown
+ * frees a few vectors and one node per live block.
  */
 
 #ifndef UVMD_MEM_BACKING_STORE_HPP
@@ -40,6 +50,7 @@
 #include <cstring>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "mem/page.hpp"
 
@@ -105,32 +116,77 @@ class BackingStore
 
   private:
     using Payload = std::array<std::uint8_t, kSmallPageSize>;
-    using PayloadPtr = std::shared_ptr<Payload>;
 
     static constexpr std::size_t kLineSize = 64;
-    static constexpr std::uint8_t kNoLine = 0xff;
 
-    /**
-     * One (page, slot) copy: @c base, which may be shared with the
-     * other slot or with the store's zero page (null: the slot is
-     * absent), overlaid with the private line @c line_bytes at line
-     * index @c line unless @c line is kNoLine.  A shared base is never
-     * written.
-     */
-    struct Copy {
-        PayloadPtr base;
-        std::uint8_t line = kNoLine;
-        std::array<std::uint8_t, kLineSize> line_bytes{};
+    /** Copy::base values below kFirstBase are states, not payloads. */
+    static constexpr std::uint32_t kAbsent = 0;
+    static constexpr std::uint32_t kZero = 1;
+    static constexpr std::uint32_t kFirstBase = 2;
+    static constexpr std::uint32_t kNoLine = ~std::uint32_t{0};
+
+    /** A pooled payload; never written while @c refs > 1. */
+    struct Base {
+        std::uint32_t refs = 0;
+        Payload bytes;
     };
 
-    /** A page's two copies, indexed by CopySlot. */
-    using PageCopies = std::array<Copy, 2>;
+    /** A slot's private line: the bytes of line @c at of its page. */
+    struct Line {
+        std::array<std::uint8_t, kLineSize> bytes;
+        std::uint8_t at = 0;
+    };
+
+    /**
+     * One (page, slot) copy: @c base is kAbsent, kZero or
+     * kFirstBase + an index into bases_, overlaid with lines_[@c line]
+     * unless @c line is kNoLine.  Absent slots carry no line.
+     */
+    struct Copy {
+        std::uint32_t base = kAbsent;
+        std::uint32_t line = kNoLine;
+    };
+
+    /** One va_block's copies, indexed by page then CopySlot. */
+    struct Block {
+        std::array<std::array<Copy, 2>, kPagesPerBlock> pages{};
+        /** Present (non-absent) copies; the entry is freed at 0. */
+        std::uint32_t live = 0;
+    };
+
+    /** The entry of @p va's block, or null. */
+    Block *find(VirtAddr va) const;
+    /** The entry of @p va's block, created empty if missing. */
+    Block &touch(VirtAddr va);
+    /** Free @p block_base's entry if no copy in it is present. */
+    void eraseIfEmpty(VirtAddr block_base, const Block &block);
+
+    /** Release what @p c references, leaving its fields stale. */
+    void unref(const Copy &c);
+    /** Replace @p c with @p fresh, whose references the caller has
+     *  already taken. */
+    void assign(Block &block, Copy &c, Copy fresh);
+
+    /** copyPage / dropPage on page @p page of @p block; dropOne
+     *  leaves an emptied entry to its caller. */
+    void copyOne(Block &block, std::uint32_t page, CopySlot from,
+                 CopySlot to);
+    void dropOne(Block &block, std::uint32_t page, CopySlot slot);
+
+    /** A fresh payload index (refs 1) holding a copy of @p from's
+     *  bytes (kZero: zeros). */
+    std::uint32_t cloneBase(std::uint32_t from);
+    /** A fresh line index. */
+    std::uint32_t newLine();
 
     bool enabled_;
-    /** The all-zero payload every zeroed slot shares (null when the
-     *  store is disabled); never written. */
-    PayloadPtr zero_;
-    std::unordered_map<std::uint64_t, PageCopies> pages_;
+    /** Keyed by block number (va / 2 MB). */
+    std::unordered_map<std::uint64_t, Block> blocks_;
+
+    std::vector<std::unique_ptr<Base>> bases_;
+    std::vector<std::uint32_t> free_bases_;
+    std::vector<Line> lines_;
+    std::vector<std::uint32_t> free_lines_;
 };
 
 }  // namespace uvmd::mem

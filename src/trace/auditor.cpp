@@ -9,6 +9,19 @@ namespace uvmd::trace {
 
 using interconnect::Direction;
 
+namespace {
+
+/** Bit of @p block in Auditor::open_: managed keys start at
+ *  VaSpace::kFirstKey, so the bitmap does too (a block below it is
+ *  not a managed block and must not reach the Auditor). */
+std::uint64_t
+openKey(const uvm::VaBlock &block)
+{
+    return block.blockIndex() - uvm::VaSpace::kFirstKey;
+}
+
+}  // namespace
+
 Auditor::BlockAudit &
 Auditor::auditOf(const uvm::VaBlock &block)
 {
@@ -70,7 +83,7 @@ Auditor::onTransfer(const uvm::VaBlock &block,
     BlockAudit &audit = auditOf(block);
     (dir == Direction::kHostToDevice ? audit.h2d : audit.d2h).add(pages);
     open_bytes_ += block.pagesIn(pages) * mem::kSmallPageSize;
-    std::uint64_t key = block.blockIndex();
+    std::uint64_t key = openKey(block);
     if (key / 64 >= open_.size())
         open_.resize(key / 64 + 1, 0);
     open_[key / 64] |= std::uint64_t{1} << key % 64;
@@ -93,10 +106,10 @@ void
 Auditor::close(const uvm::VaBlock &block, const uvm::PageMask &pages,
                bool required)
 {
-    std::uint64_t key = block.blockIndex();
+    std::uint64_t key = openKey(block);
     if (!isOpen(key))
         return;
-    BlockAudit &audit = blocks_.find(key)->second;
+    BlockAudit &audit = blocks_.find(block.blockIndex())->second;
     closeAudit(audit, pages, required);
     if (audit.h2d.empty() && audit.d2h.empty())
         open_[key / 64] &= ~(std::uint64_t{1} << key % 64);
@@ -148,7 +161,7 @@ Auditor::onAccessRun(uvm::VaBlock *const *blocks, std::size_t n,
     // indices, so a word of the bitmap covers 64 of them.
     if ((!is_read && !is_write) || n == 0)
         return;
-    std::uint64_t first = blocks[0]->blockIndex();
+    std::uint64_t first = openKey(*blocks[0]);
     std::uint64_t end = std::min<std::uint64_t>(first + n,
                                                 open_.size() * 64);
     for (std::uint64_t k = first; k < end;) {

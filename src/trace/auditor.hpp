@@ -188,7 +188,8 @@ class Auditor : public uvm::TransferObserver
     void closeAudit(BlockAudit &audit, const uvm::PageMask &pages,
                     bool required);
 
-    /** Is the open bit of the block with index @p key set? */
+    /** Is bit @p key (blockIndex() - VaSpace::kFirstKey) of open_
+     *  set? */
     bool
     isOpen(std::uint64_t key) const
     {
@@ -197,8 +198,8 @@ class Auditor : public uvm::TransferObserver
 
     /** Keyed by VaBlock::blockIndex(). */
     std::unordered_map<std::uint64_t, BlockAudit> blocks_;
-    /** Bit blockIndex() set iff that block's BlockAudit has an open
-     *  transfer. */
+    /** Bit blockIndex() - VaSpace::kFirstKey set iff that block's
+     *  BlockAudit has an open transfer. */
     std::vector<std::uint64_t> open_;
     std::vector<RangeWaste> ranges_;
     sim::Bytes required_h2d_ = 0;

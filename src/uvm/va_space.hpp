@@ -154,11 +154,12 @@ class VaSpace
 
     std::size_t blockCount() const { return live_blocks_; }
 
-  private:
-    /** Dense-index key of the first possible block (the VA base). */
+    /** Dense-index key (VaBlock::blockIndex) of the first possible
+     *  block, at the 1 TiB VA base; managed keys count up from it. */
     static constexpr std::uint64_t kFirstKey =
         (mem::VirtAddr{1} << 40) / mem::kBigPageSize;
 
+  private:
     std::uint32_t next_range_id_ = 1;
     // Leave a guard gap between ranges so off-by-one accesses fault
     // loudly instead of touching a neighbouring allocation.

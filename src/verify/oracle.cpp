@@ -1,7 +1,9 @@
 #include "verify/oracle.hpp"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "mem/page.hpp"
 #include "verify/snapshot.hpp"
@@ -483,16 +485,67 @@ Oracle::tagFor(mem::VirtAddr page_va, std::uint64_t gen)
     return x;
 }
 
+namespace {
+
+/** Pages p of the block at @p base whose start base + p * 4 KB lies
+ *  in [addr, end), as the half-open index span [first, second). */
+std::pair<std::uint32_t, std::uint32_t>
+pageSpan(mem::VirtAddr base, mem::VirtAddr addr, mem::VirtAddr end)
+{
+    auto index = [&](mem::VirtAddr va) {
+        if (va <= base)
+            return std::uint32_t{0};
+        return static_cast<std::uint32_t>(std::min<mem::VirtAddr>(
+            (va - base + mem::kSmallPageSize - 1) / mem::kSmallPageSize,
+            mem::kPagesPerBlock));
+    };
+    return {index(addr), index(end)};
+}
+
+}  // namespace
+
 void
 Oracle::plantTags(cuda::Runtime &rt, mem::VirtAddr addr,
                   sim::Bytes size)
 {
+    if (!mem::isAligned(addr, mem::kSmallPageSize))
+        sim::panic("Oracle::plantTags: buffer is not page-aligned");
     std::uint64_t gen = ++generation_;
-    for (mem::VirtAddr va = addr; va + sizeof(std::uint64_t) <=
-                                  addr + size;
-         va += mem::kSmallPageSize) {
-        rt.driver().pokeValue<std::uint64_t>(va, tagFor(va, gen));
-        defined_[va] = gen;
+    const mem::VirtAddr end = addr + size;
+    mem::VirtAddr va = addr;
+    while (va + sizeof(std::uint64_t) <= end) {
+        const mem::VirtAddr base = mem::alignDown(va, mem::kBigPageSize);
+        BlockTags &tags = defined_[base];
+        for (; va < base + mem::kBigPageSize &&
+               va + sizeof(std::uint64_t) <= end;
+             va += mem::kSmallPageSize) {
+            rt.driver().pokeValue<std::uint64_t>(va, tagFor(va, gen));
+            std::uint64_t &g = tags.gen[mem::pageIndexInBlock(va)];
+            tags.live += g == 0;
+            g = gen;
+        }
+    }
+}
+
+void
+Oracle::verifyBlockTags(cuda::Runtime &rt, mem::VirtAddr base,
+                        const BlockTags &tags, std::uint32_t lo,
+                        std::uint32_t hi, const char *when)
+{
+    for (std::uint32_t p = lo; p < hi; ++p) {
+        const std::uint64_t gen = tags.gen[p];
+        if (gen == 0)
+            continue;
+        ++checks_;
+        const mem::VirtAddr va = base + p * mem::kSmallPageSize;
+        std::uint64_t want = tagFor(va, gen);
+        std::uint64_t got = rt.driver().peekValue<std::uint64_t>(va);
+        if (got != want) {
+            std::ostringstream os;
+            os << "page " << va << " (generation " << gen
+               << "): expected tag " << want << ", read " << got << when;
+            fail("content", os.str());
+        }
     }
 }
 
@@ -500,47 +553,39 @@ void
 Oracle::verifyTags(cuda::Runtime &rt, mem::VirtAddr addr,
                    sim::Bytes size)
 {
-    auto it = defined_.lower_bound(addr);
-    for (; it != defined_.end() && it->first < addr + size; ++it) {
-        ++checks_;
-        std::uint64_t want = tagFor(it->first, it->second);
-        std::uint64_t got =
-            rt.driver().peekValue<std::uint64_t>(it->first);
-        if (got != want) {
-            std::ostringstream os;
-            os << "page " << it->first << " (generation "
-               << it->second << "): expected tag " << want << ", read "
-               << got
-               << " — host-written data was lost or corrupted in "
-                  "flight";
-            fail("content", os.str());
-        }
+    const mem::VirtAddr end = addr + size;
+    for (auto it = defined_.lower_bound(
+             mem::alignDown(addr, mem::kBigPageSize));
+         it != defined_.end() && it->first < end; ++it) {
+        auto [lo, hi] = pageSpan(it->first, addr, end);
+        verifyBlockTags(rt, it->first, it->second, lo, hi,
+                        " — host-written data was lost or corrupted in "
+                        "flight");
     }
 }
 
 void
 Oracle::verifyAllTags(cuda::Runtime &rt)
 {
-    for (const auto &[va, gen] : defined_) {
-        ++checks_;
-        std::uint64_t want = tagFor(va, gen);
-        std::uint64_t got = rt.driver().peekValue<std::uint64_t>(va);
-        if (got != want) {
-            std::ostringstream os;
-            os << "page " << va << " (generation " << gen
-               << "): expected tag " << want << ", read " << got
-               << " at end of scenario";
-            fail("content", os.str());
-        }
-    }
+    for (const auto &[base, tags] : defined_)
+        verifyBlockTags(rt, base, tags, 0, mem::kPagesPerBlock,
+                        " at end of scenario");
 }
 
 void
 Oracle::dropTags(mem::VirtAddr addr, sim::Bytes size)
 {
-    auto it = defined_.lower_bound(addr);
-    while (it != defined_.end() && it->first < addr + size)
-        it = defined_.erase(it);
+    const mem::VirtAddr end = addr + size;
+    auto it = defined_.lower_bound(mem::alignDown(addr, mem::kBigPageSize));
+    while (it != defined_.end() && it->first < end) {
+        auto [lo, hi] = pageSpan(it->first, addr, end);
+        BlockTags &tags = it->second;
+        for (std::uint32_t p = lo; p < hi; ++p) {
+            tags.live -= tags.gen[p] != 0;
+            tags.gen[p] = 0;
+        }
+        it = tags.live == 0 ? defined_.erase(it) : std::next(it);
+    }
 }
 
 }  // namespace uvmd::verify

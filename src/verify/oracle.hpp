@@ -44,6 +44,7 @@
 #ifndef UVMD_VERIFY_ORACLE_HPP
 #define UVMD_VERIFY_ORACLE_HPP
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -127,6 +128,14 @@ class Oracle : public uvm::TransferObserver
         mem::QueueKind queue = mem::QueueKind::kNone;
     };
 
+    /** One block's live host-written tags: @c gen[p] is the
+     *  generation of page p's tag, 0 for none. */
+    struct BlockTags {
+        std::array<std::uint64_t, mem::kPagesPerBlock> gen{};
+        /** Nonzero entries of @c gen; the block is erased at 0. */
+        std::uint32_t live = 0;
+    };
+
     BlockMirror &mirrorOf(const uvm::VaBlock &block)
     {
         return mirror_[block.base];
@@ -159,20 +168,29 @@ class Oracle : public uvm::TransferObserver
     // G4 content tags.
     static std::uint64_t tagFor(mem::VirtAddr page_va,
                                 std::uint64_t gen);
+    /** Tag every page of [addr, addr + size) that holds 8 bytes;
+     *  @p addr must be page-aligned (buffers start at a range base). */
     void plantTags(cuda::Runtime &rt, mem::VirtAddr addr,
                    sim::Bytes size);
     void verifyTags(cuda::Runtime &rt, mem::VirtAddr addr,
                     sim::Bytes size);
     void verifyAllTags(cuda::Runtime &rt);
     void dropTags(mem::VirtAddr addr, sim::Bytes size);
+    /** Check the tags of @p tags' pages [lo, hi) against memory;
+     *  @p when ends the failure text. */
+    void verifyBlockTags(cuda::Runtime &rt, mem::VirtAddr base,
+                         const BlockTags &tags, std::uint32_t lo,
+                         std::uint32_t hi, const char *when);
 
     bool check_content_;
     cuda::Runtime *rt_ = nullptr;
 
     std::map<mem::VirtAddr, BlockMirror> mirror_;
 
-    /** Page VA -> generation of the live host-written tag. */
-    std::map<mem::VirtAddr, std::uint64_t> defined_;
+    /** Block base -> its tags.  Ordered, so every sweep visits tags
+     *  in ascending VA and the first failure it reports is the
+     *  lowest page. */
+    std::map<mem::VirtAddr, BlockTags> defined_;
     std::uint64_t generation_ = 0;
 
     /** Per-op state, reset at each afterOp. */

@@ -45,7 +45,7 @@ class AuditorUnitTest : public ::testing::Test
     {
         range_.id = 1;
         range_.name = "unit";
-        block_.base = 4 * kBigPageSize;
+        block_.base = (uvm::VaSpace::kFirstKey + 4) * kBigPageSize;
         block_.range = &range_;
         block_.setValid(fullMask());
     }
@@ -168,7 +168,7 @@ TEST(AuditorRunTest, AccessRunMatchesPerBlockAccesses)
     std::vector<VaBlock> blocks(200);
     std::vector<VaBlock *> run;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
-        blocks[i].base = (60 + i) * kBigPageSize;
+        blocks[i].base = (uvm::VaSpace::kFirstKey + 60 + i) * kBigPageSize;
         blocks[i].range = &range;
         blocks[i].setValid(fullMask());
         run.push_back(&blocks[i]);
@@ -213,6 +213,48 @@ TEST(AuditorRunTest, AccessRunMatchesPerBlockAccesses)
         EXPECT_EQ(whole.ranges()[1].dead_cycles,
                   per_block.ranges()[1].dead_cycles);
         EXPECT_EQ(whole.ranges()[1].dead_cycles, is_read ? 0u : 7u);
+    }
+}
+
+// The open-block bitmap starts at the first managed block: a run from
+// there uses bit 0 of word 0 and crosses into word 1.
+TEST(AuditorRunTest, AccessRunFromTheFirstManagedBlock)
+{
+    uvm::VaRange range{};
+    range.id = 1;
+    std::vector<VaBlock> blocks(70);
+    std::vector<VaBlock *> run;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        blocks[i].base = (uvm::VaSpace::kFirstKey + i) * kBigPageSize;
+        blocks[i].range = &range;
+        blocks[i].setValid(fullMask());
+        run.push_back(&blocks[i]);
+    }
+    for (bool is_read : {true, false}) {
+        Auditor per_block, whole;
+        for (std::size_t i : {0u, 1u, 63u, 64u, 69u}) {
+            for (Auditor *a : {&per_block, &whole})
+                a->onTransfer(blocks[i], fullMask(),
+                              Direction::kHostToDevice,
+                              TransferCause::kPrefetch);
+        }
+        // Block 0 alone first, then the whole run.
+        per_block.onAccess(blocks[0], blocks[0].valid, is_read,
+                           !is_read, ProcessorId::gpu(0));
+        whole.onAccessRun(run.data(), 1, is_read, !is_read,
+                          ProcessorId::gpu(0));
+        EXPECT_EQ(whole.openBytes(), 4 * kBigPageSize);
+        EXPECT_EQ(whole.openBytes(), per_block.openBytes());
+        for (VaBlock *b : run)
+            per_block.onAccess(*b, b->valid, is_read, !is_read,
+                               ProcessorId::gpu(0));
+        whole.onAccessRun(run.data(), run.size(), is_read, !is_read,
+                          ProcessorId::gpu(0));
+        EXPECT_EQ(whole.openBytes(), 0u);
+        EXPECT_EQ(whole.requiredTotal(), per_block.requiredTotal());
+        EXPECT_EQ(whole.redundantTotal(), per_block.redundantTotal());
+        EXPECT_EQ(is_read ? whole.requiredTotal() : whole.redundantTotal(),
+                  5 * kBigPageSize);
     }
 }
 

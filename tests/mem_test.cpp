@@ -429,11 +429,28 @@ class ReferenceStore
     std::map<std::pair<std::uint64_t, CopySlot>, Page> pages_;
 };
 
+/** A random page mask: half the time sparse (one page in eight),
+ *  else the whole block or a random half of it. */
+PageMask
+randomMask(sim::Rng &rng)
+{
+    const std::uint64_t kind = rng.below(4);
+    PageMask m;
+    if (kind == 0) {
+        m.set();
+        return m;
+    }
+    for (std::uint32_t p = 0; p < kPagesPerBlock; ++p)
+        m[p] = kind == 1 ? rng.below(2) == 0 : rng.below(8) == 0;
+    return m;
+}
+
 TEST(BackingStore, MatchesDeepCopyReferenceOnRandomOps)
 {
-    // Pages in three 2 MB blocks, so same-index pages of different
+    // Pages in four 2 MB blocks, so same-index pages of different
     // blocks are exercised too.
     const std::uint64_t page_nos[] = {0, 1, 2, 511, 512, 513, 1024, 1537};
+    const std::uint64_t kBlocks = 4;
     const CopySlot slots[] = {CopySlot::kHost, CopySlot::kDevice};
     for (std::uint64_t seed : {1u, 2u, 3u}) {
         SCOPED_TRACE(seed);
@@ -441,8 +458,22 @@ TEST(BackingStore, MatchesDeepCopyReferenceOnRandomOps)
         BackingStore bs(true);
         ReferenceStore ref;
         std::vector<std::uint8_t> buf(kSmallPageSize), want(kSmallPageSize);
-        for (int op = 0; op < 10'000; ++op) {
-            VirtAddr page_va = page_nos[rng.below(8)] * kSmallPageSize;
+        // Apply a reference per-page op to every page of a mask; the
+        // store under test takes the mask whole.
+        auto each = [](VirtAddr block_base, const PageMask &mask,
+                       auto &&fn) {
+            forEachSetPage(mask, [&](std::uint32_t p) {
+                fn(block_base + p * kSmallPageSize);
+            });
+        };
+        for (int op = 0; op < 5'000; ++op) {
+            // Mostly the listed pages; sometimes any page of the
+            // blocks, which the mask ops reach too.
+            std::uint64_t page_no = rng.below(4)
+                                        ? page_nos[rng.below(8)]
+                                        : rng.below(kBlocks * kPagesPerBlock);
+            VirtAddr page_va = page_no * kSmallPageSize;
+            VirtAddr block_base = alignDown(page_va, kBigPageSize);
             CopySlot slot = slots[rng.below(2)];
             std::size_t off = rng.below(kSmallPageSize);
             // Half the ops move at most 16 bytes, so most writes fit
@@ -452,38 +483,81 @@ TEST(BackingStore, MatchesDeepCopyReferenceOnRandomOps)
                 max_len = std::min<std::size_t>(max_len, 16);
             std::size_t len = 1 + rng.below(max_len);
             VirtAddr va = page_va + off;
-            switch (rng.below(6)) {
+            switch (rng.below(16)) {
               case 0:
+              case 1:
+              case 2:
+              case 3:
                 for (std::size_t i = 0; i < len; ++i)
                     buf[i] = static_cast<std::uint8_t>(rng.next());
                 bs.write(va, buf.data(), len, slot);
                 ref.write(va, buf.data(), len, slot);
                 break;
-              case 1:
+              case 4:
+              case 5:
                 bs.read(va, buf.data(), len, slot);
                 ref.read(va, want.data(), len, slot);
                 ASSERT_EQ(0, std::memcmp(buf.data(), want.data(), len))
                     << "op " << op;
                 break;
-              case 2:
+              case 6:
                 bs.read(page_va, buf.data(), buf.size(), slot);
                 ref.read(page_va, want.data(), want.size(), slot);
                 ASSERT_EQ(buf, want) << "op " << op;
                 break;
-              case 3:
+              case 7:
+              case 8:
                 bs.zeroPage(va, slot);
                 ref.zeroPage(va, slot);
                 break;
-              case 4: {
+              case 9:
+              case 10: {
                 CopySlot to = slots[rng.below(2)];
                 bs.copyPage(va, slot, to);
                 ref.copyPage(va, slot, to);
                 break;
               }
-              default:
+              case 11:
                 bs.dropPage(va, slot);
                 ref.dropPage(va, slot);
                 break;
+              case 12: {
+                PageMask mask = randomMask(rng);
+                bs.zeroPages(block_base, mask, slot);
+                each(block_base, mask,
+                     [&](VirtAddr v) { ref.zeroPage(v, slot); });
+                break;
+              }
+              case 13: {
+                PageMask mask = randomMask(rng);
+                CopySlot to = slots[rng.below(2)];
+                bs.copyPages(block_base, mask, slot, to);
+                each(block_base, mask,
+                     [&](VirtAddr v) { ref.copyPage(v, slot, to); });
+                break;
+              }
+              case 14: {
+                PageMask mask = randomMask(rng);
+                bs.dropPages(block_base, mask, slot);
+                each(block_base, mask,
+                     [&](VirtAddr v) { ref.dropPage(v, slot); });
+                break;
+              }
+              default: {
+                // Empty the block, then write into it again.
+                PageMask all;
+                all.set();
+                for (CopySlot s : slots) {
+                    bs.dropPages(block_base, all, s);
+                    each(block_base, all,
+                         [&](VirtAddr v) { ref.dropPage(v, s); });
+                }
+                ASSERT_FALSE(bs.hasPage(page_va, slot)) << "op " << op;
+                buf[0] = static_cast<std::uint8_t>(rng.next());
+                bs.write(va, buf.data(), 1, slot);
+                ref.write(va, buf.data(), 1, slot);
+                break;
+              }
             }
             ASSERT_EQ(bs.materializedPages(), ref.materializedPages())
                 << "op " << op;
@@ -494,12 +568,17 @@ TEST(BackingStore, MatchesDeepCopyReferenceOnRandomOps)
                         << "op " << op << " page " << pn;
                 }
             }
+            ASSERT_EQ(bs.hasPage(page_va, slot), ref.hasPage(page_va, slot))
+                << "op " << op << " page " << page_no;
         }
-        for (std::uint64_t pn : page_nos) {
+        for (std::uint64_t pn = 0; pn < kBlocks * kPagesPerBlock; ++pn) {
             for (CopySlot s : slots) {
+                ASSERT_EQ(bs.hasPage(pn * kSmallPageSize, s),
+                          ref.hasPage(pn * kSmallPageSize, s))
+                    << "page " << pn;
                 bs.read(pn * kSmallPageSize, buf.data(), buf.size(), s);
                 ref.read(pn * kSmallPageSize, want.data(), want.size(), s);
-                EXPECT_EQ(buf, want) << "page " << pn;
+                ASSERT_EQ(buf, want) << "page " << pn;
             }
         }
     }

@@ -55,6 +55,33 @@ sync
     EXPECT_EQ(res.checks, 123u);
 }
 
+
+// Content tags on buffers that cross a 2 MB block boundary (3 MiB) and
+// end mid-block (1536 KiB): tags are planted, verified on the device
+// copies, dropped by a discard and by a kernel write, and planted
+// again for the final sweep.
+TEST_F(VerifyTest, ContentTagsAcrossBlockBoundaries)
+{
+    VerifyResult res = runVerifiedScenario(R"(
+gpu_memory 16MiB
+alloc a 3MiB
+alloc b 1536KiB
+host_write a
+host_write b
+kernel r read a read b compute 10us
+discard a eager
+kernel w write b compute 10us
+host_read a
+host_read b
+host_write b
+sync
+)");
+    EXPECT_EQ(res.outcome, Outcome::kOk) << res.message;
+    // Exact: 1152 tag checks after the read kernel (768 + 384 pages),
+    // 384 in the final sweep, and the state checks of every op.
+    EXPECT_EQ(res.checks, 1828u);
+}
+
 TEST_F(VerifyTest, ParseErrorIsClassified)
 {
     VerifyResult res = runVerifiedScenario("allocate wat\n");
@@ -165,6 +192,28 @@ sync
 )",
                                   BugInjection::kDropEvictedCpuCopy);
     EXPECT_EQ(res.outcome, Outcome::kDivergence) << res.message;
+
+    // Re-reading b0 in the same kernel zero-fills the evicted block
+    // before the state sweep runs, so the content check fires first.
+    // Tags are verified in ascending VA order: the first failure is
+    // the buffer's first page.
+    res = runWithBug(R"(
+gpu_memory 8MiB
+occupy 1MiB
+alloc b0 6144KiB
+alloc b1 64KiB
+host_write b0
+host_write b1
+kernel k6 read b0 rw b1 read b0
+sync
+)",
+                     BugInjection::kDropEvictedCpuCopy);
+    ASSERT_EQ(res.outcome, Outcome::kDivergence) << res.message;
+    EXPECT_NE(res.report.find("\"kind\":\"content\""), std::string::npos)
+        << res.report;
+    EXPECT_NE(res.message.find("page 1099511627776 (generation 1)"),
+              std::string::npos)
+        << res.message;
 }
 
 TEST_F(VerifyTest, DivergenceReportCarriesContext)
