@@ -48,12 +48,26 @@ BackingStore::eraseIfEmpty(VirtAddr block_base, const Block &block)
 }
 
 void
+BackingStore::releaseBase(std::uint32_t base)
+{
+    if (--bases_[base - kFirstBase].refs == 0)
+        bases_.release(base - kFirstBase);
+}
+
+void
+BackingStore::releaseLine(std::uint32_t line)
+{
+    if (--lines_[line].refs == 0)
+        lines_.release(line);
+}
+
+void
 BackingStore::unref(const Copy &c)
 {
-    if (c.base >= kFirstBase && --bases_[c.base - kFirstBase]->refs == 0)
-        free_bases_.push_back(c.base);
+    if (c.base >= kFirstBase)
+        releaseBase(c.base);
     if (c.line != kNoLine)
-        free_lines_.push_back(c.line);
+        releaseLine(c.line);
 }
 
 void
@@ -69,33 +83,96 @@ BackingStore::assign(Block &block, Copy &c, Copy fresh)
 std::uint32_t
 BackingStore::cloneBase(std::uint32_t from)
 {
-    std::uint32_t idx;
-    if (free_bases_.empty()) {
-        idx = kFirstBase + static_cast<std::uint32_t>(bases_.size());
-        bases_.push_back(std::make_unique<Base>());
-    } else {
-        idx = free_bases_.back();
-        free_bases_.pop_back();
-    }
-    Base &b = *bases_[idx - kFirstBase];
+    const std::uint32_t idx = bases_.alloc();
+    Base &b = bases_[idx];
     b.refs = 1;
     if (from == kZero)
         b.bytes.fill(0);
     else
-        b.bytes = bases_[from - kFirstBase]->bytes;
-    return idx;
+        b.bytes = bases_[from - kFirstBase].bytes;
+    return kFirstBase + idx;
 }
 
 std::uint32_t
-BackingStore::newLine()
+BackingStore::newLine(std::uint8_t at, const std::uint8_t *src)
 {
-    if (free_lines_.empty()) {
-        lines_.emplace_back();
-        return static_cast<std::uint32_t>(lines_.size() - 1);
-    }
-    std::uint32_t idx = free_lines_.back();
-    free_lines_.pop_back();
+    const std::uint32_t idx = lines_.alloc();
+    Line &l = lines_[idx];
+    l.refs = 1;
+    l.at = at;
+    if (src)
+        std::memcpy(l.bytes.data(), src, kLineSize);
+    else
+        l.bytes.fill(0);
     return idx;
+}
+
+void
+BackingStore::writeCopy(Block &block, Copy &c, std::size_t off,
+                        const void *data, std::size_t len)
+{
+    if (c.base == kAbsent) {
+        ++block.live;
+        c.base = kZero;
+    }
+    const auto line = static_cast<std::uint8_t>(off / kLineSize);
+    const bool shared =
+        c.base == kZero || bases_[c.base - kFirstBase].refs > 1;
+    if (shared && line == (off + len - 1) / kLineSize &&
+        (c.line == kNoLine || lines_[c.line].at == line)) {
+        if (c.line == kNoLine) {
+            const std::uint8_t *src =
+                c.base == kZero ? nullptr
+                                : bases_[c.base - kFirstBase].bytes.data() +
+                                      line * kLineSize;
+            c.line = newLine(line, src);
+        } else if (lines_[c.line].refs > 1) {
+            // The other slot shares the line: write into a clone.
+            const std::uint32_t old = c.line;
+            c.line = newLine(line, lines_[old].bytes.data());
+            releaseLine(old);
+        }
+        std::memcpy(lines_[c.line].bytes.data() + off % kLineSize, data,
+                    len);
+        return;
+    }
+    // Fold the line into a private base, then write in place.
+    if (shared) {
+        const std::uint32_t old = c.base;
+        c.base = cloneBase(old);
+        if (old >= kFirstBase)
+            releaseBase(old);
+    }
+    Payload &bytes = bases_[c.base - kFirstBase].bytes;
+    if (c.line != kNoLine) {
+        const Line &l = lines_[c.line];
+        std::memcpy(bytes.data() + l.at * kLineSize, l.bytes.data(),
+                    kLineSize);
+        releaseLine(c.line);
+        c.line = kNoLine;
+    }
+    std::memcpy(bytes.data() + off, data, len);
+}
+
+void
+BackingStore::readCopy(Copy c, std::size_t off, void *out,
+                       std::size_t len) const
+{
+    if (c.base < kFirstBase)
+        std::memset(out, 0, len);
+    else
+        std::memcpy(out, bases_[c.base - kFirstBase].bytes.data() + off,
+                    len);
+    if (c.line == kNoLine)
+        return;
+    // Overlay the part of the line that [off, off + len) covers.
+    const Line &l = lines_[c.line];
+    const std::size_t line_lo = l.at * kLineSize;
+    const std::size_t lo = std::max(off, line_lo);
+    const std::size_t hi = std::min(off + len, line_lo + kLineSize);
+    if (lo < hi)
+        std::memcpy(static_cast<std::uint8_t *>(out) + (lo - off),
+                    l.bytes.data() + (lo - line_lo), hi - lo);
 }
 
 void
@@ -107,48 +184,8 @@ BackingStore::write(VirtAddr va, const void *data, std::size_t len,
     if (smallPageNumber(va) != smallPageNumber(va + len - 1))
         sim::panic("BackingStore::write crosses a 4KB page boundary");
     Block &block = touch(va);
-    Copy &c = block.pages[pageIndexInBlock(va)][at(slot)];
-    if (c.base == kAbsent) {
-        ++block.live;
-        c.base = kZero;
-    }
-    const std::size_t off = va % kSmallPageSize;
-    const auto line = static_cast<std::uint8_t>(off / kLineSize);
-    const bool shared =
-        c.base == kZero || bases_[c.base - kFirstBase]->refs > 1;
-    if (shared && line == (off + len - 1) / kLineSize &&
-        (c.line == kNoLine || lines_[c.line].at == line)) {
-        if (c.line == kNoLine) {
-            c.line = newLine();
-            Line &l = lines_[c.line];
-            l.at = line;
-            if (c.base == kZero)
-                l.bytes.fill(0);
-            else
-                std::memcpy(l.bytes.data(),
-                            bases_[c.base - kFirstBase]->bytes.data() +
-                                line * kLineSize,
-                            kLineSize);
-        }
-        std::memcpy(lines_[c.line].bytes.data() + off % kLineSize, data,
-                    len);
-        return;
-    }
-    // Fold the line into a private base, then write in place.
-    if (shared) {
-        const std::uint32_t old = c.base;
-        c.base = cloneBase(old);
-        unref(Copy{old, kNoLine});
-    }
-    Payload &bytes = bases_[c.base - kFirstBase]->bytes;
-    if (c.line != kNoLine) {
-        const Line &l = lines_[c.line];
-        std::memcpy(bytes.data() + l.at * kLineSize, l.bytes.data(),
-                    kLineSize);
-        free_lines_.push_back(c.line);
-        c.line = kNoLine;
-    }
-    std::memcpy(bytes.data() + off, data, len);
+    writeCopy(block, block.pages[pageIndexInBlock(va)][at(slot)],
+              va % kSmallPageSize, data, len);
 }
 
 void
@@ -164,24 +201,44 @@ BackingStore::read(VirtAddr va, void *out, std::size_t len,
     if (smallPageNumber(va) != smallPageNumber(va + len - 1))
         sim::panic("BackingStore::read crosses a 4KB page boundary");
     const Block *block = find(va);
-    const Copy c =
-        block ? block->pages[pageIndexInBlock(va)][at(slot)] : Copy{};
-    const std::size_t off = va % kSmallPageSize;
-    if (c.base < kFirstBase)
-        std::memset(out, 0, len);
-    else
-        std::memcpy(out, bases_[c.base - kFirstBase]->bytes.data() + off,
-                    len);
-    if (c.line == kNoLine)
+    readCopy(block ? block->pages[pageIndexInBlock(va)][at(slot)] : Copy{},
+             va % kSmallPageSize, out, len);
+}
+
+void
+BackingStore::writeWords(VirtAddr block_base, std::uint32_t lo,
+                         const PageMask &on_device,
+                         std::span<const std::uint64_t> words)
+{
+    if (!enabled_ || words.empty())
         return;
-    // Overlay the part of the private line that [off, off + len) covers.
-    const Line &l = lines_[c.line];
-    const std::size_t line_lo = l.at * kLineSize;
-    const std::size_t lo = std::max(off, line_lo);
-    const std::size_t hi = std::min(off + len, line_lo + kLineSize);
-    if (lo < hi)
-        std::memcpy(static_cast<std::uint8_t *>(out) + (lo - off),
-                    l.bytes.data() + (lo - line_lo), hi - lo);
+    Block &block = touch(block_base);
+    for (std::uint32_t i = 0; i < words.size(); ++i) {
+        const std::uint32_t p = lo + i;
+        const CopySlot slot =
+            on_device.test(p) ? CopySlot::kDevice : CopySlot::kHost;
+        writeCopy(block, block.pages[p][at(slot)], 0, &words[i],
+                  sizeof(std::uint64_t));
+    }
+}
+
+void
+BackingStore::readWords(VirtAddr block_base, std::uint32_t lo,
+                        const PageMask &on_device,
+                        std::span<std::uint64_t> words) const
+{
+    const Block *block = enabled_ ? find(block_base) : nullptr;
+    if (!block) {
+        std::fill(words.begin(), words.end(), 0);
+        return;
+    }
+    for (std::uint32_t i = 0; i < words.size(); ++i) {
+        const std::uint32_t p = lo + i;
+        const CopySlot slot =
+            on_device.test(p) ? CopySlot::kDevice : CopySlot::kHost;
+        readCopy(block->pages[p][at(slot)], 0, &words[i],
+                 sizeof(std::uint64_t));
+    }
 }
 
 void
@@ -190,15 +247,13 @@ BackingStore::copyOne(Block &block, std::uint32_t page, CopySlot from,
 {
     const Copy src = block.pages[page][at(from)];
     // A never-materialized source reads as zeros, so the copy does.
-    Copy fresh{src.base == kAbsent ? kZero : src.base, kNoLine};
+    const Copy fresh{src.base == kAbsent ? kZero : src.base, src.line};
     // Take the new references before assign releases the old ones,
-    // so a copy onto the same slot keeps its payload alive.
+    // so a copy onto the same slot keeps its payload and line alive.
     if (fresh.base >= kFirstBase)
-        ++bases_[fresh.base - kFirstBase]->refs;
-    if (src.line != kNoLine) {
-        fresh.line = newLine();
-        lines_[fresh.line] = lines_[src.line];
-    }
+        ++bases_[fresh.base - kFirstBase].refs;
+    if (fresh.line != kNoLine)
+        ++lines_[fresh.line].refs;
     assign(block, block.pages[page][at(to)], fresh);
 }
 

@@ -21,25 +21,29 @@
  *
  * Payloads are copy-on-write at two grains.  Each (page, slot) holds
  * a 4 KB base, which is absent, the zero page or a reference-counted
- * payload that may be shared with other slots, plus at most one
- * private 64-byte line that overrides it.  A simulated migration
- * (copyPage) takes one more reference on the base and copies the line,
- * and a simulated zero-fill (zeroPage) points the slot at the zero
- * page, a state rather than a buffer, so neither moves 4 KB on the
- * host.  A write that fits in one line of a shared base (the zero
- * page included) goes into that line and copies 64 bytes; any other
- * write folds the line into a private base, cloning the base only if
- * it is shared, and then writes in place.  One line suffices for the
- * verification oracle's 8-byte content tags, which land on pages a
- * migration or zero-fill has just shared.
+ * payload, plus at most one reference-counted 64-byte line that
+ * overrides it.  A simulated migration (copyPage) takes one more
+ * reference on the base and one on the line, and a simulated
+ * zero-fill (zeroPage) points the slot at the zero page, a state
+ * rather than a buffer, so neither copies payload bytes on the host.
+ * A write that fits in one line of a shared base (the zero page
+ * included) goes into that line, cloning the line first if another
+ * slot shares it, so it copies at most 64 bytes; any other write
+ * folds the line into a private base, cloning the base only if it is
+ * shared, releases the slot's reference on the line and then writes
+ * in place.  One line suffices for the verification oracle's 8-byte
+ * content tags, which land on pages a migration or zero-fill has just
+ * shared.
  *
  * Slots are grouped per 2 MB va_block: one hash lookup finds a
  * block's entry, which holds both slots of its 512 pages as 8-byte
  * records indexed by mem::pageIndexInBlock.  Payloads and lines live
- * in store-wide pools addressed by 32-bit index and recycled through
- * free lists, so the per-mask operations the driver calls are loops
- * over an array with no per-page hashing or allocation, and teardown
- * frees a few vectors and one node per live block.
+ * in store-wide pools addressed by 32-bit index, stored in fixed
+ * chunks so that growth never moves them, and recycled through free
+ * lists.  So the per-mask operations the driver calls, and the
+ * per-span word I/O the oracle's tags use, are loops over an array
+ * with one lookup per block and no per-page hashing or allocation,
+ * and teardown frees a few vectors and one node per live block.
  */
 
 #ifndef UVMD_MEM_BACKING_STORE_HPP
@@ -49,6 +53,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -104,6 +109,21 @@ class BackingStore
                    CopySlot slot);
     ///@}
 
+    /** @name Per-span word I/O
+     *  write / read of the 8-byte word at offset 0 of pages
+     *  [lo, lo + words.size()) of the va_block at @p block_base: word
+     *  i belongs to page lo + i, whose device copy is used where
+     *  @p on_device has the page set and whose host copy otherwise.
+     *  @pre lo + words.size() <= kPagesPerBlock. */
+    ///@{
+    void writeWords(VirtAddr block_base, std::uint32_t lo,
+                    const PageMask &on_device,
+                    std::span<const std::uint64_t> words);
+    void readWords(VirtAddr block_base, std::uint32_t lo,
+                   const PageMask &on_device,
+                   std::span<std::uint64_t> words) const;
+    ///@}
+
     /** True if the page holding @p va has a materialized @p slot copy. */
     bool hasPage(VirtAddr va, CopySlot slot) const;
 
@@ -125,16 +145,62 @@ class BackingStore
     static constexpr std::uint32_t kFirstBase = 2;
     static constexpr std::uint32_t kNoLine = ~std::uint32_t{0};
 
+    /**
+     * Objects addressed by 32-bit index and stored in chunks of
+     * 2^kLog, so growth adds a chunk and never moves an object (a
+     * reference stays valid across alloc); freed indices are reused
+     * before the pool grows.
+     */
+    template <typename T, unsigned kLog>
+    class Pool
+    {
+      public:
+        T &operator[](std::uint32_t i)
+        {
+            return (*chunks_[i >> kLog])[i & kMask];
+        }
+        const T &operator[](std::uint32_t i) const
+        {
+            return (*chunks_[i >> kLog])[i & kMask];
+        }
+
+        /** An index whose object the caller must initialize. */
+        std::uint32_t
+        alloc()
+        {
+            if (!free_.empty()) {
+                const std::uint32_t i = free_.back();
+                free_.pop_back();
+                return i;
+            }
+            if ((size_ & kMask) == 0)
+                chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
+            return size_++;
+        }
+
+        void release(std::uint32_t i) { free_.push_back(i); }
+
+      private:
+        static constexpr std::uint32_t kMask = (1u << kLog) - 1;
+        using Chunk = std::array<T, std::size_t{1} << kLog>;
+
+        std::vector<std::unique_ptr<Chunk>> chunks_;
+        std::vector<std::uint32_t> free_;
+        std::uint32_t size_ = 0;
+    };
+
     /** A pooled payload; never written while @c refs > 1. */
     struct Base {
-        std::uint32_t refs = 0;
+        std::uint32_t refs;
         Payload bytes;
     };
 
-    /** A slot's private line: the bytes of line @c at of its page. */
+    /** A pooled line: the bytes of line @c at of its page; never
+     *  written while @c refs > 1. */
     struct Line {
         std::array<std::uint8_t, kLineSize> bytes;
-        std::uint8_t at = 0;
+        std::uint32_t refs;
+        std::uint8_t at;
     };
 
     /**
@@ -161,11 +227,24 @@ class BackingStore
     /** Free @p block_base's entry if no copy in it is present. */
     void eraseIfEmpty(VirtAddr block_base, const Block &block);
 
+    /** Release one reference on payload @p base (a Copy::base value
+     *  from kFirstBase) or on line @p line, recycling it at 0. */
+    void releaseBase(std::uint32_t base);
+    void releaseLine(std::uint32_t line);
     /** Release what @p c references, leaving its fields stale. */
     void unref(const Copy &c);
     /** Replace @p c with @p fresh, whose references the caller has
      *  already taken. */
     void assign(Block &block, Copy &c, Copy fresh);
+
+    /** The body of every write: [off, off + len) of copy @p c of a
+     *  page of @p block, materializing an absent copy first.  @p len
+     *  is nonzero and the range lies within the page. */
+    void writeCopy(Block &block, Copy &c, std::size_t off,
+                   const void *data, std::size_t len);
+    /** The body of every read: [off, off + len) of copy @p c. */
+    void readCopy(Copy c, std::size_t off, void *out,
+                  std::size_t len) const;
 
     /** copyPage / dropPage on page @p page of @p block; dropOne
      *  leaves an emptied entry to its caller. */
@@ -176,17 +255,18 @@ class BackingStore
     /** A fresh payload index (refs 1) holding a copy of @p from's
      *  bytes (kZero: zeros). */
     std::uint32_t cloneBase(std::uint32_t from);
-    /** A fresh line index. */
-    std::uint32_t newLine();
+    /** A fresh line index (refs 1) for line @p at, holding the 64
+     *  bytes at @p src (null: zeros). */
+    std::uint32_t newLine(std::uint8_t at, const std::uint8_t *src);
 
     bool enabled_;
     /** Keyed by block number (va / 2 MB). */
     std::unordered_map<std::uint64_t, Block> blocks_;
 
-    std::vector<std::unique_ptr<Base>> bases_;
-    std::vector<std::uint32_t> free_bases_;
-    std::vector<Line> lines_;
-    std::vector<std::uint32_t> free_lines_;
+    /** One payload per chunk: each is 4 KB already. */
+    Pool<Base, 0> bases_;
+    /** 512 lines (36 KB) per chunk, a block's worth of tags. */
+    Pool<Line, 9> lines_;
 };
 
 }  // namespace uvmd::mem

@@ -186,6 +186,40 @@ UvmDriver::peek(mem::VirtAddr addr, void *out, std::size_t len)
 }
 
 void
+UvmDriver::pokeWords(mem::VirtAddr block_base, std::uint32_t lo,
+                     std::span<const std::uint64_t> words)
+{
+    if (!backing_.enabled() || words.empty())
+        return;
+    const VaBlock *block = va_space_.blockOf(block_base);
+    if (!block)
+        sim::panic("poke: unmanaged address");
+    if (words.size() > mem::kPagesPerBlock - lo)
+        sim::panic("poke: span crosses a block boundary");
+    const auto hi = static_cast<std::uint32_t>(lo + words.size());
+    if ((mem::makeRunMask<mem::kPagesPerBlock>(lo, hi - 1) &
+         ~block->populated())
+            .any())
+        sim::panic("poke: page not populated (missing access "
+                   "declaration?)");
+    backing_.writeWords(block->base, lo, block->resident_gpu, words);
+}
+
+void
+UvmDriver::peekWords(mem::VirtAddr block_base, std::uint32_t lo,
+                     std::span<std::uint64_t> words)
+{
+    if (words.empty())
+        return;
+    const VaBlock *block = va_space_.blockOf(block_base);
+    if (!block)
+        sim::panic("peek: unmanaged address");
+    if (words.size() > mem::kPagesPerBlock - lo)
+        sim::panic("peek: span crosses a block boundary");
+    backing_.readWords(block->base, lo, block->resident_gpu, words);
+}
+
+void
 UvmDriver::notifyAccess(const VaBlock &block, const PageMask &pages,
                         AccessKind kind, ProcessorId where)
 {

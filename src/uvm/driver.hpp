@@ -35,6 +35,7 @@
 
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -225,6 +226,19 @@ class UvmDriver
         peek(addr, &v, sizeof(T));
         return v;
     }
+
+    /**
+     * Per-span word I/O: write or read the 8-byte word at offset 0 of
+     * pages [lo, lo + words.size()) of the va_block at @p block_base,
+     * word i at page lo + i, each in its currently-resident copy.  One
+     * block lookup and one store lookup serve the whole span.
+     * The span must lie in the block (else both panic), and for
+     * pokeWords every page of it must be populated.
+     */
+    void pokeWords(mem::VirtAddr block_base, std::uint32_t lo,
+                   std::span<const std::uint64_t> words);
+    void peekWords(mem::VirtAddr block_base, std::uint32_t lo,
+                   std::span<std::uint64_t> words);
 
     // ------------------------------------------------------------
     // Introspection

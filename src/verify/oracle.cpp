@@ -511,19 +511,22 @@ Oracle::plantTags(cuda::Runtime &rt, mem::VirtAddr addr,
     if (!mem::isAligned(addr, mem::kSmallPageSize))
         sim::panic("Oracle::plantTags: buffer is not page-aligned");
     std::uint64_t gen = ++generation_;
-    const mem::VirtAddr end = addr + size;
-    mem::VirtAddr va = addr;
-    while (va + sizeof(std::uint64_t) <= end) {
-        const mem::VirtAddr base = mem::alignDown(va, mem::kBigPageSize);
+    if (size < sizeof(std::uint64_t))
+        return;
+    // Pages whose first 8 bytes lie in the buffer.
+    const mem::VirtAddr last = addr + size - sizeof(std::uint64_t);
+    std::array<std::uint64_t, mem::kPagesPerBlock> words;
+    for (mem::VirtAddr base = mem::alignDown(addr, mem::kBigPageSize);
+         base <= last; base += mem::kBigPageSize) {
+        auto [lo, hi] = pageSpan(base, addr, last + 1);
         BlockTags &tags = defined_[base];
-        for (; va < base + mem::kBigPageSize &&
-               va + sizeof(std::uint64_t) <= end;
-             va += mem::kSmallPageSize) {
-            rt.driver().pokeValue<std::uint64_t>(va, tagFor(va, gen));
-            std::uint64_t &g = tags.gen[mem::pageIndexInBlock(va)];
+        for (std::uint32_t p = lo; p < hi; ++p) {
+            words[p - lo] = tagFor(base + p * mem::kSmallPageSize, gen);
+            std::uint64_t &g = tags.gen[p];
             tags.live += g == 0;
             g = gen;
         }
+        rt.driver().pokeWords(base, lo, {words.data(), hi - lo});
     }
 }
 
@@ -532,6 +535,15 @@ Oracle::verifyBlockTags(cuda::Runtime &rt, mem::VirtAddr base,
                         const BlockTags &tags, std::uint32_t lo,
                         std::uint32_t hi, const char *when)
 {
+    // Narrow [lo, hi) to the tagged pages and read them in one call.
+    while (lo < hi && tags.gen[lo] == 0)
+        ++lo;
+    while (hi > lo && tags.gen[hi - 1] == 0)
+        --hi;
+    if (lo == hi)
+        return;
+    std::array<std::uint64_t, mem::kPagesPerBlock> words;
+    rt.driver().peekWords(base, lo, {words.data(), hi - lo});
     for (std::uint32_t p = lo; p < hi; ++p) {
         const std::uint64_t gen = tags.gen[p];
         if (gen == 0)
@@ -539,7 +551,7 @@ Oracle::verifyBlockTags(cuda::Runtime &rt, mem::VirtAddr base,
         ++checks_;
         const mem::VirtAddr va = base + p * mem::kSmallPageSize;
         std::uint64_t want = tagFor(va, gen);
-        std::uint64_t got = rt.driver().peekValue<std::uint64_t>(va);
+        std::uint64_t got = words[p - lo];
         if (got != want) {
             std::ostringstream os;
             os << "page " << va << " (generation " << gen

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "test_util.hpp"
 #include "uvm/driver.hpp"
@@ -265,6 +266,124 @@ TEST_F(DriverTest, DataSurvivesEvictionRoundTrip)
                   100 + i);
     }
     drv_.checkInvariants();
+}
+
+/**
+ * Twin drivers given the same ops: one writes and reads the word at
+ * offset 0 of each page through the per-span pokeWords / peekWords,
+ * the other page by page through pokeValue / peekValue.  The buffer
+ * spans three blocks and ends 100 bytes into a page, and its middle
+ * block holds both host- and GPU-resident pages.
+ */
+TEST(DriverWordIoTest, SpanIoMatchesPerPageIo)
+{
+    const sim::Bytes size = 2 * kBigPageSize + 7 * kSmallPageSize + 100;
+    UvmDriver span(test::tinyConfig(4), test::testLink());
+    UvmDriver page(test::tinyConfig(4), test::testLink());
+    mem::VirtAddr a = 0;
+    for (UvmDriver *d : {&span, &page}) {
+        a = d->allocManaged(size, "buf");
+        sim::SimTime t = d->hostAccess(a, size, AccessKind::kWrite, 0);
+        d->prefetch(a + kBigPageSize + 100 * kSmallPageSize,
+                    200 * kSmallPageSize, ProcessorId::gpu(0), t);
+    }
+    const VaBlock *mid = span.vaSpace().blockOf(a + kBigPageSize);
+    ASSERT_EQ(mid->resident_gpu.count(), 200u);
+    ASSERT_EQ(mid->resident_cpu.count(), mem::kPagesPerBlock - 200);
+
+    // Every page whose first 8 bytes lie in the buffer, per block.
+    const std::uint32_t spans[3][2] = {
+        {0, mem::kPagesPerBlock}, {0, mem::kPagesPerBlock}, {0, 8}};
+    std::vector<std::uint64_t> words(mem::kPagesPerBlock);
+    for (std::uint32_t b = 0; b < 3; ++b) {
+        const mem::VirtAddr base = a + b * kBigPageSize;
+        const auto [lo, hi] = spans[b];
+        for (std::uint32_t p = lo; p < hi; ++p) {
+            words[p - lo] = 0x5eed0000'00000000 + b * 1000 + p;
+            page.pokeValue<std::uint64_t>(base + p * kSmallPageSize,
+                                          words[p - lo]);
+        }
+        span.pokeWords(base, lo, {words.data(), hi - lo});
+    }
+
+    // The same bytes everywhere in the buffer, in both copy slots.
+    auto expectSameBytes = [&] {
+        std::vector<std::uint8_t> x(size), y(size);
+        span.peek(a, x.data(), size);
+        page.peek(a, y.data(), size);
+        EXPECT_EQ(x, y);
+        for (mem::CopySlot slot :
+             {mem::CopySlot::kHost, mem::CopySlot::kDevice}) {
+            for (mem::VirtAddr va = a; va < a + size;
+                 va += kSmallPageSize) {
+                std::uint64_t u = 1, v = 2;
+                span.backing().read(va, &u, sizeof(u), slot);
+                page.backing().read(va, &v, sizeof(v), slot);
+                ASSERT_EQ(u, v) << "page " << (va - a) / kSmallPageSize;
+            }
+        }
+    };
+    expectSameBytes();
+
+    // A read span inside the mixed block, across the GPU pages'
+    // edges, matches per-page reads.
+    auto expectSpanReads = [&] {
+        const mem::VirtAddr base = a + kBigPageSize;
+        std::vector<std::uint64_t> got(300, 1);
+        span.peekWords(base, 50, got);
+        for (std::uint32_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i], page.peekValue<std::uint64_t>(
+                                  base + (50 + i) * kSmallPageSize))
+                << "page " << 50 + i;
+        }
+    };
+    expectSpanReads();
+
+    // After a migration moved the whole buffer, and after a span write
+    // that lands on both sides of the block.
+    for (UvmDriver *d : {&span, &page})
+        d->prefetch(a, kBigPageSize + 150 * kSmallPageSize,
+                    ProcessorId::gpu(0), 0);
+    expectSameBytes();
+    expectSpanReads();
+    std::vector<std::uint64_t> more(300);
+    for (std::uint32_t i = 0; i < more.size(); ++i) {
+        more[i] = 0xfeed0000 + i;
+        page.pokeValue<std::uint64_t>(
+            a + kBigPageSize + (50 + i) * kSmallPageSize, more[i]);
+    }
+    span.pokeWords(a + kBigPageSize, 50, more);
+    expectSameBytes();
+    expectSpanReads();
+}
+
+TEST(DriverWordIoDeathTest, SpanIoChecksTheSpan)
+{
+    UvmDriver drv(test::tinyConfig(4), test::testLink());
+    mem::VirtAddr a = drv.allocManaged(kBigPageSize, "a");
+    drv.hostAccess(a, 10 * kSmallPageSize, AccessKind::kWrite, 0);
+    std::vector<std::uint64_t> words(12, 7);
+    // Pages 10 and 11 are not populated.
+    EXPECT_DEATH(drv.pokeWords(a, 0, words), "not populated");
+    const mem::VirtAddr unmanaged = a + 64 * kBigPageSize;
+    EXPECT_DEATH(drv.pokeWords(unmanaged, 0, words), "unmanaged address");
+    EXPECT_DEATH(drv.peekWords(unmanaged, 0, words), "unmanaged address");
+    EXPECT_DEATH(drv.peekWords(a, mem::kPagesPerBlock - 11, words),
+                 "crosses a block boundary");
+}
+
+TEST(DriverWordIoTest, DisabledStoreIgnoresWritesAndReadsZeros)
+{
+    UvmConfig cfg = test::tinyConfig(4);
+    cfg.backed = false;
+    UvmDriver drv(cfg, test::testLink());
+    mem::VirtAddr a = drv.allocManaged(kBigPageSize, "a");
+    drv.hostAccess(a, kBigPageSize, AccessKind::kWrite, 0);
+    std::vector<std::uint64_t> words(mem::kPagesPerBlock, 7);
+    drv.pokeWords(a, 0, words);
+    drv.peekWords(a, 0, words);
+    EXPECT_EQ(words, std::vector<std::uint64_t>(mem::kPagesPerBlock, 0));
+    EXPECT_EQ(drv.backing().materializedPages(), 0u);
 }
 
 TEST_F(DriverTest, DumpStatsListsKeyCounters)

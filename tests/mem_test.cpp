@@ -372,6 +372,55 @@ TEST(BackingStore, LineWriteOnSharedPageStaysPrivate)
     EXPECT_EQ(bs.materializedPages(), 3u);
 }
 
+TEST(BackingStore, SharedLineIsCopiedOnWrite)
+{
+    // A tagged page copied to the other slot shares its line.  One
+    // side then writes, into the tag's line or (folding) into another
+    // one; fresh lines on another page would reuse any line the write
+    // wrongly freed.  Each side keeps its own bytes, also after the
+    // writer's copy is dropped.
+    const std::uint64_t tag = 0x1122334455667788, val = 0x0badc0de,
+                        junk = ~std::uint64_t{0};
+    for (CopySlot writer : {CopySlot::kHost, CopySlot::kDevice}) {
+        for (std::size_t at : {16u, 200u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "writer " << static_cast<int>(writer)
+                         << " at " << at);
+            const CopySlot other = writer == CopySlot::kHost
+                                       ? CopySlot::kDevice
+                                       : CopySlot::kHost;
+            BackingStore bs(true);
+            bs.zeroPage(0x1000, CopySlot::kHost);
+            bs.write(0x1000 + 8, &tag, sizeof(tag), CopySlot::kHost);
+            bs.copyPage(0x1000, CopySlot::kHost, CopySlot::kDevice);
+            bs.write(0x1000 + at, &val, sizeof(val), writer);
+            auto freshLines = [&](VirtAddr page) {
+                for (CopySlot s : {CopySlot::kHost, CopySlot::kDevice}) {
+                    bs.zeroPage(page, s);
+                    bs.write(page + 8, &junk, sizeof(junk), s);
+                }
+            };
+            freshLines(0x3000);
+
+            std::array<std::uint8_t, kSmallPageSize> mine{}, theirs{}, got{};
+            std::memcpy(theirs.data() + 8, &tag, sizeof(tag));
+            mine = theirs;
+            std::memcpy(mine.data() + at, &val, sizeof(val));
+            bs.read(0x1000, got.data(), got.size(), writer);
+            EXPECT_EQ(got, mine);
+            bs.read(0x1000, got.data(), got.size(), other);
+            EXPECT_EQ(got, theirs);
+
+            bs.dropPage(0x1000, writer);
+            freshLines(0x5000);
+            bs.read(0x1000, got.data(), got.size(), other);
+            EXPECT_EQ(got, theirs);
+            bs.dropPage(0x1000, other);
+            EXPECT_EQ(bs.materializedPages(), 4u);
+        }
+    }
+}
+
 /**
  * Deep-copy reference for the backing store: one independent 4 KB
  * array per materialized (page, slot), copied byte for byte.
@@ -483,7 +532,7 @@ TEST(BackingStore, MatchesDeepCopyReferenceOnRandomOps)
                 max_len = std::min<std::size_t>(max_len, 16);
             std::size_t len = 1 + rng.below(max_len);
             VirtAddr va = page_va + off;
-            switch (rng.below(16)) {
+            switch (rng.below(17)) {
               case 0:
               case 1:
               case 2:
@@ -541,6 +590,55 @@ TEST(BackingStore, MatchesDeepCopyReferenceOnRandomOps)
                 bs.dropPages(block_base, mask, slot);
                 each(block_base, mask,
                      [&](VirtAddr v) { ref.dropPage(v, slot); });
+                break;
+              }
+              case 15: {
+                // Give the page a line (a short write onto a shared
+                // base), copy it to the other slot, write on the
+                // source side, the destination side or both, then
+                // drop both copies in either order, with a short write
+                // between the drops that takes a fresh line.
+                const CopySlot to =
+                    slot == CopySlot::kHost ? CopySlot::kDevice
+                                            : CopySlot::kHost;
+                auto shortWrite = [&](CopySlot s) {
+                    const std::size_t o =
+                        rng.below(kSmallPageSize / 64) * 64 + rng.below(57);
+                    const std::size_t n = 1 + rng.below(8);
+                    for (std::size_t i = 0; i < n; ++i)
+                        buf[i] = static_cast<std::uint8_t>(rng.next());
+                    bs.write(page_va + o, buf.data(), n, s);
+                    ref.write(page_va + o, buf.data(), n, s);
+                };
+                bs.copyPage(page_va, slot, to);
+                ref.copyPage(page_va, slot, to);
+                shortWrite(slot);
+                bs.copyPage(page_va, slot, to);
+                ref.copyPage(page_va, slot, to);
+                const std::uint64_t sides = 1 + rng.below(3);
+                for (CopySlot s : {slot, to}) {
+                    if ((sides & (s == slot ? 1 : 2)) == 0)
+                        continue;
+                    for (std::size_t i = 0; i < len; ++i)
+                        buf[i] = static_cast<std::uint8_t>(rng.next());
+                    bs.write(va, buf.data(), len, s);
+                    ref.write(va, buf.data(), len, s);
+                }
+                for (CopySlot s : {slot, to}) {
+                    bs.read(page_va, buf.data(), buf.size(), s);
+                    ref.read(page_va, want.data(), want.size(), s);
+                    ASSERT_EQ(buf, want) << "op " << op;
+                }
+                const CopySlot first = rng.below(2) ? slot : to;
+                const CopySlot second = first == slot ? to : slot;
+                bs.dropPage(page_va, first);
+                ref.dropPage(page_va, first);
+                shortWrite(first);
+                bs.read(page_va, buf.data(), buf.size(), second);
+                ref.read(page_va, want.data(), want.size(), second);
+                ASSERT_EQ(buf, want) << "op " << op;
+                bs.dropPage(page_va, second);
+                ref.dropPage(page_va, second);
                 break;
               }
               default: {
