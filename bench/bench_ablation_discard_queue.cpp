@@ -13,8 +13,9 @@
 #include "workloads/fir.hpp"
 #include "workloads/hash_join.hpp"
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -70,4 +71,10 @@ main(int argc, char **argv)
                 "live data is evicted earlier, raising traffic and "
                 "runtime.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

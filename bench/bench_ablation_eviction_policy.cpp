@@ -14,8 +14,9 @@
 #include "workloads/fir.hpp"
 #include "workloads/hash_join.hpp"
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -93,4 +94,10 @@ main(int argc, char **argv)
                 "pressure before any used victim is chosen, shrinking "
                 "the policy's influence.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -21,8 +21,9 @@
 #include "sweep_runner.hpp"
 #include "workloads/radix_sort.hpp"
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -108,4 +109,10 @@ main(int argc, char **argv)
                 "rows pay extra eviction traffic as chunks leave "
                 "service.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -87,8 +87,9 @@ runScenario(bool honour_partial)
 
 }  // namespace
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -121,4 +122,10 @@ main(int argc, char **argv)
                 "mapping splits and 4 KB-grained migrations of the "
                 "surviving quarter of every block.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

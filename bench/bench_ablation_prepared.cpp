@@ -53,8 +53,9 @@ runScenario(bool track)
 
 }  // namespace
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -81,4 +82,10 @@ main(int argc, char **argv)
                 "re-arm pays a whole-chunk zero on the GPU copy "
                 "engine.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -154,8 +154,9 @@ name(DeadPolicy p)
 
 }  // namespace
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -222,4 +223,10 @@ main(int argc, char **argv)
                 "beats both — coherent interconnects still need it "
                 "(Section 3.2).\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

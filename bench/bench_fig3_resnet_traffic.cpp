@@ -9,8 +9,9 @@
 #include "bench_util.hpp"
 #include "workloads/dl/trainer.hpp"
 
-int
-main()
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int, char **)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -50,4 +51,10 @@ main()
                 "capacity (~56 here), total UVM traffic grows steeply "
                 "while the required share is less than half of it.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -46,8 +46,9 @@ measurePrefetchGbps(interconnect::LinkSpec link, sim::Bytes size)
 
 }  // namespace
 
-int
-main()
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int, char **)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -94,4 +95,10 @@ main()
                 "(~12 GB/s on PCIe-3, ~25 GB/s on PCIe-4); small "
                 "transfers are dominated by per-transfer setup.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -10,8 +10,9 @@
 
 #include "dl_sweep.hpp"
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -56,4 +57,10 @@ main(int argc, char **argv)
                 "implementations eliminate the redundant majority of "
                 "it.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -9,8 +9,9 @@
 
 #include "dl_sweep.hpp"
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -54,4 +55,10 @@ main(int argc, char **argv)
                 "steeply and both discard systems keep most of the "
                 "throughput, UvmDiscardLazy best.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -9,8 +9,9 @@
 
 #include "dl_sweep.hpp"
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -48,4 +49,10 @@ main(int argc, char **argv)
         fig.writeCsv("fig7_throughput_" + net.name + ".csv");
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -10,8 +10,9 @@
 #include "sweep_runner.hpp"
 #include "workloads/fir.hpp"
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -106,4 +107,10 @@ main(int argc, char **argv)
                         1e9);
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -12,8 +12,9 @@
 #include "sweep_runner.hpp"
 #include "workloads/hash_join.hpp"
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -110,4 +111,10 @@ main(int argc, char **argv)
                                    disc.trafficTotal()) /
                                    base.trafficTotal()));
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -26,14 +26,16 @@
  *                    open-transfer counts (radix thrash reopens the
  *                    same pages on nearly every transfer); wall_ms is
  *                    the fastest of a few repetitions, since a shared
- *                    host can only slow a run down
+ *                    host can only slow a run down; allocs_per_run is
+ *                    the exact number of heap allocations of one run
  *   e2e_dl           two Figure 6 cells end to end: ResNet-53 under
  *                    UvmDiscard on PCIe-4 at batch 56 (fits) and 90
  *                    (oversubscribed), the runs whose host time is set
  *                    by the driver's per-block walks; wall_ms is the
  *                    fastest of a few repetitions; blocks_walked is
  *                    the exact number of blocks those walks visited
- *                    (whole-range fast paths visit none)
+ *                    (whole-range fast paths visit none);
+ *                    allocs_per_run the heap allocations per cell
  *   e2e_hashjoin     one full Table 7/8 cell end to end: runHashJoin
  *                    under UvmDiscard at 200% on PCIe-4; wall_ms is
  *                    the fastest of a few repetitions; blocks_walked
@@ -73,9 +75,10 @@
 // Allocation counting: every heap allocation in this binary bumps one
 // relaxed atomic, so the driver_discard stage can report the heap
 // traffic of a warmed steady-state cycle (allocs_per_iter; the gate
-// fails on any increase from 0) and e2e_verify its allocations per
-// script.  The counting cost is one relaxed increment per
-// allocation — negligible against malloc itself.
+// fails on any increase from 0), e2e_radix and e2e_dl their
+// allocations per run and e2e_verify its allocations per script.
+// The counting cost is one relaxed increment per allocation —
+// negligible against malloc itself.
 // ------------------------------------------------------------------
 
 namespace {
@@ -448,16 +451,22 @@ benchE2eRadix(int reps)
     workloads::RadixParams p;
     p.ovsp_ratio = 2.0;
     workloads::RunResult r;
+    std::uint64_t allocs = 0;
     for (int i = 0; i < reps; ++i) {
+        std::uint64_t allocs_before =
+            g_alloc_count.load(std::memory_order_relaxed);
         Clock::time_point start = Clock::now();
         r = workloads::runRadixSort(workloads::System::kUvmOpt, p,
                                     interconnect::LinkSpec::pcie4());
         double ms = msSince(start);
+        allocs = g_alloc_count.load(std::memory_order_relaxed) -
+                 allocs_before;
         res.wall_ms = i == 0 ? ms : std::min(res.wall_ms, ms);
     }
     res.metrics = {
         {"traffic_gb", r.trafficGb()},
         {"redundant_gb", static_cast<double>(r.redundant) / 1e9},
+        {"allocs_per_run", static_cast<double>(allocs)},
     };
     return res;
 }
@@ -473,13 +482,17 @@ benchE2eDl(int reps)
         if (net.name == "ResNet-53")
             p.net = net;
     }
+    const int batches[] = {56, 90};
     std::uint64_t walked = 0;
     double checksum = 0.0;
+    std::uint64_t allocs = 0;
     for (int i = 0; i < reps; ++i) {
         walked = 0;
         checksum = 0.0;
+        std::uint64_t allocs_before =
+            g_alloc_count.load(std::memory_order_relaxed);
         Clock::time_point start = Clock::now();
-        for (int batch : {56, 90}) {
+        for (int batch : batches) {
             p.batch_size = batch;
             workloads::dl::TrainResult r = workloads::dl::runTraining(
                 workloads::System::kUvmDiscard, p,
@@ -488,11 +501,15 @@ benchE2eDl(int reps)
             checksum += r.throughput;
         }
         double ms = msSince(start);
+        allocs = g_alloc_count.load(std::memory_order_relaxed) -
+                 allocs_before;
         res.wall_ms = i == 0 ? ms : std::min(res.wall_ms, ms);
     }
     res.metrics = {
         {"blocks_walked", static_cast<double>(walked)},
         {"throughput_checksum", checksum},
+        {"allocs_per_run",
+         static_cast<double>(allocs) / std::size(batches)},
     };
     return res;
 }
@@ -598,8 +615,9 @@ writeJson(const std::string &path, int jobs, bool quick,
 
 }  // namespace
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     int jobs = 1;
     bool quick = false;
@@ -653,4 +671,10 @@ main(int argc, char **argv)
     if (!out.empty())
         writeJson(out, jobs, quick, benches);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

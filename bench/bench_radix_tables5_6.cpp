@@ -13,8 +13,9 @@
 #include "sweep_runner.hpp"
 #include "workloads/radix_sort.hpp"
 
-int
-main(int argc, char **argv)
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int argc, char **argv)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -115,4 +116,10 @@ main(int argc, char **argv)
                 "3.9x)\n",
                 static_cast<double>(storm.elapsed) / base.elapsed);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -14,8 +14,9 @@
 #include "bench_util.hpp"
 #include "workloads/dl/trainer.hpp"
 
-int
-main()
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int, char **)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -70,4 +71,10 @@ main()
             "24/58"});
     p1.print();
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

@@ -35,8 +35,9 @@ measureDiscardUs(uvm::DiscardMode mode, sim::Bytes size)
 
 }  // namespace
 
-int
-main()
+/** The harness body; main() turns a sim::FatalError into exit 1. */
+static int
+runHarness(int, char **)
 {
     using namespace uvmd;
     using namespace uvmd::bench;
@@ -79,4 +80,10 @@ main()
     paper.row({"UvmDiscard", "4", "7", "20", "70"});
     paper.print();
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return uvmd::bench::harnessMain(argc, argv, runHarness);
 }

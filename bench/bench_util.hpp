@@ -16,10 +16,29 @@
 #include <string>
 #include <vector>
 
+#include "sim/logging.hpp"
 #include "trace/report.hpp"
 #include "workloads/common.hpp"
 
 namespace uvmd::bench {
+
+/**
+ * Run a harness body as main() and return its exit status.  A
+ * sim::FatalError (say, a CSV that cannot be written) prints
+ * "error: <what>" on stderr and returns 1 instead of escaping main()
+ * and aborting the process.
+ */
+inline int
+harnessMain(int argc, char **argv, int (*body)(int, char **))
+{
+    try {
+        return body(argc, argv);
+    } catch (const sim::FatalError &e) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
+    }
+}
 
 inline void
 banner(const std::string &what)

@@ -16,7 +16,8 @@ Gate semantics (docs/performance.md, "Regression gate"):
     not timings: any increase over the baseline fails regardless of
     tolerance (the zero-allocation steady state keeps
     `allocs_per_iter` at 0; `allocs_per_script` catches a return to
-    deep-copied backing-store payloads; `blocks_walked` catches a
+    deep-copied backing-store payloads; `allocs_per_run` catches a
+    return to a heap node per audited block; `blocks_walked` catches a
     return to per-block walks for fully resident or fully discarded
     ranges).
   - Benches present in the baseline but missing from the current run

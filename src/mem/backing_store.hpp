@@ -52,12 +52,12 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "mem/page.hpp"
+#include "sim/arena.hpp"
 
 namespace uvmd::mem {
 
@@ -145,50 +145,6 @@ class BackingStore
     static constexpr std::uint32_t kFirstBase = 2;
     static constexpr std::uint32_t kNoLine = ~std::uint32_t{0};
 
-    /**
-     * Objects addressed by 32-bit index and stored in chunks of
-     * 2^kLog, so growth adds a chunk and never moves an object (a
-     * reference stays valid across alloc); freed indices are reused
-     * before the pool grows.
-     */
-    template <typename T, unsigned kLog>
-    class Pool
-    {
-      public:
-        T &operator[](std::uint32_t i)
-        {
-            return (*chunks_[i >> kLog])[i & kMask];
-        }
-        const T &operator[](std::uint32_t i) const
-        {
-            return (*chunks_[i >> kLog])[i & kMask];
-        }
-
-        /** An index whose object the caller must initialize. */
-        std::uint32_t
-        alloc()
-        {
-            if (!free_.empty()) {
-                const std::uint32_t i = free_.back();
-                free_.pop_back();
-                return i;
-            }
-            if ((size_ & kMask) == 0)
-                chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
-            return size_++;
-        }
-
-        void release(std::uint32_t i) { free_.push_back(i); }
-
-      private:
-        static constexpr std::uint32_t kMask = (1u << kLog) - 1;
-        using Chunk = std::array<T, std::size_t{1} << kLog>;
-
-        std::vector<std::unique_ptr<Chunk>> chunks_;
-        std::vector<std::uint32_t> free_;
-        std::uint32_t size_ = 0;
-    };
-
     /** A pooled payload; never written while @c refs > 1. */
     struct Base {
         std::uint32_t refs;
@@ -264,9 +220,9 @@ class BackingStore
     std::unordered_map<std::uint64_t, Block> blocks_;
 
     /** One payload per chunk: each is 4 KB already. */
-    Pool<Base, 0> bases_;
+    sim::Pool<Base, 0> bases_;
     /** 512 lines (36 KB) per chunk, a block's worth of tags. */
-    Pool<Line, 9> lines_;
+    sim::Pool<Line, 9> lines_;
 };
 
 }  // namespace uvmd::mem

@@ -2,7 +2,7 @@
  * @file
  * Pooled storage for hot-path objects.
  *
- * Two building blocks keep the simulator's steady state off the
+ * Three building blocks keep the simulator's steady state off the
  * global heap:
  *
  *  - Arena<T>: a slab allocator with a free list.  Objects are
@@ -18,7 +18,13 @@
  *    tails), where std::vector's first push_back would otherwise be
  *    a guaranteed allocation per constructed driver.
  *
- * Neither container is thread-safe; both live strictly inside
+ *  - Pool<T, kLog>: objects addressed by a 32-bit index, for records
+ *    that other records name by index (the backing store's payloads
+ *    and lines, the Auditor's count planes).  Storage grows a fixed
+ *    chunk at a time and never moves, and freed indices are reused
+ *    first.
+ *
+ * No container is thread-safe; all live strictly inside
  * single-threaded simulation state (the --jobs contract in
  * docs/performance.md: parallelism is process-wide sweeps over
  * independent simulations, never sharing within one).
@@ -27,7 +33,9 @@
 #ifndef UVMD_SIM_ARENA_HPP
 #define UVMD_SIM_ARENA_HPP
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <utility>
@@ -327,6 +335,51 @@ class SmallVec
     T *data_ = reinterpret_cast<T *>(inline_);
     std::size_t size_ = 0;
     std::size_t cap_ = N;
+};
+
+/**
+ * Objects addressed by 32-bit index and stored in chunks of 2^kLog,
+ * so growth adds a chunk and never moves an object (a reference stays
+ * valid across alloc); freed indices are reused before the pool grows.
+ * A chunk is default-initialized, and release() does not destroy its
+ * object: the caller initializes what alloc() returns.
+ */
+template <typename T, unsigned kLog>
+class Pool
+{
+  public:
+    T &operator[](std::uint32_t i)
+    {
+        return (*chunks_[i >> kLog])[i & kMask];
+    }
+    const T &operator[](std::uint32_t i) const
+    {
+        return (*chunks_[i >> kLog])[i & kMask];
+    }
+
+    /** An index whose object the caller must initialize. */
+    std::uint32_t
+    alloc()
+    {
+        if (!free_.empty()) {
+            const std::uint32_t i = free_.back();
+            free_.pop_back();
+            return i;
+        }
+        if ((size_ & kMask) == 0)
+            chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
+        return size_++;
+    }
+
+    void release(std::uint32_t i) { free_.push_back(i); }
+
+  private:
+    static constexpr std::uint32_t kMask = (1u << kLog) - 1;
+    using Chunk = std::array<T, std::size_t{1} << kLog>;
+
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    std::vector<std::uint32_t> free_;
+    std::uint32_t size_ = 0;
 };
 
 }  // namespace uvmd::sim

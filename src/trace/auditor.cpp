@@ -11,9 +11,9 @@ using interconnect::Direction;
 
 namespace {
 
-/** Bit of @p block in Auditor::open_: managed keys start at
- *  VaSpace::kFirstKey, so the bitmap does too (a block below it is
- *  not a managed block and must not reach the Auditor). */
+/** Bit of @p block in Auditor::open_ and its slot in the table:
+ *  managed keys start at VaSpace::kFirstKey, so both do too (a block
+ *  below it is not a managed block and must not reach the Auditor). */
 std::uint64_t
 openKey(const uvm::VaBlock &block)
 {
@@ -21,19 +21,6 @@ openKey(const uvm::VaBlock &block)
 }
 
 }  // namespace
-
-Auditor::BlockAudit &
-Auditor::auditOf(const uvm::VaBlock &block)
-{
-    auto [it, inserted] = blocks_.try_emplace(block.blockIndex());
-    if (inserted) {
-        // Block VAs are never reused, so the owning range is fixed;
-        // naming it now lets finalize() book leftovers by id alone.
-        it->second.range = block.range->id;
-        wasteOf(*block.range);
-    }
-    return it->second;
-}
 
 Auditor::RangeWaste &
 Auditor::wasteOf(const uvm::VaRange &range)
@@ -47,22 +34,29 @@ Auditor::wasteOf(const uvm::VaRange &range)
 }
 
 void
-Auditor::OpenCounts::add(const uvm::PageMask &pages)
+Auditor::Planes::add(const uvm::PageMask &pages, std::uint64_t n)
 {
-    uvm::PageMask carry = pages;
-    for (uvm::PageMask &plane : planes_) {
-        uvm::PageMask next = plane & carry;
-        plane ^= carry;
-        carry = next;
-        if (carry.none())
-            return;
+    // Add 2^j for each set bit j of n: a carry rippling up from plane
+    // j, which stops at the first plane it leaves no carry in.
+    for (; n != 0; n &= n - 1) {
+        std::size_t i = std::countr_zero(n);
+        if (planes_.size() < i)
+            planes_.resize(i);
+        uvm::PageMask carry = pages;
+        for (; carry.any(); ++i) {
+            if (i == planes_.size()) {
+                planes_.push_back(carry);
+                break;
+            }
+            uvm::PageMask next = planes_[i] & carry;
+            planes_[i] ^= carry;
+            carry = next;
+        }
     }
-    if (carry.any())
-        planes_.push_back(carry);
 }
 
 std::uint64_t
-Auditor::OpenCounts::take(const uvm::PageMask &pages)
+Auditor::Planes::take(const uvm::PageMask &pages)
 {
     std::uint64_t sum = 0;
     for (std::size_t i = 0; i < planes_.size(); ++i) {
@@ -75,15 +69,88 @@ Auditor::OpenCounts::take(const uvm::PageMask &pages)
     return sum;
 }
 
+std::uint64_t
+Auditor::open(OpenCounts &counts, const uvm::VaBlock &block,
+              const uvm::PageMask &pages)
+{
+    if (pages == block.valid) {
+        ++counts.uniform;
+        counts.total += block.valid_pages;
+        return block.valid_pages;
+    }
+    std::uint64_t n = pages.count();
+    if (counts.planes == kNoPlanes)
+        counts.planes = planes_.alloc();
+    planes_[counts.planes].add(pages, 1);
+    counts.total += n;
+    return n;
+}
+
+std::uint64_t
+Auditor::take(OpenCounts &counts, const uvm::VaBlock &block,
+              const uvm::PageMask &pages)
+{
+    if (counts.total == 0)
+        return 0;
+    if (pages == block.valid)
+        return takeAll(counts);
+    std::uint64_t sum = counts.planes == kNoPlanes
+                            ? 0
+                            : planes_[counts.planes].take(pages);
+    if (counts.uniform > 0) {
+        // The closed valid pages give up the uniform count; the other
+        // valid pages keep theirs, now held in the planes.
+        sum += std::uint64_t{counts.uniform} * (pages & block.valid).count();
+        uvm::PageMask rest = block.valid & ~pages;
+        if (rest.any()) {
+            if (counts.planes == kNoPlanes)
+                counts.planes = planes_.alloc();
+            planes_[counts.planes].add(rest, counts.uniform);
+        }
+        counts.uniform = 0;
+    }
+    counts.total -= sum;
+    if (counts.total == 0)
+        takeAll(counts);  // the planes are all zero: release them
+    return sum;
+}
+
+std::uint64_t
+Auditor::takeAll(OpenCounts &counts)
+{
+    std::uint64_t sum = counts.total;
+    counts.total = 0;
+    counts.uniform = 0;
+    if (counts.planes != kNoPlanes) {
+        planes_[counts.planes].clear();
+        planes_.release(counts.planes);
+        counts.planes = kNoPlanes;
+    }
+    return sum;
+}
+
 void
 Auditor::onTransfer(const uvm::VaBlock &block,
                     const uvm::PageMask &pages, Direction dir,
                     uvm::TransferCause /*cause*/)
 {
-    BlockAudit &audit = auditOf(block);
-    (dir == Direction::kHostToDevice ? audit.h2d : audit.d2h).add(pages);
-    open_bytes_ += block.pagesIn(pages) * mem::kSmallPageSize;
     std::uint64_t key = openKey(block);
+    std::uint64_t chunk = key >> kChunkLog;
+    if (chunk >= table_.size())
+        table_.resize(chunk + 1);
+    if (!table_[chunk])
+        table_[chunk] = std::make_unique<Chunk>();
+    BlockAudit &audit = recordAt(key);
+    if (!isOpen(key)) {
+        // Block VAs are never reused, so the owning range is fixed;
+        // naming it now lets closes book by id alone.
+        audit.range = block.range->id;
+        wasteOf(*block.range);
+    }
+    open_bytes_ +=
+        open(dir == Direction::kHostToDevice ? audit.h2d : audit.d2h,
+             block, pages) *
+        mem::kSmallPageSize;
     if (key / 64 >= open_.size())
         open_.resize(key / 64 + 1, 0);
     open_[key / 64] |= std::uint64_t{1} << key % 64;
@@ -109,18 +176,27 @@ Auditor::close(const uvm::VaBlock &block, const uvm::PageMask &pages,
     std::uint64_t key = openKey(block);
     if (!isOpen(key))
         return;
-    BlockAudit &audit = blocks_.find(block.blockIndex())->second;
-    closeAudit(audit, pages, required);
-    if (audit.h2d.empty() && audit.d2h.empty())
+    BlockAudit &audit = recordAt(key);
+    book(audit, take(audit.h2d, block, pages),
+         take(audit.d2h, block, pages), required);
+    if (audit.h2d.total == 0 && audit.d2h.total == 0)
         open_[key / 64] &= ~(std::uint64_t{1} << key % 64);
 }
 
 void
-Auditor::closeAudit(BlockAudit &audit, const uvm::PageMask &pages,
-                    bool required)
+Auditor::closeWhole(std::uint64_t key, bool required)
 {
-    sim::Bytes hb = audit.h2d.take(pages) * mem::kSmallPageSize;
-    sim::Bytes db = audit.d2h.take(pages) * mem::kSmallPageSize;
+    BlockAudit &audit = recordAt(key);
+    book(audit, takeAll(audit.h2d), takeAll(audit.d2h), required);
+    open_[key / 64] &= ~(std::uint64_t{1} << key % 64);
+}
+
+void
+Auditor::book(const BlockAudit &audit, std::uint64_t h2d,
+              std::uint64_t d2h, bool required)
+{
+    sim::Bytes hb = h2d * mem::kSmallPageSize;
+    sim::Bytes db = d2h * mem::kSmallPageSize;
     if (required) {
         required_h2d_ += hb;
         required_d2h_ += db;
@@ -134,6 +210,25 @@ Auditor::closeAudit(BlockAudit &audit, const uvm::PageMask &pages,
         }
     }
     open_bytes_ -= hb + db;
+}
+
+template <typename Fn>
+void
+Auditor::forEachOpen(std::uint64_t first, std::uint64_t end, Fn fn)
+{
+    end = std::min<std::uint64_t>(end, open_.size() * 64);
+    for (std::uint64_t k = first; k < end;) {
+        std::uint64_t word = open_[k / 64] >> k % 64;
+        if (word == 0) {
+            k = (k / 64 + 1) * 64;
+            continue;
+        }
+        k += std::countr_zero(word);
+        if (k >= end)
+            break;
+        fn(k);
+        ++k;
+    }
 }
 
 void
@@ -156,27 +251,14 @@ Auditor::onAccessRun(uvm::VaBlock *const *blocks, std::size_t n,
                      bool is_read, bool is_write,
                      uvm::ProcessorId /*where*/)
 {
-    // onAccess over each block's valid pages, visiting only the
-    // blocks whose open bit is set: the run's blocks have consecutive
-    // indices, so a word of the bitmap covers 64 of them.
+    // onAccess over each block's valid pages, a whole-block close of
+    // each block whose open bit is set: the run's blocks have
+    // consecutive keys, so a word of the bitmap covers 64 of them.
     if ((!is_read && !is_write) || n == 0)
         return;
     std::uint64_t first = openKey(*blocks[0]);
-    std::uint64_t end = std::min<std::uint64_t>(first + n,
-                                                open_.size() * 64);
-    for (std::uint64_t k = first; k < end;) {
-        std::uint64_t word = open_[k / 64] >> k % 64;
-        if (word == 0) {
-            k = (k / 64 + 1) * 64;
-            continue;
-        }
-        k += std::countr_zero(word);
-        if (k >= end)
-            break;
-        const uvm::VaBlock &block = *blocks[k - first];
-        close(block, block.valid, /*required=*/is_read);
-        ++k;
-    }
+    forEachOpen(first, first + n,
+                [&](std::uint64_t key) { closeWhole(key, is_read); });
 }
 
 void
@@ -196,11 +278,8 @@ Auditor::finalize()
 {
     if (open_bytes_ == 0)
         return;  // nothing open: a repeated call stays free
-    uvm::PageMask all;
-    all.set();
-    for (auto &kv : blocks_)
-        closeAudit(kv.second, all, /*required=*/false);
-    std::fill(open_.begin(), open_.end(), 0);
+    forEachOpen(0, open_.size() * 64,
+                [&](std::uint64_t key) { closeWhole(key, false); });
 }
 
 std::vector<Auditor::RangeWaste>

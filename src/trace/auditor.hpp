@@ -23,12 +23,28 @@
  *
  * A page can collect many open transfers of one direction before its
  * value is read or dies (radix thrash moves the same dead page out
- * and back on nearly every pass), so each block counts open transfers
- * per page and direction, in bit-sliced PageMask planes: opening and
- * closing cost a few whole-mask operations per plane, never a loop
- * over pages.  A dense bit per block records whether it has any open
- * transfer at all, so the common access to a block with nothing open
- * costs one bit test, not a hash lookup.
+ * and back on nearly every pass), so each block keeps, per direction,
+ * a count of open transfers per page, in three parts:
+ *
+ *   - a uniform count that applies to every valid page, which a
+ *     whole-block transfer (pages == block.valid) bumps;
+ *   - bit-sliced PageMask planes for the transfers of partial masks,
+ *     held out of line in a pool and absent while unused;
+ *   - the running total of open page transfers.
+ *
+ * A whole-block close returns the total, and every onAccessRun,
+ * whole-range discard and finalize() is one, so the common events
+ * cost O(1) and no popcount.  Only a partial close does mask work:
+ * it charges the uniform count over the closed valid pages and folds
+ * the uniform count of the other valid pages into the planes.  The
+ * driver moves only valid pages, and a whole-block close relies on
+ * that: its total is not masked with block.valid.
+ *
+ * Block records sit in a two-level table indexed by blockIndex() -
+ * VaSpace::kFirstKey, in chunks of 64 allocated on first touch, and a
+ * dense bit per block records whether it has any open transfer at
+ * all, so the common access to a block with nothing open costs one
+ * bit test and a run of accesses skips 64 closed blocks per word.
  *
  * The auditor also diagnoses where an application should insert the
  * discard directive.  The paper's related work (Section 8) suggests
@@ -46,10 +62,11 @@
 #ifndef UVMD_TRACE_AUDITOR_HPP
 #define UVMD_TRACE_AUDITOR_HPP
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/arena.hpp"
@@ -147,26 +164,36 @@ class Auditor : public uvm::TransferObserver
 
   private:
     /**
-     * Per-page open-transfer counts of one block and direction, bit
-     * sliced: planes_[i] holds bit i of every page's count.  add()
-     * ripples a carry up the planes; take() sums
-     * popcount(planes_[i] & pages) << i.  No plane is kept above the
-     * highest nonzero bit, so a block whose pages each have at most
-     * one open transfer holds a single inline plane.
+     * Per-page counts of some pages, bit sliced: plane i holds bit i
+     * of every page's count.  No plane is kept above the highest
+     * nonzero bit, so counts of at most one need a single inline
+     * plane.
      */
-    class OpenCounts
+    class Planes
     {
       public:
-        /** Add one to the count of every page in @p pages. */
-        void add(const uvm::PageMask &pages);
+        /** Add @p n to the count of every page in @p pages. */
+        void add(const uvm::PageMask &pages, std::uint64_t n);
 
         /** Sum of the counts of @p pages; resets those counts to 0. */
         std::uint64_t take(const uvm::PageMask &pages);
 
-        bool empty() const { return planes_.empty(); }
+        void clear() { planes_.clear(); }
 
       private:
         sim::SmallVec<uvm::PageMask, 1> planes_;
+    };
+
+    static constexpr std::uint32_t kNoPlanes = ~std::uint32_t{0};
+
+    /** Open transfers of one block and direction: page p has
+     *  @c uniform (if p is valid) plus its count in the planes. */
+    struct OpenCounts {
+        std::uint32_t uniform = 0;
+        /** Index into planes_, or kNoPlanes. */
+        std::uint32_t planes = kNoPlanes;
+        /** Sum of every page's count. */
+        std::uint64_t total = 0;
     };
 
     struct BlockAudit {
@@ -175,7 +202,27 @@ class Auditor : public uvm::TransferObserver
         std::uint32_t range = 0;  ///< owning VaRange::id
     };
 
-    BlockAudit &auditOf(const uvm::VaBlock &block);
+    static constexpr unsigned kChunkLog = 6;
+    using Chunk = std::array<BlockAudit, std::size_t{1} << kChunkLog>;
+
+    /** The record of open key @p key (its chunk exists). */
+    BlockAudit &
+    recordAt(std::uint64_t key)
+    {
+        return (*table_[key >> kChunkLog])[key & ((1u << kChunkLog) - 1)];
+    }
+
+    /** Count one transfer of @p pages into @p counts; returns how
+     *  many page transfers opened. */
+    std::uint64_t open(OpenCounts &counts, const uvm::VaBlock &block,
+                       const uvm::PageMask &pages);
+    /** Close the open transfers of @p pages in @p counts; returns
+     *  how many page transfers closed. */
+    std::uint64_t take(OpenCounts &counts, const uvm::VaBlock &block,
+                       const uvm::PageMask &pages);
+    /** Close every open transfer in @p counts: returns the total,
+     *  which holds only valid pages because only those move. */
+    std::uint64_t takeAll(OpenCounts &counts);
 
     /** The table entry of @p range, named on first use. */
     RangeWaste &wasteOf(const uvm::VaRange &range);
@@ -185,8 +232,11 @@ class Auditor : public uvm::TransferObserver
      *         to the block's range as one dead cycle). */
     void close(const uvm::VaBlock &block, const uvm::PageMask &pages,
                bool required);
-    void closeAudit(BlockAudit &audit, const uvm::PageMask &pages,
-                    bool required);
+    /** Close every open transfer of the block at open key @p key. */
+    void closeWhole(std::uint64_t key, bool required);
+    /** Book @p h2d and @p d2h closed page transfers of @p audit. */
+    void book(const BlockAudit &audit, std::uint64_t h2d,
+              std::uint64_t d2h, bool required);
 
     /** Is bit @p key (blockIndex() - VaSpace::kFirstKey) of open_
      *  set? */
@@ -196,11 +246,16 @@ class Auditor : public uvm::TransferObserver
         return key / 64 < open_.size() && (open_[key / 64] >> key % 64) & 1;
     }
 
-    /** Keyed by VaBlock::blockIndex(). */
-    std::unordered_map<std::uint64_t, BlockAudit> blocks_;
-    /** Bit blockIndex() - VaSpace::kFirstKey set iff that block's
-     *  BlockAudit has an open transfer. */
+    /** Call @p fn(key) for every set bit of open_ in [first, end). */
+    template <typename Fn>
+    void forEachOpen(std::uint64_t first, std::uint64_t end, Fn fn);
+
+    /** Chunk key >> kChunkLog holds the record of open key key;
+     *  null until a block in it first transfers. */
+    std::vector<std::unique_ptr<Chunk>> table_;
+    /** Bit key set iff that block has an open transfer. */
     std::vector<std::uint64_t> open_;
+    sim::Pool<Planes, 4> planes_;
     std::vector<RangeWaste> ranges_;
     sim::Bytes required_h2d_ = 0;
     sim::Bytes required_d2h_ = 0;

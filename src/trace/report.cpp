@@ -1,7 +1,9 @@
 #include "trace/report.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 
 #include "sim/logging.hpp"
 
@@ -59,10 +61,8 @@ void
 Table::writeCsv(const std::string &path) const
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        sim::warn("Table::writeCsv: cannot open " + path);
-        return;
-    }
+    if (!f)
+        sim::fatal("cannot write " + path + ": " + std::strerror(errno));
     auto write_row = [&](const std::vector<std::string> &cells) {
         for (std::size_t i = 0; i < cells.size(); ++i)
             std::fprintf(f, "%s%s", i ? "," : "", cells[i].c_str());
@@ -71,7 +71,12 @@ Table::writeCsv(const std::string &path) const
     write_row(header_);
     for (const auto &r : rows_)
         write_row(r);
-    std::fclose(f);
+    // A write error sticks to the stream; fclose reports one that
+    // only the final flush meets.
+    bool failed = std::ferror(f) != 0;
+    failed |= std::fclose(f) != 0;
+    if (failed)
+        sim::fatal("cannot write " + path + ": " + std::strerror(errno));
 }
 
 std::string

@@ -31,7 +31,9 @@ class Table
     /** Render to stdout with aligned columns. */
     void print() const;
 
-    /** Append as CSV to @p path (creating it with the header). */
+    /** Write as CSV to @p path (replacing it), header first.
+     *  @throws sim::FatalError naming @p path if it cannot be
+     *          opened, written or closed. */
     void writeCsv(const std::string &path) const;
 
   private:

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the hot-path pooling primitives (sim/arena.hpp): the slab
- * Arena and the inline-storage SmallVec.
+ * Arena, the inline-storage SmallVec and the index-addressed Pool.
  */
 
 #include <cstdint>
@@ -94,6 +94,64 @@ TEST(Arena, CreateForwardsConstructorArguments)
     Init *p = arena.create(41);
     EXPECT_EQ(p->x, 41);
     arena.destroy(p);
+}
+
+TEST(Pool, ReferencesStayValidAcrossChunkGrowth)
+{
+    // Chunks of 4: 100 allocations add 25 chunks, and neither the
+    // address nor the value of any earlier object moves.
+    sim::Pool<Pod, 2> pool;
+    std::uint32_t first = pool.alloc();
+    Pod &ref = pool[first];
+    ref.a = 0xfeed;
+    std::vector<Pod *> addrs{&ref};
+    for (std::uint32_t i = 1; i < 100; ++i) {
+        std::uint32_t idx = pool.alloc();
+        EXPECT_EQ(idx, i);  // indices are handed out densely
+        pool[idx].a = i;
+        addrs.push_back(&pool[idx]);
+    }
+    EXPECT_EQ(&pool[first], &ref);
+    EXPECT_EQ(ref.a, 0xfeedu);
+    for (std::uint32_t i = 1; i < 100; ++i) {
+        EXPECT_EQ(&pool[i], addrs[i]);
+        EXPECT_EQ(pool[i].a, i);
+    }
+}
+
+TEST(Pool, FreedIndicesAreReusedFirst)
+{
+    sim::Pool<Pod, 2> pool;
+    for (int i = 0; i < 6; ++i)
+        pool.alloc();
+    Pod *four = &pool[4];
+    pool.release(1);
+    pool.release(4);
+    // Last freed first, in place; a fresh index only once none is
+    // left.
+    EXPECT_EQ(pool.alloc(), 4u);
+    EXPECT_EQ(&pool[4], four);
+    EXPECT_EQ(pool.alloc(), 1u);
+    EXPECT_EQ(pool.alloc(), 6u);
+}
+
+TEST(Pool, HoldsNonTrivialObjects)
+{
+    // A released object is not destroyed: its owner resets it, and a
+    // heap buffer it spilled into is kept for the next user and freed
+    // with the pool.
+    sim::Pool<sim::SmallVec<std::string, 1>, 1> pool;
+    std::uint32_t i = pool.alloc();
+    pool[i].push_back("a");
+    pool[i].push_back("b");
+    EXPECT_FALSE(pool[i].inlineStorage());
+    pool[i].clear();
+    pool.release(i);
+    std::uint32_t j = pool.alloc();
+    ASSERT_EQ(j, i);
+    EXPECT_TRUE(pool[j].empty());
+    pool[j].push_back("c");
+    EXPECT_EQ(pool[j][0], "c");
 }
 
 TEST(SmallVec, StaysInlineUpToN)

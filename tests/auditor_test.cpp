@@ -537,6 +537,16 @@ class ReferenceAuditor : public uvm::TransferObserver
             closePage(kv.second, /*required=*/false);
     }
 
+    /** Bytes of transfers not yet closed. */
+    sim::Bytes
+    openBytes() const
+    {
+        std::uint64_t pages = 0;
+        for (const auto &kv : open_)
+            pages += kv.second.h2d + kv.second.d2h;
+        return pages * mem::kSmallPageSize;
+    }
+
     sim::Bytes required = 0;
     sim::Bytes redundant = 0;
     sim::Bytes skipped = 0;
@@ -571,6 +581,294 @@ class ReferenceAuditor : public uvm::TransferObserver
 
     std::map<mem::VirtAddr, OpenCount> open_;
 };
+
+/**
+ * An Auditor and a ReferenceAuditor fed the same events, block by
+ * block, compared after every step.  Counts live in the Auditor's
+ * uniform count, in its planes or in both, and each step below moves
+ * them between the two.
+ */
+class AuditorTwin
+{
+  public:
+    AuditorTwin()
+    {
+        mux_.add(&auditor);
+        mux_.add(&ref);
+    }
+
+    void
+    transfer(const VaBlock &block, const PageMask &pages,
+             Direction dir = Direction::kHostToDevice)
+    {
+        mux_.onTransfer(block, pages, dir, TransferCause::kEviction);
+    }
+
+    void
+    access(const VaBlock &block, const PageMask &pages, bool is_read)
+    {
+        mux_.onAccess(block, pages, is_read, !is_read, ProcessorId::gpu(0));
+    }
+
+    void
+    discard(const VaBlock &block, const PageMask &pages)
+    {
+        mux_.onDiscard(block, pages);
+    }
+
+    /** onAccessRun; the reference takes the per-block default. */
+    void
+    run(VaBlock *const *blocks, std::size_t n, bool is_read)
+    {
+        mux_.onAccessRun(blocks, n, is_read, !is_read, ProcessorId::gpu(0));
+    }
+
+    void
+    finalize()
+    {
+        auditor.finalize();
+        ref.finalize();
+    }
+
+    /** Equal required and redundant bytes, and equal open bytes. */
+    void
+    expectMatch(const std::string &label) const
+    {
+        EXPECT_EQ(auditor.requiredTotal(), ref.required) << label;
+        EXPECT_EQ(auditor.redundantTotal(), ref.redundant) << label;
+        EXPECT_EQ(auditor.openBytes(), ref.openBytes()) << label;
+        test::expectAttributionConserved(auditor, label);
+    }
+
+    Auditor auditor;
+    ReferenceAuditor ref;
+
+  private:
+    uvm::ObserverMux mux_;
+};
+
+/** Pages [first, first + n). */
+PageMask
+pageSpan(std::uint32_t first, std::uint32_t n)
+{
+    return uvm::makeMask(first, first + n - 1);
+}
+
+/** A block of @p range at open key @p key with @p valid pages. */
+VaBlock
+makeBlock(uvm::VaRange &range, std::uint64_t key, const PageMask &valid)
+{
+    VaBlock block;
+    block.base = (uvm::VaSpace::kFirstKey + key) * kBigPageSize;
+    block.range = &range;
+    block.setValid(valid);
+    return block;
+}
+
+TEST(AuditorUniformTest, WholeOpensPartialClosesThenWholeCloses)
+{
+    // Whole-block opens before partial opens, and after them; then
+    // partial closes of both directions, then a whole close by each
+    // of the three whole-block closers.
+    uvm::VaRange range{};
+    range.id = 1;
+    range.name = "u";
+    for (bool whole_first : {true, false}) {
+        for (int closer = 0; closer < 3; ++closer) {
+            VaBlock block = makeBlock(range, 5, fullMask());
+            VaBlock *run[] = {&block};
+            const std::string label = "whole_first " +
+                                      std::to_string(whole_first) +
+                                      " closer " + std::to_string(closer);
+            AuditorTwin twin;
+            auto whole = [&] {
+                for (int i = 0; i < 3; ++i)
+                    twin.transfer(block, block.valid);
+                twin.transfer(block, block.valid, Direction::kDeviceToHost);
+            };
+            auto partial = [&] {
+                twin.transfer(block, pageSpan(10, 50));
+                twin.transfer(block, pageSpan(30, 100));
+                twin.transfer(block, pageSpan(0, 4),
+                              Direction::kDeviceToHost);
+            };
+            if (whole_first) {
+                whole();
+                partial();
+            } else {
+                partial();
+                whole();
+            }
+            twin.expectMatch(label + " opened");
+            twin.access(block, pageSpan(0, 20), /*is_read=*/true);
+            twin.expectMatch(label + " read 0-19");
+            twin.access(block, pageSpan(40, 60), /*is_read=*/false);
+            twin.expectMatch(label + " wrote 40-99");
+            // Reopen part of what closed, then close it again.
+            twin.transfer(block, pageSpan(0, 45));
+            twin.access(block, pageSpan(5, 2), /*is_read=*/true);
+            twin.expectMatch(label + " reopened");
+            switch (closer) {
+            case 0:
+                twin.access(block, block.valid, /*is_read=*/true);
+                break;
+            case 1:
+                twin.discard(block, block.valid);
+                break;
+            default:
+                twin.run(run, 1, /*is_read=*/false);
+                break;
+            }
+            twin.expectMatch(label + " closed whole");
+            EXPECT_EQ(twin.auditor.openBytes(), 0u) << label;
+            // The block starts over from nothing.
+            twin.transfer(block, block.valid);
+            twin.access(block, pageSpan(100, 1), /*is_read=*/true);
+            twin.expectMatch(label + " restarted");
+        }
+    }
+}
+
+TEST(AuditorUniformTest, PartialCloseFoldsAUniformCountOfSeventeen)
+{
+    // 17 whole-block opens (five bits) on top of planes that already
+    // hold 3 on pages 0-63 and 1 on pages 64-127, so the fold carries
+    // across existing planes.  Closing any page afterwards must find
+    // its full count: 17 plus what the planes held.
+    uvm::VaRange range{};
+    range.id = 1;
+    range.name = "u";
+    VaBlock block = makeBlock(range, 9, fullMask());
+    AuditorTwin twin;
+    for (int i = 0; i < 3; ++i)
+        twin.transfer(block, pageSpan(0, 64));
+    twin.transfer(block, pageSpan(64, 64));
+    for (int i = 0; i < 17; ++i)
+        twin.transfer(block, block.valid);
+    twin.expectMatch("opened");
+    EXPECT_EQ(twin.ref.max_count, 20u);
+
+    twin.access(block, pageSpan(500, 1), /*is_read=*/true);
+    EXPECT_EQ(twin.auditor.requiredH2d(), 17 * mem::kSmallPageSize);
+    twin.expectMatch("read page 500");
+    twin.access(block, pageSpan(60, 8), /*is_read=*/false);
+    EXPECT_EQ(twin.auditor.redundantH2d(),
+              (4 * 20 + 4 * 18) * mem::kSmallPageSize);
+    twin.expectMatch("wrote pages 60-67");
+    twin.access(block, pageSpan(200, 1), /*is_read=*/true);
+    twin.expectMatch("read page 200");
+    // More whole opens on top of the folded planes, then a partial
+    // and a whole close.
+    for (int i = 0; i < 17; ++i)
+        twin.transfer(block, block.valid);
+    twin.access(block, pageSpan(0, 300), /*is_read=*/true);
+    twin.expectMatch("read pages 0-299");
+    twin.discard(block, block.valid);
+    twin.expectMatch("discarded");
+    EXPECT_EQ(twin.auditor.openBytes(), 0u);
+}
+
+TEST(AuditorUniformTest, ShortLastBlock)
+{
+    // A range whose last block has 226 valid pages: its whole-block
+    // mask is not all 512 pages, and a close with the full mask
+    // covers more than the block holds.
+    uvm::VaRange range{};
+    range.id = 2;
+    range.name = "short";
+    VaBlock blocks[] = {makeBlock(range, 0, fullMask()),
+                        makeBlock(range, 1, pageSpan(0, 226))};
+    VaBlock *run[] = {&blocks[0], &blocks[1]};
+    AuditorTwin twin;
+    for (int i = 0; i < 4; ++i) {
+        for (VaBlock &b : blocks) {
+            twin.transfer(b, b.valid);
+            twin.transfer(b, b.valid, Direction::kDeviceToHost);
+        }
+    }
+    twin.transfer(blocks[1], pageSpan(200, 26));
+    twin.expectMatch("opened");
+    twin.access(blocks[1], pageSpan(0, 100), /*is_read=*/true);
+    twin.expectMatch("read 0-99 of the short block");
+    twin.discard(blocks[1], fullMask());
+    twin.expectMatch("discarded the short block with a full mask");
+    for (VaBlock &b : blocks)
+        twin.transfer(b, b.valid);
+    twin.access(blocks[1], blocks[1].valid, /*is_read=*/false);
+    twin.expectMatch("wrote the short block whole");
+    twin.transfer(blocks[1], blocks[1].valid);
+    twin.run(run, 2, /*is_read=*/true);
+    twin.expectMatch("run over both");
+    EXPECT_EQ(twin.auditor.openBytes(), 0u);
+}
+
+TEST(AuditorUniformTest, WholeMeansTheValidMaskAndAssumesTransfersWithinIt)
+{
+    // The driver moves only valid pages, and this is where the
+    // Auditor relies on it.  A transfer of all 512 pages of a block
+    // with 10 valid pages is a partial transfer, counted page by page
+    // like the reference, and partial closes stay exact.  A whole-block
+    // close returns the running total without masking it with valid,
+    // so it closes the 502 pages outside valid too; the reference
+    // leaves those open.
+    uvm::VaRange range{};
+    range.id = 1;
+    range.name = "u";
+    VaBlock block = makeBlock(range, 3, pageSpan(0, 10));
+    AuditorTwin twin;
+    twin.transfer(block, fullMask());
+    twin.expectMatch("all pages opened");
+    EXPECT_EQ(twin.auditor.openBytes(), 512 * mem::kSmallPageSize);
+    twin.access(block, pageSpan(0, 300), /*is_read=*/true);
+    twin.expectMatch("partial close");
+    twin.discard(block, fullMask());
+    twin.expectMatch("closed with the full mask");
+    EXPECT_EQ(twin.auditor.openBytes(), 0u);
+
+    twin.transfer(block, fullMask());
+    twin.access(block, block.valid, /*is_read=*/true);
+    EXPECT_EQ(twin.auditor.requiredH2d(), (300 + 512) * mem::kSmallPageSize);
+    EXPECT_EQ(twin.ref.required, (300 + 10) * mem::kSmallPageSize);
+    EXPECT_EQ(twin.auditor.openBytes(), 0u);
+}
+
+TEST(AuditorUniformTest, FinalizeAfterMixedHistory)
+{
+    // Blocks left with only a uniform count, only planes, both, a
+    // folded uniform count, nothing, and a short block: finalize()
+    // closes them all as redundant, one dead cycle per open block.
+    uvm::VaRange range{};
+    range.id = 3;
+    range.name = "mixed";
+    std::vector<VaBlock> blocks;
+    for (std::uint64_t k = 0; k < 6; ++k)
+        blocks.push_back(makeBlock(range, 64 * k + k, fullMask()));
+    blocks.push_back(makeBlock(range, 400, pageSpan(0, 7)));
+    AuditorTwin twin;
+    twin.transfer(blocks[0], blocks[0].valid);
+    twin.transfer(blocks[1], pageSpan(3, 9));
+    twin.transfer(blocks[2], blocks[2].valid);
+    twin.transfer(blocks[2], pageSpan(1, 2), Direction::kDeviceToHost);
+    for (int i = 0; i < 5; ++i)
+        twin.transfer(blocks[3], blocks[3].valid);
+    twin.access(blocks[3], pageSpan(0, 256), /*is_read=*/true);
+    twin.transfer(blocks[4], blocks[4].valid);
+    twin.access(blocks[4], blocks[4].valid, /*is_read=*/true);
+    twin.transfer(blocks[5], blocks[5].valid, Direction::kDeviceToHost);
+    twin.access(blocks[5], pageSpan(0, 1), /*is_read=*/false);
+    twin.transfer(blocks[6], blocks[6].valid);
+    twin.transfer(blocks[6], pageSpan(2, 3));
+    twin.expectMatch("before finalize");
+
+    const std::uint64_t cycles = twin.auditor.ranges()[3].dead_cycles;
+    twin.finalize();
+    twin.expectMatch("after finalize");
+    EXPECT_EQ(twin.auditor.openBytes(), 0u);
+    // Blocks 0, 1, 2, 3, 5 and 6 were open; block 4 was not.
+    EXPECT_EQ(twin.auditor.ranges()[3].dead_cycles, cycles + 6);
+    twin.finalize();
+    twin.expectMatch("finalize again");
+}
 
 /**
  * Run @p script with the reference attached beside the scenario's own
@@ -665,6 +963,37 @@ TEST_F(AuditorDifferential, MatchesReferenceOnThrash)
     // exercised, not only the single-plane case.  (The fuzz corpus
     // alone peaks at two open transfers per page.)
     EXPECT_GE(max_count, 17u);
+}
+
+TEST_F(AuditorDifferential, MatchesReferenceOnShortLastBlock)
+{
+    // Buffer a is 5000 KiB: its last block has 226 valid pages, so its
+    // whole-block transfers and closes use a mask that is not all 512
+    // pages.  Its pages collect up to five open transfers per
+    // direction before the closer.
+    const char *closers[] = {
+        "host_read a",
+        "kernel k read a compute 10us",
+        "kernel k write a compute 10us",
+        "discard a eager",
+        "free a",
+        "",
+    };
+    for (const char *closer : closers) {
+        std::string script = "gpu_memory 16MiB\n"
+                             "link pcie4\n"
+                             "alloc a 5000KiB\n"
+                             "alloc b 14MiB\n"
+                             "host_write a\n";
+        for (int i = 0; i < 6; ++i) {
+            script += i % 2 ? "prefetch a gpu\nprefetch a cpu\n"
+                            : "prefetch a gpu\nprefetch b gpu\n";
+        }
+        script += std::string(closer) + "\nsync\n";
+        EXPECT_GE(expectMatchesReference(
+                      script, "closer '" + std::string(closer) + "'"),
+                  5u);
+    }
 }
 
 }  // namespace

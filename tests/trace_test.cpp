@@ -48,6 +48,21 @@ TEST(Report, CsvRoundTrip)
     std::remove(path.c_str());
 }
 
+TEST(Report, CsvIntoMissingDirectoryIsFatal)
+{
+    Table t("test");
+    t.header({"a"});
+    t.row({"1"});
+    const std::string path = "/nonexistent-uvmd-dir/table.csv";
+    try {
+        t.writeCsv(path);
+        FAIL() << "writeCsv into a missing directory returned";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
+}
+
 /** A driver watched by an event recorder and an auditor at once,
  *  through uvm::ObserverMux. */
 class TraceLogTest : public ::testing::Test
