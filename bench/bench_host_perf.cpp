@@ -27,7 +27,9 @@
  *                    same pages on nearly every transfer); wall_ms is
  *                    the fastest of a few repetitions, since a shared
  *                    host can only slow a run down; allocs_per_run is
- *                    the exact number of heap allocations of one run
+ *                    the exact number of heap allocations of one run,
+ *                    evictions_used and evictions_discarded the
+ *                    exact eviction counts of the run
  *   e2e_dl           two Figure 6 cells end to end: ResNet-53 under
  *                    UvmDiscard on PCIe-4 at batch 56 (fits) and 90
  *                    (oversubscribed), the runs whose host time is set
@@ -35,12 +37,16 @@
  *                    fastest of a few repetitions; blocks_walked is
  *                    the exact number of blocks those walks visited
  *                    (whole-range fast paths visit none);
- *                    allocs_per_run the heap allocations per cell
+ *                    allocs_per_run the heap allocations per cell;
+ *                    evictions_used and evictions_discarded summed
+ *                    over both cells
  *   e2e_hashjoin     one full Table 7/8 cell end to end: runHashJoin
  *                    under UvmDiscard at 200% on PCIe-4; wall_ms is
  *                    the fastest of a few repetitions; blocks_walked
  *                    is the exact number of blocks the driver's walks
- *                    visited
+ *                    visited, allocs_per_run the heap allocations of
+ *                    one run, evictions_used and evictions_discarded
+ *                    its eviction counts
  *   e2e_verify       a slice of the CI verify campaign end to end:
  *                    runVerifiedScenario with content checks over
  *                    fuzz seeds 1-50, fault injection off and on; the
@@ -75,8 +81,9 @@
 // Allocation counting: every heap allocation in this binary bumps one
 // relaxed atomic, so the driver_discard stage can report the heap
 // traffic of a warmed steady-state cycle (allocs_per_iter; the gate
-// fails on any increase from 0), e2e_radix and e2e_dl their
-// allocations per run and e2e_verify its allocations per script.
+// fails on any increase from 0), the e2e_radix, e2e_dl and
+// e2e_hashjoin stages their allocations per run and e2e_verify its
+// allocations per script.
 // The counting cost is one relaxed increment per allocation —
 // negligible against malloc itself.
 // ------------------------------------------------------------------
@@ -467,6 +474,9 @@ benchE2eRadix(int reps)
         {"traffic_gb", r.trafficGb()},
         {"redundant_gb", static_cast<double>(r.redundant) / 1e9},
         {"allocs_per_run", static_cast<double>(allocs)},
+        {"evictions_used", static_cast<double>(r.evictions_used)},
+        {"evictions_discarded",
+         static_cast<double>(r.evictions_discarded)},
     };
     return res;
 }
@@ -484,10 +494,14 @@ benchE2eDl(int reps)
     }
     const int batches[] = {56, 90};
     std::uint64_t walked = 0;
+    std::uint64_t evicted_used = 0;
+    std::uint64_t evicted_discarded = 0;
     double checksum = 0.0;
     std::uint64_t allocs = 0;
     for (int i = 0; i < reps; ++i) {
         walked = 0;
+        evicted_used = 0;
+        evicted_discarded = 0;
         checksum = 0.0;
         std::uint64_t allocs_before =
             g_alloc_count.load(std::memory_order_relaxed);
@@ -498,6 +512,8 @@ benchE2eDl(int reps)
                 workloads::System::kUvmDiscard, p,
                 interconnect::LinkSpec::pcie4());
             walked += r.blocks_walked;
+            evicted_used += r.evictions_used;
+            evicted_discarded += r.evictions_discarded;
             checksum += r.throughput;
         }
         double ms = msSince(start);
@@ -510,6 +526,8 @@ benchE2eDl(int reps)
         {"throughput_checksum", checksum},
         {"allocs_per_run",
          static_cast<double>(allocs) / std::size(batches)},
+        {"evictions_used", static_cast<double>(evicted_used)},
+        {"evictions_discarded", static_cast<double>(evicted_discarded)},
     };
     return res;
 }
@@ -522,16 +540,25 @@ benchE2eHashJoin(int reps)
     workloads::HashJoinParams p;
     p.ovsp_ratio = 2.0;
     workloads::RunResult r;
+    std::uint64_t allocs = 0;
     for (int i = 0; i < reps; ++i) {
+        std::uint64_t allocs_before =
+            g_alloc_count.load(std::memory_order_relaxed);
         Clock::time_point start = Clock::now();
         r = workloads::runHashJoin(workloads::System::kUvmDiscard, p,
                                    interconnect::LinkSpec::pcie4());
         double ms = msSince(start);
+        allocs = g_alloc_count.load(std::memory_order_relaxed) -
+                 allocs_before;
         res.wall_ms = i == 0 ? ms : std::min(res.wall_ms, ms);
     }
     res.metrics = {
         {"blocks_walked", static_cast<double>(r.blocks_walked)},
         {"traffic_gb", r.trafficGb()},
+        {"allocs_per_run", static_cast<double>(allocs)},
+        {"evictions_used", static_cast<double>(r.evictions_used)},
+        {"evictions_discarded",
+         static_cast<double>(r.evictions_discarded)},
     };
     return res;
 }

@@ -12,14 +12,16 @@ Gate semantics (docs/performance.md, "Regression gate"):
     mode (`--quick` vs full) — wall times of different modes are not
     comparable.
   - Exact work counters — allocation counts (names starting with
-    `allocs_per_`) and `blocks_walked` — are deterministic counts,
-    not timings: any increase over the baseline fails regardless of
+    `allocs_per_`), `blocks_walked` and the eviction counts (names
+    starting with `evictions_`) — are deterministic counts, not
+    timings: any increase over the baseline fails regardless of
     tolerance (the zero-allocation steady state keeps
     `allocs_per_iter` at 0; `allocs_per_script` catches a return to
     deep-copied backing-store payloads; `allocs_per_run` catches a
     return to a heap node per audited block; `blocks_walked` catches a
     return to per-block walks for fully resident or fully discarded
-    ranges).
+    ranges; `evictions_used` and `evictions_discarded` catch a change
+    of the victims the eviction process picks).
   - Benches present in the baseline but missing from the current run
     fail (a silently-dropped bench is a coverage regression); new
     benches in the current run are ignored (they gate once
@@ -48,7 +50,8 @@ def bench_map(doc):
 
 
 def is_exact_counter(key):
-    return key.startswith("allocs_per_") or key == "blocks_walked"
+    return (key.startswith("allocs_per_") or key == "blocks_walked" or
+            key.startswith("evictions_"))
 
 
 def is_quick(doc):
