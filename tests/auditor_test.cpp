@@ -12,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "cuda/runtime.hpp"
 #include "sim/logging.hpp"
 #include "test_util.hpp"
 #include "trace/auditor.hpp"
@@ -993,6 +994,96 @@ TEST_F(AuditorDifferential, MatchesReferenceOnShortLastBlock)
         EXPECT_GE(expectMatchesReference(
                       script, "closer '" + std::string(closer) + "'"),
                   5u);
+    }
+}
+
+TEST_F(AuditorDifferential, MatchesReferenceOnPartialClosesThroughTheRuntime)
+{
+    // Whole-range prefetches and the evictions they cause open a's
+    // blocks whole (uniform counts).  Then a span from page 100 of
+    // a's first block to page 99 of its second closes part of both,
+    // and pages 20-69 of the first block, which the first close left
+    // open, close next: by a host read, a kernel read or write, or an
+    // eager or lazy discard.  The next round opens whole blocks on
+    // top of the planes those closes left.  The scenario DSL has no
+    // sub-range operands, so this drives the Runtime directly.
+    enum class Closer { kHostRead, kKernel, kDiscard };
+    for (Closer closer : {Closer::kHostRead, Closer::kKernel,
+                          Closer::kDiscard}) {
+        uvm::UvmConfig cfg;
+        cfg.gpu_memory = 8 * sim::kMiB;
+        // A sub-block discard of a fully mapped block is otherwise
+        // ignored (Section 5.4).
+        cfg.partial_discard_splits = true;
+        cuda::Runtime rt(cfg, interconnect::LinkSpec::pcie4());
+        Auditor auditor;
+        ReferenceAuditor ref;
+        uvm::ObserverMux mux;
+        mux.add(&auditor);
+        mux.add(&ref);
+        rt.driver().setObserver(&mux);
+
+        const sim::Bytes a_size = 2 * kBigPageSize;
+        const sim::Bytes b_size = 4 * kBigPageSize;
+        mem::VirtAddr a = rt.mallocManaged(a_size, "a");
+        mem::VirtAddr b = rt.mallocManaged(b_size, "b");
+        rt.hostTouch(a, a_size, AccessKind::kWrite);
+
+        auto kernel = [](uvm::Access access) {
+            cuda::KernelDesc k;
+            k.name = "k";
+            k.accesses = {access};
+            k.compute = sim::microseconds(10);
+            return k;
+        };
+        std::string label;
+        auto expectMatch = [&](const char *step) {
+            rt.synchronize();
+            EXPECT_EQ(auditor.requiredTotal(), ref.required)
+                << label << step;
+            EXPECT_EQ(auditor.redundantTotal(), ref.redundant)
+                << label << step;
+            EXPECT_EQ(auditor.openBytes(), ref.openBytes())
+                << label << step;
+        };
+        const sim::Bytes page = mem::kSmallPageSize;
+        const std::pair<mem::VirtAddr, sim::Bytes> spans[] = {
+            {a + 100 * page, kBigPageSize}, {a + 20 * page, 50 * page}};
+        for (int round = 0; round < 3; ++round) {
+            label = "closer " + std::to_string(int(closer)) + " round " +
+                    std::to_string(round) + ": ";
+            rt.prefetchAsync(a, a_size, ProcessorId::gpu(0));
+            rt.prefetchAsync(b, b_size, ProcessorId::gpu(0));
+            rt.prefetchAsync(a, a_size, ProcessorId::gpu(0));
+            expectMatch("whole opens");
+            ASSERT_GT(auditor.openBytes(), 0u) << label;
+            bool odd = round % 2;
+            for (auto [addr, size] : spans) {
+                switch (closer) {
+                  case Closer::kHostRead:
+                    rt.hostTouch(addr, size, AccessKind::kRead);
+                    break;
+                  case Closer::kKernel:
+                    rt.launch(kernel({addr, size,
+                                      odd ? AccessKind::kWrite
+                                          : AccessKind::kRead}));
+                    break;
+                  case Closer::kDiscard:
+                    rt.discardAsync(addr, size,
+                                    odd ? uvm::DiscardMode::kLazy
+                                        : uvm::DiscardMode::kEager);
+                    break;
+                }
+                expectMatch("partial close");
+            }
+        }
+        label = "closer " + std::to_string(int(closer)) + ": ";
+        rt.launch(kernel({a, a_size, AccessKind::kRead}));
+        expectMatch("whole close");
+        auditor.finalize();
+        ref.finalize();
+        expectMatch("finalize");
+        test::expectAttributionConserved(auditor, label);
     }
 }
 
