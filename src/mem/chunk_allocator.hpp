@@ -89,6 +89,18 @@ class ChunkAllocator
     void freeChunk();
 
     /**
+     * Pass an allocated chunk straight from an evicted block to a new
+     * one: counted as a free and an allocation, without the round
+     * trip through the free queue.
+     */
+    void
+    handOverChunk()
+    {
+        ++stats_[AllocStat::chunk_frees];
+        ++stats_[AllocStat::chunk_allocs];
+    }
+
+    /**
      * Permanently retire one currently-allocated chunk (ECC-style
      * page failure).  The chunk leaves the allocated set and joins
      * the retired set, shrinking usable capacity; it never returns

@@ -22,8 +22,9 @@
  * Implementation is split by concern:
  *   driver.cpp          construction, allocation, stat dumps
  *   transfer_engine.cpp the transfer mechanism (descriptors, engines)
- *   migration.cpp       residency movement in both directions
+ *   migration.cpp       residency movement to and between GPUs
  *   eviction.cpp        free->unused->discarded->used-LRU reclaim order
+ *                       and the device-to-host skip rules
  *   prefetch.cpp        cudaMemPrefetchAsync (incl. lazy re-dirty)
  *   discard.cpp         UvmDiscard / UvmDiscardLazy (Sections 5.1-5.4)
  *   access.cpp          GPU kernel and host access paths (faults)
@@ -38,8 +39,6 @@
 #include <span>
 #include <string>
 #include <vector>
-
-#include <optional>
 
 #include "interconnect/link.hpp"
 #include "mem/backing_store.hpp"
@@ -359,14 +358,6 @@ class UvmDriver
                                  GpuId dst, TransferCause cause,
                                  sim::SimTime start);
 
-    /**
-     * Make @p pages of @p block resident on the CPU, skipping the
-     * transfer of discarded pages (Section 5.3).  Unmaps the GPU
-     * pages; releases the chunk to the unused queue when drained.
-     */
-    sim::SimTime migrateToCpu(VaBlock &block, const PageMask &pages,
-                              TransferCause cause, sim::SimTime start);
-
     /** Zero-fill GPU pages of a block (chunk must exist). */
     sim::SimTime zeroGpuPages(VaBlock &block, const PageMask &pages,
                               GpuId gpu, sim::SimTime start);
@@ -388,6 +379,23 @@ class UvmDriver
     // ---- eviction.cpp ----
 
     /**
+     * Make @p pages of @p block resident on the CPU, skipping the
+     * transfer of discarded pages (Section 5.3).  Unmaps the GPU
+     * pages; releases the chunk to the unused queue when drained.
+     */
+    sim::SimTime migrateToCpu(VaBlock &block, const PageMask &pages,
+                              TransferCause cause, sim::SimTime start);
+
+    /** The Section 5.3 device-to-host rules for @p moving, a
+     *  non-empty set of @p block's GPU-resident pages: unmap, copy
+     *  the live pages, skip the discarded ones, drop the device
+     *  copies.  Leaves queue membership to the caller.  Takes the
+     *  mask by value: callers pass block.resident_gpu, which this
+     *  clears. */
+    sim::SimTime moveToCpu(VaBlock &block, PageMask moving,
+                           TransferCause cause, sim::SimTime start);
+
+    /**
      * Allocate one chunk on @p gpu for @p block, running the eviction
      * process as needed (Section 5.5 order).
      * @return completion time (>= start when eviction did work).
@@ -405,18 +413,19 @@ class UvmDriver
     /** Release the chunk of @p block back to the free queue. */
     void releaseChunk(VaBlock &block);
 
-    /** Move a drained (no GPU-resident pages) chunk to unused. */
-    void chunkToUnused(VaBlock &block);
-
-    /** One eviction step.  @return completion time, or nullopt when
-     *  nothing on this GPU is evictable (memory truly exhausted). */
-    std::optional<sim::SimTime> evictOne(GpuId gpu, sim::SimTime start);
+    /**
+     * One eviction step on GPU @p g: pick the victim in the
+     * Section 5.5 order, tear it down in place (deferred unmap, D2H
+     * of live pages, skipped discarded pages) and unlink it.  The
+     * victim's chunk stays counted as allocated: the caller hands it
+     * to a new block or frees it.  Advances @p t.
+     * @return false when nothing on the GPU is evictable (memory
+     *         truly exhausted).
+     */
+    bool reclaimChunk(GpuState &g, sim::SimTime &t);
 
     /** Pick the used-queue victim per cfg_.eviction_policy. */
-    VaBlock *selectUsedVictim(GpuId gpu);
-
-    /** Fully evict @p block's GPU presence with data transfer. */
-    sim::SimTime evictBlock(VaBlock &block, sim::SimTime start);
+    VaBlock *selectUsedVictim(GpuState &g);
 
     // ---- discard.cpp ----
 

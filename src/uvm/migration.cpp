@@ -2,10 +2,12 @@
  * @file
  * Residency movement between host and device (policy side).
  *
- * The skip rules of Section 5.3 live here: pages marked discarded are
- * never copied over the interconnect — device-to-host moves keep the
- * stale pinned CPU page (or leave the page unpopulated), and
- * host-to-device moves zero-fill a fresh GPU page instead.
+ * The skip rules of Section 5.3 live here and in eviction.cpp: pages
+ * marked discarded are never copied over the interconnect —
+ * host-to-device moves zero-fill a fresh GPU page instead, and
+ * device-to-host moves (migrateToCpu, with the eviction of a used
+ * chunk, in eviction.cpp) keep the stale pinned CPU page or leave the
+ * page unpopulated.
  *
  * No transfer executes here directly: every movement is submitted to
  * the TransferEngine as a structured request, which schedules DMA
@@ -194,60 +196,6 @@ UvmDriver::migrateGpuToGpu(VaBlock &block, const PageMask &pages,
         block.resident_gpu |= live;
         block.gpu_prepared |= live;
     }
-    return t;
-}
-
-sim::SimTime
-UvmDriver::migrateToCpu(VaBlock &block, const PageMask &pages,
-                        TransferCause cause, sim::SimTime start)
-{
-    PageMask moving = pages & block.resident_gpu;
-    if (moving.none())
-        return start;
-
-    GpuId id = block.owner_gpu;
-    sim::SimTime t = unmapFromGpu(block, moving, start);
-
-    PageMask live = moving & ~block.discarded;
-    PageMask skipped = moving & block.discarded;
-
-    if (live.any()) {
-        t = xfer_->submit({&block, live, Direction::kDeviceToHost,
-                           cause, id},
-                          t);
-        backing_.copyPages(block.base, live, CopySlot::kDevice,
-                           CopySlot::kHost);
-        block.cpu_pages_present |= live;
-    }
-
-    // Discarded pages are reclaimed without a transfer (Section 5.3,
-    // first scenario).  Pages with a surviving pinned CPU copy fall
-    // back to that stale copy ("old data values", Section 4.1); pages
-    // without one become unpopulated and will read as zeros.
-    xfer_->skipped(block, skipped, Direction::kDeviceToHost, cause);
-
-    backing_.dropPages(block.base, moving, CopySlot::kDevice);
-
-    block.resident_gpu &= ~moving;
-    block.gpu_prepared &= ~moving;
-    PageMask gained = live | (skipped & block.cpu_pages_present);
-    if (cfg_.bug == BugInjection::kDropEvictedCpuCopy &&
-        cause == TransferCause::kEviction) {
-        // Deliberate verification bug: evicted live pages lose their
-        // CPU residency (data loss the oracle must flag).
-        gained &= ~live;
-    }
-    block.resident_cpu |= gained;
-    // Skipped pages with no CPU copy leave populated() — a later read
-    // zero-fills them on first touch — and shed their discard state
-    // (unpopulated memory is implicitly contentless).  Pages falling
-    // back to a stale CPU copy stay discarded, so a later migration
-    // back to the GPU can skip the transfer again.
-    clearDiscarded(block, skipped & ~block.cpu_pages_present);
-    block.discarded_lazily &= ~moving;
-
-    if (!block.resident_gpu.any() && block.has_gpu_chunk)
-        chunkToUnused(block);
     return t;
 }
 

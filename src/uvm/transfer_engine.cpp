@@ -226,21 +226,6 @@ TransferEngine::applyLinkEvents(sim::SimTime now)
     }
 }
 
-void
-TransferEngine::skipped(const VaBlock &block, const PageMask &pages,
-                        Direction dir, TransferCause cause, bool peer)
-{
-    if (pages.none())
-        return;
-    UvmStat saved = peer ? UvmStat::saved_d2d_bytes
-                    : dir == Direction::kDeviceToHost
-                        ? UvmStat::saved_d2h_bytes
-                        : UvmStat::saved_h2d_bytes;
-    counters_[saved] += block.pagesIn(pages) * mem::kSmallPageSize;
-    if (observer_)
-        observer_->onTransferSkipped(block, pages, dir, cause);
-}
-
 sim::SimTime
 TransferEngine::rawTransfer(GpuId gpu, sim::Bytes bytes,
                             Direction dir, sim::SimTime start)

@@ -109,9 +109,21 @@ class TransferEngine
      * (saved_*_bytes counters + observer).  @p peer marks GPU-to-GPU
      * skips, which account as saved_d2d_bytes.
      */
-    void skipped(const VaBlock &block, const PageMask &pages,
-                 interconnect::Direction dir, TransferCause cause,
-                 bool peer = false);
+    void
+    skipped(const VaBlock &block, const PageMask &pages,
+            interconnect::Direction dir, TransferCause cause,
+            bool peer = false)
+    {
+        if (pages.none())
+            return;
+        UvmStat saved = peer ? UvmStat::saved_d2d_bytes
+                        : dir == interconnect::Direction::kDeviceToHost
+                            ? UvmStat::saved_d2h_bytes
+                            : UvmStat::saved_h2d_bytes;
+        counters_[saved] += block.pagesIn(pages) * mem::kSmallPageSize;
+        if (observer_)
+            observer_->onTransferSkipped(block, pages, dir, cause);
+    }
 
     /**
      * Raw single-descriptor traffic with no va_block identity: the

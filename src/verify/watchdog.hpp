@@ -7,7 +7,7 @@
  *
  *  1. *Livelock inside the simulator*: an eviction/allocation loop
  *     spins without advancing simulated time (e.g. a policy bug where
- *     evictOne keeps picking a victim that frees nothing).  The
+ *     reclaimChunk keeps picking a victim that frees nothing).  The
  *     ProgressMonitor plugs into UvmDriver::setProgressSink and
  *     watches the sim clock from inside those loops; if a loop phase
  *     iterates too many times without the clock moving, it throws a
