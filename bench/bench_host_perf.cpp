@@ -59,16 +59,15 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "cuda/runtime.hpp"
 #include "dl_sweep.hpp"
 #include "sweep_runner.hpp"
@@ -76,78 +75,6 @@
 #include "verify/verified_run.hpp"
 #include "workloads/hash_join.hpp"
 #include "workloads/radix_sort.hpp"
-
-// ------------------------------------------------------------------
-// Allocation counting: every heap allocation in this binary bumps one
-// relaxed atomic, so the driver_discard stage can report the heap
-// traffic of a warmed steady-state cycle (allocs_per_iter; the gate
-// fails on any increase from 0), the e2e_radix, e2e_dl and
-// e2e_hashjoin stages their allocations per run and e2e_verify its
-// allocations per script.
-// The counting cost is one relaxed increment per allocation —
-// negligible against malloc itself.
-// ------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void *
-operator new(std::size_t size, std::align_val_t align)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    std::size_t a = static_cast<std::size_t>(align);
-    std::size_t rounded = ((size ? size : 1) + a - 1) / a * a;
-    if (void *p = std::aligned_alloc(a, rounded))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size, std::align_val_t align)
-{
-    return ::operator new(size, align);
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
@@ -250,10 +177,12 @@ benchMaskOps(int iters)
     double count_ms = msSince(t0);
 
     t0 = Clock::now();
+    acc = 0;
     for (int i = 0; i < iters; ++i) {
         std::uint32_t first = static_cast<std::uint32_t>(i) % 256;
-        sink += uvm::makeMask(first, first + 255).count();
+        acc += uvm::makeMask(first, first + 255).count();
     }
+    sink = acc;
     double make_ms = msSince(t0);
     (void)sink;
 
@@ -351,14 +280,12 @@ benchDriverDiscard(int cycles)
         t = drv.discard(base, size, uvm::DiscardMode::kEager, t);
         t = drv.prefetch(base, size, uvm::ProcessorId::gpu(0), t);
     }
-    std::uint64_t allocs_before =
-        g_alloc_count.load(std::memory_order_relaxed);
+    std::uint64_t allocs_before = heapAllocations();
     for (int i = 0; i < cycles; ++i) {
         t = drv.discard(base, size, uvm::DiscardMode::kEager, t);
         t = drv.prefetch(base, size, uvm::ProcessorId::gpu(0), t);
     }
-    std::uint64_t allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+    std::uint64_t allocs = heapAllocations() - allocs_before;
 
     res.wall_ms = msSince(start);
     res.metrics = {
@@ -460,14 +387,12 @@ benchE2eRadix(int reps)
     workloads::RunResult r;
     std::uint64_t allocs = 0;
     for (int i = 0; i < reps; ++i) {
-        std::uint64_t allocs_before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        std::uint64_t allocs_before = heapAllocations();
         Clock::time_point start = Clock::now();
         r = workloads::runRadixSort(workloads::System::kUvmOpt, p,
                                     interconnect::LinkSpec::pcie4());
         double ms = msSince(start);
-        allocs = g_alloc_count.load(std::memory_order_relaxed) -
-                 allocs_before;
+        allocs = heapAllocations() - allocs_before;
         res.wall_ms = i == 0 ? ms : std::min(res.wall_ms, ms);
     }
     res.metrics = {
@@ -503,8 +428,7 @@ benchE2eDl(int reps)
         evicted_used = 0;
         evicted_discarded = 0;
         checksum = 0.0;
-        std::uint64_t allocs_before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        std::uint64_t allocs_before = heapAllocations();
         Clock::time_point start = Clock::now();
         for (int batch : batches) {
             p.batch_size = batch;
@@ -517,8 +441,7 @@ benchE2eDl(int reps)
             checksum += r.throughput;
         }
         double ms = msSince(start);
-        allocs = g_alloc_count.load(std::memory_order_relaxed) -
-                 allocs_before;
+        allocs = heapAllocations() - allocs_before;
         res.wall_ms = i == 0 ? ms : std::min(res.wall_ms, ms);
     }
     res.metrics = {
@@ -542,14 +465,12 @@ benchE2eHashJoin(int reps)
     workloads::RunResult r;
     std::uint64_t allocs = 0;
     for (int i = 0; i < reps; ++i) {
-        std::uint64_t allocs_before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        std::uint64_t allocs_before = heapAllocations();
         Clock::time_point start = Clock::now();
         r = workloads::runHashJoin(workloads::System::kUvmDiscard, p,
                                    interconnect::LinkSpec::pcie4());
         double ms = msSince(start);
-        allocs = g_alloc_count.load(std::memory_order_relaxed) -
-                 allocs_before;
+        allocs = heapAllocations() - allocs_before;
         res.wall_ms = i == 0 ? ms : std::min(res.wall_ms, ms);
     }
     res.metrics = {
@@ -577,8 +498,7 @@ benchE2eVerify(int reps)
     std::uint64_t allocs = 0;
     for (int i = 0; i < reps; ++i) {
         checks = 0;
-        std::uint64_t allocs_before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        std::uint64_t allocs_before = heapAllocations();
         Clock::time_point start = Clock::now();
         for (const std::string &script : scripts) {
             verify::VerifyResult r = verify::runVerifiedScenario(script);
@@ -591,8 +511,7 @@ benchE2eVerify(int reps)
             checks += r.checks;
         }
         double ms = msSince(start);
-        allocs = g_alloc_count.load(std::memory_order_relaxed) -
-                 allocs_before;
+        allocs = heapAllocations() - allocs_before;
         res.wall_ms = i == 0 ? ms : std::min(res.wall_ms, ms);
     }
     res.metrics = {
