@@ -34,9 +34,9 @@
 #      taken with on every host; it is gated against the committed
 #      BENCH_baseline.json by scripts/perf_gate.py (throughput and
 #      wall-clock within a tolerance band; the exact work counters,
-#      every allocs_per_* count and blocks_walked, may never
-#      increase; UVMD_PERF_STRICT=0 downgrades the gate to
-#      report-only for noisy machines); then one table sweep runs
+#      every allocs_per_* count, blocks_walked and the evictions_*
+#      counts, may never increase; UVMD_PERF_STRICT=0 downgrades the
+#      gate to report-only for noisy machines); then one table sweep runs
 #      serial and parallel with the CSVs asserted bit-identical (the
 #      --jobs determinism contract, docs/performance.md).
 #

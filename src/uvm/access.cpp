@@ -48,14 +48,90 @@ UvmDriver::gpuAccess(GpuId id, const std::vector<Access> &accesses,
                                        ProcessorId::gpu(id));
             continue;
         }
-        SummaryWalk walk(*this, range, id);
+        if (range) {
+            t = faultRange(*range, a.kind, id, t, &batch_fill);
+            continue;
+        }
         walkBlocks(a.addr, a.size, [&](VaBlock &b, const PageMask &m) {
             t = gpuTouchBlock(b, m, a.kind, id, t, &batch_fill);
-            walk.check(b);
         });
-        walk.finish();
     }
     return t;
+}
+
+sim::SimTime
+UvmDriver::faultRange(VaRange &range, AccessKind kind, GpuId id,
+                      sim::SimTime start, std::uint32_t *batch_fill)
+{
+    // The walk over whole blocks, without the walk.  Most blocks of a
+    // range evicted since its last use are fillable; unless advised
+    // to stay on the host (served remotely by gpuTouchBlock), each
+    // faults, takes a chunk and is filled.  The rest take the walk's
+    // per-block body.
+    SummaryWalk walk(*this, &range, id);
+    auto bit = static_cast<std::uint8_t>(1u << id);
+    sim::SimTime t = start;
+    for (VaBlock *b : range.blocks) {
+        if (!b->fillable() || b->prefer_cpu || (b->accessed_by & bit)) {
+            t = gpuTouchBlock(*b, b->valid, kind, id, t, batch_fill);
+        } else {
+            t = chargeFault(b->valid_pages, batch_fill, t);
+            try {
+                t = allocChunk(*b, id, t);
+                // allocChunk queued the block at the used queue's MRU
+                // end and its setQueue dropped the summary, so neither
+                // a requeue nor a recency touch follows.
+                t = fillBlockToGpu(*b, id, TransferCause::kGpuFault, t);
+                notifyAccess(*b, b->valid, kind, ProcessorId::gpu(id));
+            } catch (const GpuOomError &) {
+                t = oomRemoteTouch(*b, b->valid, kind, id, t);
+            }
+        }
+        walk.check(*b);
+    }
+    walk.finish();
+    return t;
+}
+
+sim::SimTime
+UvmDriver::chargeFault(std::uint32_t pages, std::uint32_t *batch_fill,
+                       sim::SimTime start)
+{
+    // The block's faults enter the replayable fault buffer; a fresh
+    // batch pays the drain/dedup/replay overhead once.
+    sim::SimTime t = start;
+    if (*batch_fill == 0) {
+        ++counters_[UvmStat::gpu_fault_batches];
+        t += cfg_.gpu_fault_cost;
+    }
+    if (++*batch_fill >= cfg_.fault_batch_capacity)
+        *batch_fill = 0;
+    ++counters_[UvmStat::gpu_faulted_blocks];
+    counters_[UvmStat::gpu_faulted_pages] += pages;
+    return t + cfg_.gpu_fault_service + cfg_.gpu_fault_stall;
+}
+
+sim::SimTime
+UvmDriver::oomRemoteTouch(VaBlock &block, const PageMask &m,
+                          AccessKind kind, GpuId id, sim::SimTime start)
+{
+    // Only a fully host-side block can be remote-served.
+    if (!cfg_.faults.oom_remote_fallback || block.has_gpu_chunk)
+        throw;
+    sim::SimTime t = start;
+    PageMask unpop = m & ~block.populated();
+    if (unpop.any()) {
+        // First touch under exhaustion: zero-filled host pages.
+        zeroFillOnCpu(block, unpop);
+        t += cfg_.cpu_fault_cost;
+    }
+    clearDiscarded(block, m);
+    block.discarded_lazily &= ~m;
+    ++counters_[UvmStat::oom_fallbacks];
+    if (observer_)
+        observer_->onFault(FaultEvent::kOomFallback, block.base,
+                           block.pagesIn(m));
+    return remoteTouchBlock(block, m, kind, id, t);
 }
 
 sim::SimTime
@@ -101,17 +177,7 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
         return t;
     }
 
-    // The block's faults enter the replayable fault buffer; a fresh
-    // batch pays the drain/dedup/replay overhead once.
-    if (*batch_fill == 0) {
-        ++counters_[UvmStat::gpu_fault_batches];
-        t += cfg_.gpu_fault_cost;
-    }
-    if (++*batch_fill >= cfg_.fault_batch_capacity)
-        *batch_fill = 0;
-    ++counters_[UvmStat::gpu_faulted_blocks];
-    counters_[UvmStat::gpu_faulted_pages] += block.pagesIn(faulting);
-    t += cfg_.gpu_fault_service + cfg_.gpu_fault_stall;
+    t = chargeFault(block.pagesIn(faulting), batch_fill, t);
 
     PageMask missing = m & ~resident_here;
     if (missing.any()) {
@@ -119,26 +185,7 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
             t = migrateToGpu(block, missing, id,
                              TransferCause::kGpuFault, t);
         } catch (const GpuOomError &) {
-            // Section 2.3 degradation: when configured, an exhausted
-            // GPU serves the access in place from host-resident pages
-            // instead of failing the kernel.  Only a fully host-side
-            // block can be remote-served; otherwise the error
-            // propagates to the runtime as cudaErrorMemoryAllocation.
-            if (!cfg_.faults.oom_remote_fallback || block.has_gpu_chunk)
-                throw;
-            PageMask unpop = m & ~block.populated();
-            if (unpop.any()) {
-                // First touch under exhaustion: zero-filled host pages.
-                zeroFillOnCpu(block, unpop);
-                t += cfg_.cpu_fault_cost;
-            }
-            clearDiscarded(block, m);
-            block.discarded_lazily &= ~m;
-            ++counters_[UvmStat::oom_fallbacks];
-            if (observer_)
-                observer_->onFault(FaultEvent::kOomFallback,
-                                   block.base, block.pagesIn(m));
-            return remoteTouchBlock(block, m, kind, id, t);
+            return oomRemoteTouch(block, m, kind, id, t);
         }
     }
 

@@ -358,6 +358,13 @@ class UvmDriver
                                  GpuId dst, TransferCause cause,
                                  sim::SimTime start);
 
+    /** The rest of a fill (VaBlock::fillable) once allocChunk has
+     *  given @p block its chunk on @p gpu: the H2D copy of the host
+     *  pages or the zero-fill of unpopulated ones, the residency
+     *  update and the 2 MB map. */
+    sim::SimTime fillBlockToGpu(VaBlock &block, GpuId gpu,
+                                TransferCause cause, sim::SimTime start);
+
     /** Zero-fill GPU pages of a block (chunk must exist). */
     sim::SimTime zeroGpuPages(VaBlock &block, const PageMask &pages,
                               GpuId gpu, sim::SimTime start);
@@ -449,13 +456,6 @@ class UvmDriver
     sim::SimTime prefetchBlockToGpu(VaBlock &block, const PageMask &pages,
                                     GpuId gpu, sim::SimTime start);
 
-    /** prefetchBlockToGpu of a whole chunkless @p block that is wholly
-     *  unpopulated or wholly live on the host (none discarded): the
-     *  same steps, with the residency update and the map written
-     *  for that case instead of in mask arithmetic. */
-    sim::SimTime fillBlockToGpu(VaBlock &block, GpuId gpu,
-                                sim::SimTime start);
-
     /** A prefetch is a hint: under the configured remote-access
      *  fallback a GPU too exhausted to take chunkless @p block skips
      *  it (the later access is served in place).  Counts and reports
@@ -469,8 +469,8 @@ class UvmDriver
 
     /** Any other GPU prefetch of a whole range (the oversubscribed
      *  refill): the walk's per-block work in a loop over
-     *  `range.blocks`, with fillBlockToGpu for the blocks it covers.
-     *  May leave the range residentOn @p gpu. */
+     *  `range.blocks`, with allocChunk and fillBlockToGpu for the
+     *  fillable blocks.  May leave the range residentOn @p gpu. */
     sim::SimTime refillRange(VaRange &range, GpuId gpu,
                              sim::SimTime start);
 
@@ -483,6 +483,32 @@ class UvmDriver
                                AccessKind kind, GpuId gpu,
                                sim::SimTime start,
                                std::uint32_t *batch_fill);
+
+    /** A kernel access to a whole range that is not residentOn
+     *  @p gpu (the fault-driven refill): the walk's per-block work in
+     *  a loop over `range.blocks`, with the fault charge, allocChunk
+     *  and fillBlockToGpu for the fillable blocks not advised to stay
+     *  on the host.  May leave the range residentOn @p gpu. */
+    sim::SimTime faultRange(VaRange &range, AccessKind kind, GpuId gpu,
+                            sim::SimTime start,
+                            std::uint32_t *batch_fill);
+
+    /** One faulting block's share of the kernel's fault buffer: a
+     *  fresh batch's drain cost, then the per-block service and SM
+     *  stall for its @p pages faulting pages. */
+    sim::SimTime chargeFault(std::uint32_t pages,
+                             std::uint32_t *batch_fill,
+                             sim::SimTime start);
+
+    /** Section 2.3 degradation, called while a GpuOomError from the
+     *  migration of @p block is being handled: with
+     *  oom_remote_fallback set and no chunk on the block, the access
+     *  is served in place from host pages (first-touch pages are
+     *  zero-filled there).  Otherwise rethrows the error, which
+     *  reaches the runtime as cudaErrorMemoryAllocation. */
+    sim::SimTime oomRemoteTouch(VaBlock &block, const PageMask &pages,
+                                AccessKind kind, GpuId gpu,
+                                sim::SimTime start);
 
     // ---- advise.cpp ----
 

@@ -115,6 +115,36 @@ UvmDriver::migrateToGpu(VaBlock &block, const PageMask &pages,
 }
 
 sim::SimTime
+UvmDriver::fillBlockToGpu(VaBlock &b, GpuId id, TransferCause cause,
+                          sim::SimTime start)
+{
+    // The steps migrateToGpu and mapOnGpu take for a fillable block
+    // with a fresh chunk, less the ones that are no-ops for it.
+    // RangeSummaryDifferential holds the fill to the same state,
+    // events, costs and counters as the per-block paths.
+    sim::SimTime t;
+    if (b.resident_cpu.any()) {
+        t = copyToGpu(b, b.valid, id, cause, start);
+    } else {
+        t = unmapFromCpu(b, b.valid, start);
+        t = zeroGpuPages(b, b.valid, id, t);
+    }
+    // The residency update and the map as whole-mask assignments:
+    // calling the general code here instead gave back about half of
+    // the refill loop's measured gain (docs/performance.md, hot-path
+    // item 11).
+    b.resident_cpu.reset();
+    b.resident_gpu = b.valid;
+    b.remote_mapped = 0;
+    b.mapped_gpu = b.valid;
+    b.gpu_mapping_big = true;
+    ++counters_[UvmStat::gpu_map_ops];
+    if (observer_)
+        observer_->onMap(b, b.valid, ProcessorId::gpu(id));
+    return t + cfg_.gpu_map_cost;
+}
+
+sim::SimTime
 UvmDriver::copyToGpu(VaBlock &block, const PageMask &pages, GpuId id,
                      TransferCause cause, sim::SimTime start)
 {

@@ -185,60 +185,30 @@ UvmDriver::rearmDiscardedRange(VaRange &range, sim::SimTime start)
 }
 
 sim::SimTime
-UvmDriver::fillBlockToGpu(VaBlock &b, GpuId id, sim::SimTime start)
-{
-    // The steps migrateToGpu and prefetchBlockToGpu take for such a
-    // block, less the ones that are no-ops for it: nothing to re-arm,
-    // and allocChunk queues the block at the MRU end, so neither a
-    // requeue nor a recency touch follows.  RangeSummaryDifferential
-    // holds the two paths to the same state, events, costs and
-    // counters.
-    sim::SimTime t = start;
-    try {
-        t = allocChunk(b, id, t);
-    } catch (const GpuOomError &) {
-        if (!prefetchSkipsOom(b, b.valid_pages))
-            throw;
-        return t;
-    }
-    if (b.resident_cpu.any()) {
-        t = copyToGpu(b, b.valid, id, TransferCause::kPrefetch, t);
-    } else {
-        t = unmapFromCpu(b, b.valid, t);
-        t = zeroGpuPages(b, b.valid, id, t);
-    }
-    // migrateToGpu's residency update and mapOnGpu's map, written out
-    // for a block with no GPU page, no discarded page and no GPU
-    // mapping.  Calling the general code here instead gave back about
-    // half of this path's measured gain (docs/performance.md, hot-path
-    // item 11).
-    b.resident_cpu.reset();
-    b.resident_gpu = b.valid;
-    b.remote_mapped = 0;
-    counters_[UvmStat::prefetch_migrated_pages] += b.valid_pages;
-    b.mapped_gpu = b.valid;
-    b.gpu_mapping_big = true;
-    ++counters_[UvmStat::gpu_map_ops];
-    if (observer_)
-        observer_->onMap(b, b.valid, ProcessorId::gpu(id));
-    return t + cfg_.gpu_map_cost;
-}
-
-sim::SimTime
 UvmDriver::refillRange(VaRange &range, GpuId id, sim::SimTime start)
 {
     // The walk in prefetch() over whole blocks, without the walk.
-    // Most blocks of an evicted range have no chunk and are either
-    // unpopulated or live on the host; they take fillBlockToGpu, the
-    // rest the walk's per-block body.
+    // Most blocks of an evicted range are fillable: they take a chunk
+    // and are filled, the rest take the walk's per-block body.
+    // prefetchBlockToGpu's requeue and recency touch are no-ops for a
+    // filled block: allocChunk queued it at the used queue's MRU end.
     TransferEngine::BatchScope batch(*xfer_);
     SummaryWalk walk(*this, &range, id);
     sim::SimTime t = start;
     for (VaBlock *b : range.blocks) {
-        bool fill = !b->has_gpu_chunk && b->discarded.none() &&
-                    (b->resident_cpu.none() || b->resident_cpu == b->valid);
-        t = fill ? fillBlockToGpu(*b, id, t)
-                 : prefetchBlockToGpu(*b, b->valid, id, t);
+        if (!b->fillable()) {
+            t = prefetchBlockToGpu(*b, b->valid, id, t);
+        } else {
+            try {
+                t = allocChunk(*b, id, t);
+                t = fillBlockToGpu(*b, id, TransferCause::kPrefetch, t);
+                counters_[UvmStat::prefetch_migrated_pages] +=
+                    b->valid_pages;
+            } catch (const GpuOomError &) {
+                if (!prefetchSkipsOom(*b, b->valid_pages))
+                    throw;
+            }
+        }
         walk.check(*b);
     }
     walk.finish();

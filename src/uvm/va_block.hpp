@@ -192,6 +192,17 @@ struct VaBlock {
         return resident_gpu.any() && (resident_gpu & ~discarded).none();
     }
 
+    /** A migration of the whole block to a GPU is a fill: no chunk,
+     *  nothing discarded, and the valid pages all unpopulated or all
+     *  live on the host.  It allocates a chunk, then copies or zeroes
+     *  every valid page (UvmDriver::fillBlockToGpu). */
+    bool
+    fillable() const
+    {
+        return !has_gpu_chunk && discarded.none() &&
+               (resident_cpu.none() || resident_cpu == valid);
+    }
+
     /** Section 5.7: chunk fully prepared? */
     bool
     fullyPrepared() const

@@ -14,13 +14,14 @@
  *  - Differential order test: one driver receives whole-range
  *    accesses, prefetches and discards (and so takes the fast paths);
  *    a second receives the same operations split per block, which
- *    never can.  Partial-range operations go to both.  After every
- *    operation the three page queues must list the same blocks in
- *    the same order; every block must have the same residency,
- *    mapping, preparation and discard masks; every counter that does
- *    not count calls or walk steps must match; both drivers must
- *    have reported the same observer events; and, when no bytes
- *    moved, the operation must have taken the same simulated time.
+ *    never can.  Partial-range operations and memAdvise hints go to
+ *    both.  After every operation the three page queues must list
+ *    the same blocks in the same order; every block must have the
+ *    same residency, mapping, preparation, discard and remote-access
+ *    state; every counter that does not count calls or walk steps
+ *    must match; both drivers must have reported the same observer
+ *    events; and, when no bytes moved, the operation must have taken
+ *    the same simulated time.
  *    A summary left stale by a missing clear splices the wrong
  *    segment or re-arms blocks that are not discarded, and shows up
  *    here as a reordered queue, a mask, count or event mismatch.
@@ -29,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/page_queues.hpp"
@@ -393,6 +395,8 @@ expectSameState(UvmDriver &whole, UvmDriver &split, int gpus,
         EXPECT_EQ(w.mapped_gpu, s.mapped_gpu) << at;
         EXPECT_EQ(w.gpu_mapping_big, s.gpu_mapping_big) << at;
         EXPECT_EQ(w.remote_mapped, s.remote_mapped) << at;
+        EXPECT_EQ(w.remote_access_count, s.remote_access_count) << at;
+        EXPECT_EQ(w.counter_migrated, s.counter_migrated) << at;
         EXPECT_EQ(w.gpu_prepared, s.gpu_prepared) << at;
         EXPECT_EQ(w.discarded, s.discarded) << at;
         EXPECT_EQ(w.discarded_lazily, s.discarded_lazily) << at;
@@ -547,8 +551,8 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
             GpuId g = static_cast<GpuId>(rng.below(cfg.num_gpus));
             std::string where = "seed " + std::to_string(seed) + " op " +
                                 std::to_string(op);
-            int pick = static_cast<int>(rng.below(12));
-            if (pick >= 9) {
+            int pick = static_cast<int>(rng.below(13));
+            if (pick >= 10) {
                 // The DL trainer's cycle: discard a dead buffer, re-arm
                 // it with a prefetch, then the next kernel uses it.
                 step(where + " discard",
@@ -604,6 +608,13 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
                         tw = whole.hostAccess(s.addr, s.size, kind, tw);
                         ts = split.hostAccess(s.addr, s.size, kind, ts);
                         store(s.addr, kind);
+                        break;
+                      }
+                      case 9: {  // hint, whole range or partial, to both
+                        Span s = rng.below(2) ? r : subSpan(r);
+                        auto advice = static_cast<MemAdvise>(rng.below(4));
+                        whole.memAdvise(s.addr, s.size, advice, g);
+                        split.memAdvise(s.addr, s.size, advice, g);
                         break;
                       }
                     }
@@ -698,6 +709,140 @@ TEST_F(RangeSummaryTest, OversubscribedRefillWalksNothing)
     EXPECT_EQ(drv_.peekValue<int>(a + 4 * kBigPageSize), 0);
     drv_.setObserver(nullptr);
     split.setObserver(nullptr);
+}
+
+/** Records each step the driver's retry loops report. */
+class StepRecorder : public sim::ProgressSink
+{
+  public:
+    void
+    onStep(const char *phase, sim::SimTime now) override
+    {
+        steps.emplace_back(phase, now);
+    }
+
+    std::vector<std::pair<std::string, sim::SimTime>> steps;
+};
+
+// The fault-driven refill: a whole-range kernel access into a full
+// GPU, over host-resident and unpopulated blocks, evicting discarded
+// and used victims on the way, walks no block and leaves the same
+// state, events, retry-loop steps and time as the same kernel with
+// its access split per block.
+TEST_F(RangeSummaryTest, OversubscribedFaultFillWalksNothing)
+{
+    struct Case {
+        const char *name;
+        std::uint64_t chunks;  ///< GPU capacity
+        bool victims;    ///< GPU filled with used, then discarded blocks
+        bool exhausted;  ///< every chunk reserved: nothing to allocate
+        bool fallback;   ///< oom_remote_fallback
+        int blocks;      ///< blocks of the range; the last holds one page
+        int prefer_cpu;  ///< index of a prefer_cpu block, or -1
+        bool resident;   ///< the range ends residentOn(0)
+    };
+    const Case cases[] = {
+        {"fits", 8, true, false, false, 6, -1, true},
+        // Evicts its own first blocks: the summary must stay unset.
+        {"larger than the GPU", 4, true, false, false, 6, -1, false},
+        {"prefer_cpu block", 8, true, false, false, 6, 1, false},
+        {"exhausted, remote fallback", 4, false, true, true, 4, -1,
+         false},
+        {"exhausted, error", 4, false, true, false, 4, -1, false},
+    };
+    constexpr int kHostBlocks = 3;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        UvmConfig cfg = test::tinyConfig(c.chunks);
+        cfg.faults.enabled = c.exhausted;
+        cfg.faults.oom_remote_fallback = c.fallback;
+        UvmDriver whole(cfg, test::testLink());
+        UvmDriver split(cfg, test::testLink());
+        sim::Bytes size = (c.blocks - 1) * kBigPageSize + kSmallPageSize;
+        mem::VirtAddr a = 0;
+        sim::SimTime t0 = 0;
+        for (UvmDriver *d : {&whole, &split}) {
+            sim::SimTime t = 0;
+            if (c.exhausted)
+                d->reserveGpuMemory(0, c.chunks * kBigPageSize);
+            if (c.victims) {
+                sim::Bytes half = c.chunks / 2 * kBigPageSize;
+                mem::VirtAddr used = d->allocManaged(half, "used");
+                mem::VirtAddr dead = d->allocManaged(half, "dead");
+                t = d->prefetch(used, half, ProcessorId::gpu(0), t);
+                t = d->prefetch(dead, half, ProcessorId::gpu(0), t);
+                t = d->discard(dead, half, DiscardMode::kEager, t);
+            }
+            // The first blocks live on the host, the rest were never
+            // populated.
+            a = d->allocManaged(size, "target");
+            t = d->hostAccess(a, kHostBlocks * kBigPageSize,
+                              AccessKind::kWrite, t);
+            for (int i = 0; i < kHostBlocks; ++i)
+                d->pokeValue<int>(a + i * kBigPageSize + 8, 100 + i);
+            if (c.prefer_cpu >= 0)
+                d->memAdvise(a + c.prefer_cpu * kBigPageSize,
+                             kBigPageSize,
+                             MemAdvise::kSetPreferredLocationCpu, 0);
+            t0 = t;
+        }
+        ASSERT_EQ(whole.allocator().freeChunks(), 0u);
+
+        EventRecorder ew, es;
+        StepRecorder pw, ps;
+        whole.setObserver(&ew);
+        split.setObserver(&es);
+        whole.setProgressSink(&pw);
+        split.setProgressSink(&ps);
+        std::vector<Access> per_block;
+        for (mem::VirtAddr b = a; b < a + size; b += kBigPageSize)
+            per_block.push_back(
+                {b, std::min<sim::Bytes>(kBigPageSize, a + size - b),
+                 AccessKind::kReadWrite});
+        std::uint64_t walked_before = whole.counters().get("blocks_walked");
+        sim::SimTime tw = t0, ts = t0;
+        bool threw = false;
+        try {
+            tw = whole.gpuAccess(0, {{a, size, AccessKind::kReadWrite}},
+                                 t0);
+        } catch (const GpuOomError &) {
+            threw = true;
+        }
+        if (threw) {
+            EXPECT_THROW(split.gpuAccess(0, per_block, t0), GpuOomError);
+        } else {
+            ts = split.gpuAccess(0, per_block, t0);
+        }
+        EXPECT_EQ(threw, c.exhausted && !c.fallback);
+        EXPECT_EQ(whole.counters().get("blocks_walked"), walked_before);
+        EXPECT_EQ(tw, ts);
+        EXPECT_EQ(pw.steps, ps.steps);
+        expectSameState(whole, split, 1, c.name);
+        expectSameEvents(ew, es, c.name);
+
+        EXPECT_EQ(whole.vaSpace().rangeOf(a)->residentOn(0), c.resident);
+        for (int i = 0; i < kHostBlocks; ++i)
+            EXPECT_EQ(whole.peekValue<int>(a + i * kBigPageSize + 8),
+                      100 + i);
+        if (c.victims) {
+            EXPECT_GT(whole.counters().get("evictions_discarded"), 0u);
+            EXPECT_GT(whole.counters().get("evictions_used"), 0u);
+        }
+        if (c.prefer_cpu >= 0) {
+            const VaBlock *b =
+                whole.vaSpace().blockOf(a + c.prefer_cpu * kBigPageSize);
+            EXPECT_FALSE(b->has_gpu_chunk);
+            EXPECT_EQ(b->remote_mapped, 1u);
+        }
+        if (c.exhausted && c.fallback) {
+            EXPECT_EQ(whole.counters().get("oom_fallbacks"),
+                      static_cast<std::uint64_t>(c.blocks));
+        }
+        for (UvmDriver *d : {&whole, &split}) {
+            d->setObserver(nullptr);
+            d->setProgressSink(nullptr);
+        }
+    }
 }
 
 }  // namespace
