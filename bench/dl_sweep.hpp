@@ -1,12 +1,14 @@
 /**
  * @file
- * Shared batch grids and sweep driver for the deep-learning figures
- * (Figures 5, 6 and 7).
+ * Shared batch grids, sweep driver and throughput-figure writer for
+ * the deep-learning figures (Figures 5, 6 and 7).
  */
 
 #ifndef UVMD_BENCH_DL_SWEEP_HPP
 #define UVMD_BENCH_DL_SWEEP_HPP
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -29,57 +31,103 @@ batchGrid(const workloads::dl::NetSpec &net)
     return {75, 110, 150, 200, 250, 300};  // RNN
 }
 
+/** The systems of the DL figures, in column order. */
+inline constexpr workloads::System kDlSystems[] = {
+    workloads::System::kNoUvm, workloads::System::kUvmOpt,
+    workloads::System::kUvmDiscard, workloads::System::kUvmDiscardLazy};
+
+/** results[net][batch][system]; DlRuns is one (net, batch) cell. */
+using DlRuns = std::map<workloads::System, workloads::dl::TrainResult>;
+using DlResults = std::map<std::string, std::map<int, DlRuns>>;
+
 /**
- * Run every (network, batch, system) combination on @p link and hand
- * each result to @p consume, always in grid order (network-major, as
- * the serial loops always ran).  No-UVM is skipped (as in the paper's
- * figures) once the allocation no longer fits.  With @p jobs > 1 the
- * independent training runs execute on that many threads; consume
- * still sees them serially in grid order, so figure output is
- * identical.
+ * Train every (network, batch, system) combination of kDlSystems on
+ * @p link.  No-UVM is skipped (as in the paper's figures) once the
+ * allocation no longer fits.  With @p jobs > 1 the independent
+ * training runs execute on that many threads; the results do not
+ * depend on @p jobs.
  */
-template <typename Consume>
-void
-dlSweep(const std::vector<workloads::System> &systems,
-        interconnect::LinkSpec link, int jobs, Consume &&consume)
+inline DlResults
+dlSweep(interconnect::LinkSpec link, int jobs)
 {
     using workloads::System;
     namespace dl = workloads::dl;
 
     uvm::UvmConfig cfg = uvm::UvmConfig::rtx3080ti();
-    const std::vector<dl::NetSpec> nets = dl::NetSpec::all();
-
-    struct Config {
-        std::size_t net;
-        int batch;
-        System sys;
-    };
-    std::vector<Config> grid;
-    for (std::size_t n = 0; n < nets.size(); ++n) {
-        for (int batch : batchGrid(nets[n])) {
-            for (System sys : systems) {
-                if (sys == System::kNoUvm &&
-                    nets[n].allocBytes(batch) > cfg.gpu_memory) {
-                    continue;
-                }
-                grid.push_back(Config{n, batch, sys});
+    std::vector<std::pair<System, dl::TrainParams>> grid;
+    for (const dl::NetSpec &net : dl::NetSpec::all()) {
+        for (int batch : batchGrid(net)) {
+            dl::TrainParams p;
+            p.net = net;
+            p.batch_size = batch;
+            for (System sys : kDlSystems) {
+                if (sys != System::kNoUvm ||
+                    net.allocBytes(batch) <= cfg.gpu_memory)
+                    grid.emplace_back(sys, p);
             }
         }
     }
 
+    DlResults results;
     runIndexedSweep(
         jobs, grid.size(),
         [&](std::size_t i) {
-            const Config &c = grid[i];
-            dl::TrainParams p;
-            p.net = nets[c.net];
-            p.batch_size = c.batch;
-            return dl::runTraining(c.sys, p, link, cfg);
+            return dl::runTraining(grid[i].first, grid[i].second, link,
+                                   cfg);
         },
         [&](std::size_t i, dl::TrainResult &&r) {
-            const Config &c = grid[i];
-            consume(nets[c.net], c.batch, c.sys, r);
+            const auto &[sys, p] = grid[i];
+            results[p.net.name][p.batch_size][sys] = std::move(r);
         });
+    return results;
+}
+
+/**
+ * Print Figure @p figure of a dlSweep and write its CSVs: the banner
+ * "Figure N: @p what", then per network the table "Figure N (net):
+ * @p caption" under @p header, written to figN_@p stem_net.csv.  Each
+ * row is the batch, then what @p cells(row, net, batch, runs) appends.
+ */
+template <typename Cells>
+void
+dlFigure(int figure, const std::string &what, const std::string &caption,
+         const std::string &stem, const std::vector<std::string> &header,
+         const DlResults &results, Cells &&cells)
+{
+    const std::string fig = std::to_string(figure);
+    banner("Figure " + fig + ": " + what);
+    for (const auto &net : workloads::dl::NetSpec::all()) {
+        trace::Table t("Figure " + fig + " (" + net.name + "): " +
+                       caption);
+        t.header(header);
+        for (int batch : batchGrid(net)) {
+            std::vector<std::string> row{std::to_string(batch)};
+            cells(row, net, batch, results.at(net.name).at(batch));
+            t.row(row);
+        }
+        t.print();
+        t.writeCsv("fig" + fig + "_" + stem + "_" + net.name + ".csv");
+    }
+}
+
+/** Figures 6 and 7: the training throughput of a dlSweep on
+ *  @p link_name, "-" where No-UVM did not run. */
+inline void
+throughputFigure(int figure, const std::string &link_name,
+                 const DlResults &results)
+{
+    std::vector<std::string> header{"Batch"};
+    for (workloads::System sys : kDlSystems)
+        header.push_back(toString(sys));
+    dlFigure(figure, "DL training throughput (img/sec), " + link_name,
+             "throughput img/sec, " + link_name, "throughput", header,
+             results, [](auto &row, const auto &, int, const DlRuns &runs) {
+                 for (workloads::System sys : kDlSystems) {
+                     auto it = runs.find(sys);
+                     row.push_back(it == runs.end() ? "-"
+                                   : trace::fmt(it->second.throughput, 1));
+                 }
+             });
 }
 
 }  // namespace uvmd::bench

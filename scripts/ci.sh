@@ -27,7 +27,8 @@
 #   9. results byte-stability (release build): every results-producing
 #      bench_* harness regenerates its CSVs at --jobs N, and
 #      scripts/check_results.py fails on any byte of drift from the
-#      committed results/ and names the drifting files,
+#      committed results/ or any broken paper-claim relation
+#      (EXPERIMENTS.md) and names them,
 #  10. a perf smoke stage (release build): bench_host_perf emits
 #      BENCH_perf.json at --jobs 2 whatever N is, so its
 #      dl_sweep_parallel stage runs the workload its baseline was

@@ -15,7 +15,7 @@
 #   -j N   threads for the parallel sweep stages, and build jobs
 #          (default: all hardware threads; 1 runs the sweeps serially)
 #   -q     quick mode — reduced iteration counts, for CI smoke
-#   -F     also time bench_fig5/6/7 and the table harnesses
+#   -F     also time the Figure 5-7 and table harnesses
 #   -B     re-baseline: overwrite BENCH_baseline.json, skip the gate
 #   -o F   output JSON path (default: BENCH_perf.json in the repo root)
 set -euo pipefail
@@ -51,9 +51,9 @@ if [ "$FULL" -eq 1 ]; then
     workdir=$(mktemp -d)
     trap 'rm -rf "$workdir"' EXIT
     timings=""
-    for bench in bench_fig5_dl_traffic bench_fig6_dl_throughput_pcie4 \
-                 bench_fig7_dl_throughput_pcie3 bench_fir_tables3_4 \
-                 bench_radix_tables5_6 bench_hashjoin_tables7_8; do
+    for bench in bench_fig5_6_dl_pcie4 bench_fig7_dl_throughput_pcie3 \
+                 bench_fir_tables3_4 bench_radix_tables5_6 \
+                 bench_hashjoin_tables7_8; do
         start=$(date +%s%N)
         (cd "$workdir" &&
          "$OLDPWD/build-release/bench/$bench" --jobs "$JOBS" \

@@ -137,10 +137,7 @@ UvmDriver::reclaimChunk(GpuState &g, sim::SimTime &t)
     g.queues.unlink(b);
     if (observer_)
         observer_->onQueueMove(*b, from, QueueKind::kNone);
-    b->has_gpu_chunk = false;
-    b->owner_gpu = -1;
-    b->gpu_prepared.reset();
-    b->gpu_mapping_big = false;
+    b->dropChunk();
     return true;
 }
 
@@ -156,10 +153,7 @@ UvmDriver::releaseChunk(VaBlock &block)
     GpuState &g = gpu(block.owner_gpu);
     setQueue(block, QueueKind::kNone);
     g.allocator.freeChunk();
-    block.has_gpu_chunk = false;
-    block.owner_gpu = -1;
-    block.gpu_prepared.reset();
-    block.gpu_mapping_big = false;
+    block.dropChunk();
 }
 
 sim::SimTime
@@ -314,10 +308,7 @@ UvmDriver::retireChunk(VaBlock &block, sim::SimTime start)
                                   TransferCause::kEviction, start);
     setQueue(block, QueueKind::kNone);
     g.allocator.retireAllocatedChunk();
-    block.has_gpu_chunk = false;
-    block.owner_gpu = -1;
-    block.gpu_prepared.reset();
-    block.gpu_mapping_big = false;
+    block.dropChunk();
     ++counters_[UvmStat::fault_injected];
     counters_[UvmStat::pages_retired] += mem::kPagesPerBlock;
     if (observer_)

@@ -176,6 +176,16 @@ struct VaBlock {
                 mem::lastSet(mask)};
     }
 
+    /** Forget the GPU chunk: ownership, preparation, big mapping. */
+    void
+    dropChunk()
+    {
+        has_gpu_chunk = false;
+        owner_gpu = -1;
+        gpu_prepared.reset();
+        gpu_mapping_big = false;
+    }
+
     std::uint32_t blockIndex() const
     {
         return static_cast<std::uint32_t>(base / mem::kBigPageSize);

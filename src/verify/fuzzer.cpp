@@ -91,7 +91,8 @@ generateScenario(std::uint64_t seed, bool faults)
     std::vector<GenBuffer> live;
     int name_counter = 0;
     auto alloc_one = [&]() {
-        GenBuffer b{"b" + std::to_string(name_counter++)};
+        GenBuffer b{"b"};
+        b.name += std::to_string(name_counter++);
         os << "alloc " << b.name << " " << pickSizeKiB(rng) << "\n";
         live.push_back(b);
     };

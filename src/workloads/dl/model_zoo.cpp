@@ -155,14 +155,12 @@ NetSpec::resnet53()
     double act = 1.0, weight = 1.0;
     for (int stage = 0; stage < 4; ++stage) {
         for (int b = 0; b < blocks_per_stage[stage]; ++b) {
-            net.layers.push_back({"s" + std::to_string(stage + 1) +
-                                      "b" + std::to_string(b + 1) +
-                                      "_a",
-                                  weight, act, 1.0});
-            net.layers.push_back({"s" + std::to_string(stage + 1) +
-                                      "b" + std::to_string(b + 1) +
-                                      "_b",
-                                  weight * 1.5, act, 1.0});
+            std::string name = "s";
+            name += std::to_string(stage + 1);
+            name += 'b';
+            name += std::to_string(b + 1);
+            net.layers.push_back({name + "_a", weight, act, 1.0});
+            net.layers.push_back({name + "_b", weight * 1.5, act, 1.0});
         }
         act *= 0.5;
         weight *= 3.5;

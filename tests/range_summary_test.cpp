@@ -459,7 +459,8 @@ TEST(RangeSummaryDifferential, WholeRangeOpsMatchPerBlockOps)
             sim::Bytes size = (2 + rng.below(3)) * kBigPageSize;
             if (rng.below(2))
                 size -= (1 + rng.below(511)) * kSmallPageSize;
-            std::string name = "r" + std::to_string(r);
+            std::string name = "r";
+            name += std::to_string(r);
             mem::VirtAddr a = whole.allocManaged(size, name);
             ASSERT_EQ(split.allocManaged(size, name), a);
             ranges.push_back({a, size});
