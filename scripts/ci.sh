@@ -41,6 +41,9 @@
 #      serial and parallel with the CSVs asserted bit-identical (the
 #      --jobs determinism contract, docs/performance.md).
 #
+# Every tree is configured with UVMD_WERROR=ON, so a compiler warning
+# in any of them fails CI.
+#
 # Usage: scripts/ci.sh [-j N]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -54,11 +57,11 @@ while getopts "j:" opt; do
 done
 
 echo "== configure + build (default) =="
-cmake --preset default
+cmake --preset default -DUVMD_WERROR=ON
 cmake --build --preset default -j "$JOBS"
 
 echo "== configure + build (asan) =="
-cmake --preset asan
+cmake --preset asan -DUVMD_WERROR=ON
 cmake --build --preset asan -j "$JOBS"
 
 echo "== tier-1 tests (default build) =="
@@ -71,7 +74,7 @@ echo "== sanitized tests (asan build) =="
 ctest --preset asan -j "$JOBS"
 
 echo "== configure + build (tsan) =="
-cmake --preset tsan
+cmake --preset tsan -DUVMD_WERROR=ON
 cmake --build --preset tsan -j "$JOBS"
 
 echo "== threaded tests (tsan build) =="
@@ -120,7 +123,7 @@ if ! diff -ru examples/expected build/example-outputs; then
 fi
 
 echo "== configure + build (release) =="
-cmake --preset release
+cmake --preset release -DUVMD_WERROR=ON
 cmake --build --preset release -j "$JOBS"
 
 echo "== end-to-end benchmark smoke test =="

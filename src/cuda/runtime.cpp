@@ -32,15 +32,14 @@ Runtime::mallocManaged(sim::Bytes size, std::string name)
 void
 Runtime::freeManaged(mem::VirtAddr addr)
 {
-    // cudaFree of managed memory synchronizes with outstanding work.
-    synchronize();
-    host_time_ += apiCost(ApiOp::kCudaFreeManaged, 0);
-    driver_.freeManaged(addr);
+    if (tryFreeManaged(addr) != CudaError::kSuccess)
+        sim::fatal("freeManaged: not the base of a managed range");
 }
 
 CudaError
 Runtime::tryFreeManaged(mem::VirtAddr addr)
 {
+    // cudaFree of managed memory synchronizes with outstanding work.
     synchronize();
     host_time_ += apiCost(ApiOp::kCudaFreeManaged, 0);
     return driver_.tryFreeManaged(addr) ? CudaError::kSuccess
@@ -51,17 +50,10 @@ mem::VirtAddr
 Runtime::mallocDevice(sim::Bytes size, std::string name,
                       uvm::GpuId gpu)
 {
-    if (!validGpu(gpu))
-        sim::fatal("mallocDevice: unknown GPU");
-    host_time_ += apiCost(ApiOp::kCudaMalloc, size);
-    // Explicit device buffers consume framebuffer capacity directly;
-    // this is where the Listing-4 style fails on oversubscription.
-    driver_.reserveGpuMemory(gpu, size);
-    mem::VirtAddr addr = next_device_addr_;
-    next_device_addr_ += mem::alignUp(size, mem::kBigPageSize) +
-                         mem::kBigPageSize;
-    device_buffers_.emplace(addr,
-                            DeviceBuffer{size, gpu, std::move(name)});
+    mem::VirtAddr addr = 0;
+    if (CudaError err = tryMallocDevice(size, std::move(name), &addr, gpu);
+        err != CudaError::kSuccess)
+        sim::fatal(std::string("mallocDevice: ") + toString(err));
     return addr;
 }
 
@@ -72,6 +64,8 @@ Runtime::tryMallocDevice(sim::Bytes size, std::string name,
     if (!validGpu(gpu))
         return CudaError::kErrorInvalidValue;
     host_time_ += apiCost(ApiOp::kCudaMalloc, size);
+    // Explicit device buffers consume framebuffer capacity directly;
+    // this is where the Listing-4 style fails on oversubscription.
     if (!driver_.tryReserveGpuMemory(gpu, size))
         return CudaError::kErrorMemoryAllocation;
     mem::VirtAddr addr = next_device_addr_;
@@ -87,12 +81,8 @@ Runtime::tryMallocDevice(sim::Bytes size, std::string name,
 void
 Runtime::freeDevice(mem::VirtAddr addr)
 {
-    auto it = device_buffers_.find(addr);
-    if (it == device_buffers_.end())
+    if (tryFreeDevice(addr) != CudaError::kSuccess)
         sim::fatal("freeDevice: unknown device pointer");
-    host_time_ += apiCost(ApiOp::kCudaFree, it->second.size);
-    driver_.unreserveGpuMemory(it->second.gpu, it->second.size);
-    device_buffers_.erase(it);
 }
 
 CudaError

@@ -126,7 +126,6 @@ UvmDriver::oomRemoteTouch(VaBlock &block, const PageMask &m,
         t += cfg_.cpu_fault_cost;
     }
     clearDiscarded(block, m);
-    block.discarded_lazily &= ~m;
     ++counters_[UvmStat::oom_fallbacks];
     if (observer_)
         observer_->onFault(FaultEvent::kOomFallback, block.base,
@@ -151,9 +150,7 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
     // Remote-access mode (Section 2.3): an advised block whose pages
     // live on the host is accessed in place over the link instead of
     // migrating.
-    bool advised = (block.prefer_cpu ||
-                    (block.accessed_by & (1u << id))) &&
-                   !block.counter_migrated;
+    bool advised = block.prefer_cpu || (block.accessed_by & (1u << id));
     if (advised && (m & ~block.resident_cpu).none())
         return remoteTouchBlock(block, m, kind, id, t);
 
@@ -194,13 +191,12 @@ UvmDriver::gpuTouchBlock(VaBlock &block, const PageMask &m,
     // driver they may hold new values (Section 5.1).
     PageMask rearm = faulting & block.discarded & block.resident_gpu;
     if (rearm.any()) {
-        if (!cfg_.track_fully_prepared || !block.fullyPrepared())
+        if (needsRezero(block))
             t = rezeroChunk(block, id, t);
         clearDiscarded(block, rearm);
-        block.discarded_lazily &= ~rearm;
     }
 
-    t = mapOnGpu(block, m, id, t, /*big_ok=*/m == block.valid);
+    t = mapOnGpu(block, m, id, t);
     requeueAfterDiscardStateChange(block);
     touchUsed(block);
     notifyAccess(block, m, kind, ProcessorId::gpu(id));
@@ -236,7 +232,6 @@ UvmDriver::hostAccess(mem::VirtAddr addr, sim::Bytes size,
 
         // Faults are visible to the driver and re-arm the pages.
         clearDiscarded(b, faulted);
-        b.discarded_lazily &= ~faulted;
 
         PageMask disc = m & b.discarded;
         if (disc.any() && writes(kind)) {

@@ -42,8 +42,6 @@ UvmDriver::memAdvise(mem::VirtAddr addr, sim::Bytes size,
           case MemAdvise::kUnsetPreferredLocation:
             b.prefer_cpu = false;
             b.remote_mapped = 0;
-            b.counter_migrated = false;
-            b.remote_access_count = 0;
             break;
         }
     });
@@ -56,23 +54,6 @@ UvmDriver::remoteTouchBlock(VaBlock &block, const PageMask &m,
 {
     sim::SimTime t = start;
     std::uint8_t bit = static_cast<std::uint8_t>(1u << id);
-
-    // Access counters (Volta-style): enough remote traffic to one
-    // block overrides the hint — the data is evidently hot here.
-    ++block.remote_access_count;
-    if (cfg_.remote_access_migrate_threshold > 0 &&
-        block.remote_access_count >=
-            cfg_.remote_access_migrate_threshold) {
-        block.counter_migrated = true;
-        block.remote_mapped = 0;
-        ++counters_[UvmStat::access_counter_migrations];
-        t = migrateToGpu(block, m, id, TransferCause::kGpuFault, t);
-        t = mapOnGpu(block, m, id, t, /*big_ok=*/m == block.valid);
-        requeueAfterDiscardStateChange(block);
-        notifyAccess(block, m, kind, ProcessorId::gpu(id));
-        return t;
-    }
-
     if (!(block.remote_mapped & bit)) {
         // First touch: establish the cross-link mapping (a fault on
         // hardware without ATS, a TLB fill with it — charge the map

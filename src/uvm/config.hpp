@@ -177,14 +177,6 @@ struct UvmConfig {
     /** Used-queue victim selection (see EvictionPolicy). */
     EvictionPolicy eviction_policy = EvictionPolicy::kLru;
 
-    /** Remote accesses to a block before the access counters
-     *  override the residency hint and migrate it anyway (the
-     *  Volta-style mechanism; 0 disables the override). */
-    std::uint32_t remote_access_migrate_threshold = 0;
-
-    /** Seed for the kRandom eviction policy. */
-    std::uint64_t eviction_seed = 42;
-
     /** Fault-injection plan (disabled by default; when disabled the
      *  simulation is bit-identical to a build without the injector). */
     sim::FaultPlan faults;

@@ -50,7 +50,6 @@
     X(chunk_rezero_ops)                                                 \
     X(gpu_to_gpu_migrations)                                            \
     X(mem_advise_calls)                                                 \
-    X(access_counter_migrations)                                        \
     X(remote_mappings)                                                  \
     X(remote_read_bytes)                                                \
     X(remote_write_bytes)                                               \

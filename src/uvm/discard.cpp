@@ -100,8 +100,7 @@ UvmDriver::discardResidentRange(VaRange &range, DiscardMode mode,
     // The injected bugs, as in discardBlock: an eager discard that
     // reports no state change, and blocks left on the used queue.
     bool silent = cfg_.bug == BugInjection::kSilentDirtyBitChange;
-    bool requeue = cfg_.discard_queue_enabled &&
-                   cfg_.bug != BugInjection::kSkipDiscardRequeue;
+    bool requeue = requeuesDiscarded();
     Queues &q = gpu(id).queues;
     for (VaBlock *b : range.blocks) {
         if (observer_)
@@ -143,8 +142,7 @@ UvmDriver::requeueAfterDiscardStateChange(VaBlock &block)
 {
     if (!block.has_gpu_chunk)
         return;
-    if (block.allGpuResidentDiscarded() && cfg_.discard_queue_enabled &&
-        cfg_.bug != BugInjection::kSkipDiscardRequeue) {
+    if (block.allGpuResidentDiscarded() && requeuesDiscarded()) {
         // Fully-discarded chunks join the discarded FIFO.  Re-discards
         // of a block already there keep its FIFO position (setQueue
         // no-ops; the queue maximizes time-to-reclaim, Section 5.5).

@@ -48,7 +48,6 @@ UvmDriver::UvmDriver(const UvmConfig &cfg,
                      interconnect::LinkSpec link_spec,
                      interconnect::LinkSpec peer_spec)
     : cfg_(cfg), injector_(cfg.faults),
-      eviction_rng_(cfg.eviction_seed),
       peer_link_(std::move(peer_spec), cfg.copy_engines_per_dir),
       backing_(cfg.backed)
 {
@@ -79,13 +78,6 @@ UvmDriver::allocManaged(sim::Bytes size, std::string name)
     ++counters_[UvmStat::managed_allocs];
     counters_[UvmStat::managed_bytes] += size;
     return va_space_.createRange(size, std::move(name));
-}
-
-void
-UvmDriver::freeManaged(mem::VirtAddr base)
-{
-    if (!tryFreeManaged(base))
-        sim::fatal("freeManaged: not the base of a managed range");
 }
 
 bool
@@ -374,6 +366,9 @@ UvmDriver::collectInvariantViolations()
         if (PageMask m = b.discarded & ~b.populated(); m.any())
             add("discarded-unpopulated", &b, count(m),
                 "discard state on never-populated pages");
+        if (PageMask m = b.discarded_lazily & ~b.resident_gpu; m.any())
+            add("lazy-not-gpu-resident", &b, count(m),
+                "lazily discarded pages not GPU-resident");
         if (PageMask m = b.populated() & ~b.valid; m.any())
             add("populated-outside-range", &b, count(m),
                 "populated pages outside the valid range");
@@ -476,6 +471,9 @@ UvmDriver::clearDiscarded(VaBlock &block, const PageMask &mask)
     PageMask delta = mask & block.discarded;
     if (delta.none())
         return;
+    // Lazily discarded pages are discarded, so none of them is in a
+    // mask that clears nothing.
+    block.discarded_lazily &= ~mask;
     dropSummary(block);
     block.discarded &= ~mask;
     if (observer_)

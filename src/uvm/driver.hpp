@@ -137,12 +137,9 @@ class UvmDriver
     /** cudaMallocManaged: reserve unified VA (no physical memory). */
     mem::VirtAddr allocManaged(sim::Bytes size, std::string name);
 
-    /** cudaFree of a managed range: release all backing memory. */
-    void freeManaged(mem::VirtAddr base);
-
-    /** Like freeManaged(), but reports a bad base (unknown range or
-     *  non-base pointer, e.g. a double free) instead of failing
-     *  fatally.  @return false with no state change on a bad base. */
+    /** cudaFree of a managed range: release all backing memory.
+     *  @return false with no state change on a bad base (unknown
+     *  range or non-base pointer, e.g. a double free). */
     bool tryFreeManaged(mem::VirtAddr base);
 
     // ------------------------------------------------------------
@@ -354,9 +351,8 @@ class UvmDriver
 
     /** Drain @p block's residency off its current owner GPU onto
      *  @p dst (peer transfer or host bounce).  @pre different GPUs. */
-    sim::SimTime migrateGpuToGpu(VaBlock &block, const PageMask &pages,
-                                 GpuId dst, TransferCause cause,
-                                 sim::SimTime start);
+    sim::SimTime migrateGpuToGpu(VaBlock &block, GpuId dst,
+                                 TransferCause cause, sim::SimTime start);
 
     /** The rest of a fill (VaBlock::fillable) once allocChunk has
      *  given @p block its chunk on @p gpu: the H2D copy of the host
@@ -398,9 +394,11 @@ class UvmDriver
      *  the live pages, skip the discarded ones, drop the device
      *  copies.  Leaves queue membership to the caller.  Takes the
      *  mask by value: callers pass block.resident_gpu, which this
-     *  clears. */
+     *  clears.  @p peer counts the skips as saved peer bytes
+     *  (migrateGpuToGpu's discarded pages). */
     sim::SimTime moveToCpu(VaBlock &block, PageMask moving,
-                           TransferCause cause, sim::SimTime start);
+                           TransferCause cause, sim::SimTime start,
+                           bool peer = false);
 
     /**
      * Allocate one chunk on @p gpu for @p block, running the eviction
@@ -521,7 +519,7 @@ class UvmDriver
     // ---- page_table.cpp ----
 
     sim::SimTime mapOnGpu(VaBlock &block, const PageMask &pages,
-                          GpuId gpu, sim::SimTime start, bool big_ok);
+                          GpuId gpu, sim::SimTime start);
     sim::SimTime unmapFromGpu(VaBlock &block, const PageMask &pages,
                               sim::SimTime start);
     sim::SimTime mapOnCpu(VaBlock &block, const PageMask &pages,
@@ -545,6 +543,25 @@ class UvmDriver
     /** Retire @p block's chunk after an ECC failure. */
     sim::SimTime retireChunk(VaBlock &block, sim::SimTime start);
 
+    // ---- rule predicates ----
+
+    /** Section 5.7: re-arming a discarded page re-zeroes its chunk
+     *  unless the chunk is fully prepared (and that is tracked).
+     *  Inline at the call sites: inside rezeroChunk it measured
+     *  slower. */
+    bool needsRezero(const VaBlock &b) const
+    {
+        return !cfg_.track_fully_prepared || !b.fullyPrepared();
+    }
+
+    /** Section 5.5: fully discarded chunks join the discarded FIFO
+     *  (not under the ablation switch or the injected bug). */
+    bool requeuesDiscarded() const
+    {
+        return cfg_.discard_queue_enabled &&
+               cfg_.bug != BugInjection::kSkipDiscardRequeue;
+    }
+
     // ---- driver.cpp helpers ----
 
     GpuState &gpu(GpuId id);
@@ -555,15 +572,19 @@ class UvmDriver
 
     // ---- observer-visible state mutations ----
     //
-    // Every change to the software dirty bit and the queue membership
-    // funnels through these helpers so the verification oracle sees
+    // Changes to the software dirty bit and the queue membership
+    // funnel through these helpers so the verification oracle sees
     // an exact event stream (observer.hpp state-machine hooks).  Both
-    // only report actual deltas.
+    // only report actual deltas.  The whole-range loops
+    // discardResidentRange and rearmDiscardedRange write both
+    // directly, by measured design, and report the same events
+    // (RangeSummaryDifferential holds them to the per-block paths).
 
     /** discarded |= mask (dirty bit cleared); reports the delta. */
     void markDiscarded(VaBlock &block, const PageMask &mask);
 
-    /** discarded &= ~mask (dirty bit set); reports the delta. */
+    /** discarded &= ~mask and discarded_lazily &= ~mask (dirty bit
+     *  set); reports the discarded delta. */
     void clearDiscarded(VaBlock &block, const PageMask &mask);
 
     /** Move @p block's chunk to queue @p kind on its owner GPU
@@ -626,7 +647,7 @@ class UvmDriver
     class SummaryWalk
     {
       public:
-        /** @param range nullptr for a partial span (nothing to set). */
+        /** @param range the whole range the walk covers. */
         SummaryWalk(UvmDriver &drv, VaRange *range, GpuId gpu)
             : drv_(drv), range_(range), gpu_(gpu)
         {
@@ -672,9 +693,11 @@ class UvmDriver
             progress_sink_->onStep(phase, now);
     }
 
+    static constexpr std::uint64_t kEvictionSeed = 42;  ///< kRandom policy
+
     UvmConfig cfg_;
     sim::FaultInjector injector_;
-    sim::Rng eviction_rng_;
+    sim::Rng eviction_rng_{kEvictionSeed};
     std::uint64_t next_alloc_ordinal_ = 0;
     VaSpace va_space_;
     std::vector<std::unique_ptr<GpuState>> gpus_;

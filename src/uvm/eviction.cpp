@@ -16,9 +16,9 @@
  * Step 2 is this paper's addition and is gated by the
  * discard_queue_enabled ablation switch.
  *
- * migrateToCpu lives here so that it and the used victim share one
- * body of the skip rules (moveToCpu) that the compiler can inline
- * into both.
+ * moveToCpu is the one body of the device-to-host skip rules: both
+ * victims, migrateToCpu and retireChunk run it, and so do the
+ * discarded pages of a peer migration.
  */
 
 #include "sim/logging.hpp"
@@ -97,23 +97,14 @@ UvmDriver::reclaimChunk(GpuState &g, sim::SimTime &t)
         t += cfg_.reclaim_cost;
     } else if (cfg_.discard_queue_enabled &&
                (b = g.queues.discardedQueue().front())) {
-        // 2. Discarded chunk: reclaimed without a transfer (Section
-        // 5.5).  Lazily-discarded blocks kept their mappings; the
-        // unmap is deferred to this point (Section 5.6).
+        // 2. Discarded chunk: every resident page is discarded, so
+        // moveToCpu moves none of them (Section 5.5).  Lazily-
+        // discarded blocks kept their mappings; the unmap is deferred
+        // to this point (Section 5.6).
         from = QueueKind::kDiscarded;
-        t = unmapFromGpu(*b, b->mapped_gpu, t);
-        PageMask skipped = b->resident_gpu;
-        xfer_->skipped(*b, skipped, Direction::kDeviceToHost,
-                       TransferCause::kEviction);
-        backing_.dropPages(b->base, skipped, CopySlot::kDevice);
-        // Pages with a surviving pinned CPU copy fall back to it (and
-        // stay discarded); the rest become unpopulated and re-arm.
-        b->resident_gpu.reset();
-        b->resident_cpu |= skipped & b->cpu_pages_present;
-        clearDiscarded(*b, skipped & ~b->cpu_pages_present);
-        b->discarded_lazily.reset();
         ++counters_[UvmStat::evictions_discarded];
-        t += cfg_.reclaim_cost;
+        t = moveToCpu(*b, b->resident_gpu, TransferCause::kEviction, t) +
+            cfg_.reclaim_cost;
     } else if ((b = selectUsedVictim(g))) {
         // 3. Used chunk: swap its pages out to host memory.  A drained
         // chunk passes through the unused queue on its way out.
@@ -217,13 +208,12 @@ UvmDriver::migrateToCpu(VaBlock &block, const PageMask &pages,
 
 sim::SimTime
 UvmDriver::moveToCpu(VaBlock &block, PageMask moving,
-                     TransferCause cause, sim::SimTime start)
+                     TransferCause cause, sim::SimTime start, bool peer)
 {
     GpuId id = block.owner_gpu;
     sim::SimTime t = unmapFromGpu(block, moving, start);
 
     PageMask live = moving & ~block.discarded;
-    PageMask skipped = moving & block.discarded;
 
     if (live.any()) {
         t = xfer_->submit({&block, live, Direction::kDeviceToHost,
@@ -238,13 +228,16 @@ UvmDriver::moveToCpu(VaBlock &block, PageMask moving,
     // first scenario).  Pages with a surviving pinned CPU copy fall
     // back to that stale copy ("old data values", Section 4.1); pages
     // without one become unpopulated and will read as zeros.
-    xfer_->skipped(block, skipped, Direction::kDeviceToHost, cause);
+    xfer_->skipped(block, moving & block.discarded, Direction::kDeviceToHost,
+                   cause, peer);
 
     backing_.dropPages(block.base, moving, CopySlot::kDevice);
 
     block.resident_gpu &= ~moving;
     block.gpu_prepared &= ~moving;
-    PageMask gained = live | (skipped & block.cpu_pages_present);
+    block.discarded_lazily &= ~moving;
+    // The live pages have their CPU copy by now.
+    PageMask gained = moving & block.cpu_pages_present;
     if (cfg_.bug == BugInjection::kDropEvictedCpuCopy &&
         cause == TransferCause::kEviction) {
         // Deliberate verification bug: evicted live pages lose their
@@ -257,8 +250,7 @@ UvmDriver::moveToCpu(VaBlock &block, PageMask moving,
     // (unpopulated memory is implicitly contentless).  Pages falling
     // back to a stale CPU copy stay discarded, so a later migration
     // back to the GPU can skip the transfer again.
-    clearDiscarded(block, skipped & ~block.cpu_pages_present);
-    block.discarded_lazily &= ~moving;
+    clearDiscarded(block, moving & ~block.cpu_pages_present);
     return t;
 }
 

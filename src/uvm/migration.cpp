@@ -5,9 +5,9 @@
  * The skip rules of Section 5.3 live here and in eviction.cpp: pages
  * marked discarded are never copied over the interconnect —
  * host-to-device moves zero-fill a fresh GPU page instead, and
- * device-to-host moves (migrateToCpu, with the eviction of a used
- * chunk, in eviction.cpp) keep the stale pinned CPU page or leave the
- * page unpopulated.
+ * device-to-host moves (moveToCpu in eviction.cpp, also for the
+ * discarded pages of a peer move) keep the stale pinned CPU page or
+ * leave the page unpopulated.
  *
  * No transfer executes here directly: every movement is submitted to
  * the TransferEngine as a structured request, which schedules DMA
@@ -72,7 +72,7 @@ UvmDriver::migrateToGpu(VaBlock &block, const PageMask &pages,
     if (block.has_gpu_chunk && block.owner_gpu != id) {
         // The whole block changes owner (per-page residency split
         // across two GPUs is not modeled).
-        t = migrateGpuToGpu(block, block.resident_gpu, id, cause, t);
+        t = migrateGpuToGpu(block, id, cause, t);
     }
     if (!block.has_gpu_chunk)
         t = allocChunk(block, id, t);
@@ -110,7 +110,6 @@ UvmDriver::migrateToGpu(VaBlock &block, const PageMask &pages,
     // both of which tell the driver the pages may now hold new values
     // (Sections 5.1-5.2): the pages are live again.
     clearDiscarded(block, need);
-    block.discarded_lazily &= ~need;
     return t;
 }
 
@@ -160,33 +159,22 @@ UvmDriver::copyToGpu(VaBlock &block, const PageMask &pages, GpuId id,
 }
 
 sim::SimTime
-UvmDriver::migrateGpuToGpu(VaBlock &block, const PageMask &pages,
-                           GpuId dst, TransferCause cause,
-                           sim::SimTime start)
+UvmDriver::migrateGpuToGpu(VaBlock &block, GpuId dst,
+                           TransferCause cause, sim::SimTime start)
 {
     GpuId src = block.owner_gpu;
     if (src == dst || !block.has_gpu_chunk)
         sim::panic("migrateGpuToGpu: bad source/destination");
-    PageMask moving = pages & block.resident_gpu;
-    if (moving != block.resident_gpu)
-        sim::panic("migrateGpuToGpu: partial cross-GPU residency is "
-                   "not modeled");
+    PageMask moving = block.resident_gpu;
 
     sim::SimTime t = unmapFromGpu(block, block.mapped_gpu, start);
 
     // Discarded pages do not travel (Section 5.3 applies to peer
     // moves too): they fall back to a stale pinned host copy or
     // become unpopulated, exactly as in a device-to-host migration.
-    PageMask skipped = moving & block.discarded;
     PageMask live = moving & ~block.discarded;
-    if (skipped.any()) {
-        xfer_->skipped(block, skipped, Direction::kDeviceToHost,
-                       cause, /*peer=*/true);
-        backing_.dropPages(block.base, skipped, CopySlot::kDevice);
-        block.resident_cpu |= skipped & block.cpu_pages_present;
-        clearDiscarded(block, skipped & ~block.cpu_pages_present);
-    }
-    block.discarded_lazily &= ~moving;
+    if (PageMask skipped = moving & block.discarded; skipped.any())
+        t = moveToCpu(block, skipped, cause, t, /*peer=*/true);
 
     // Under fault injection allocChunk can throw (true exhaustion);
     // secure a free destination chunk before the irreversible source

@@ -17,7 +17,7 @@ namespace uvmd::uvm {
 
 sim::SimTime
 UvmDriver::mapOnGpu(VaBlock &block, const PageMask &pages, GpuId id,
-                    sim::SimTime start, bool big_ok)
+                    sim::SimTime start)
 {
     PageMask to_map = pages & ~block.mapped_gpu;
     if (to_map.none())
@@ -29,7 +29,8 @@ UvmDriver::mapOnGpu(VaBlock &block, const PageMask &pages, GpuId id,
     block.mapped_gpu |= to_map;
     // A block mapped in one shot covering all of its valid pages gets
     // a single 2 MB PTE (Section 5.4).
-    block.gpu_mapping_big = big_ok && block.mapped_gpu == block.valid;
+    block.gpu_mapping_big =
+        pages == block.valid && block.mapped_gpu == block.valid;
     ++counters_[UvmStat::gpu_map_ops];
     if (observer_)
         observer_->onMap(block, to_map, ProcessorId::gpu(id));

@@ -62,7 +62,6 @@ UvmDriver::prefetch(mem::VirtAddr addr, sim::Bytes size,
         }
         // Prefetching declares intent to use: pages are live again.
         clearDiscarded(b, m);
-        b.discarded_lazily &= ~m;
         t = mapOnCpu(b, m & b.resident_cpu, t);
         requeueAfterDiscardStateChange(b);
     });
@@ -106,15 +105,12 @@ UvmDriver::prefetchBlockToGpu(VaBlock &b, const PageMask &m, GpuId id,
     PageMask rearm = on_gpu & b.discarded;
     if (rearm.any()) {
         counters_[UvmStat::prefetch_rearmed_pages] += b.pagesIn(rearm);
-        if (!cfg_.track_fully_prepared || !b.fullyPrepared())
+        if (needsRezero(b))
             t = rezeroChunk(b, id, t);
-        if ((rearm & ~b.mapped_gpu).any()) {
-            // Eagerly-discarded pages: PTEs must come back.
-            // (The map itself is charged below.)
-        } else {
-            // Lazy path: a software bitmap update.
+        // Lazy path: a software bitmap update.  Eagerly-discarded
+        // pages need their PTEs back (the map is charged below).
+        if ((rearm & ~b.mapped_gpu).none())
             t += cfg_.block_op_cost;
-        }
         PageMask to_clear = rearm;
         if (cfg_.bug == BugInjection::kLazyRearmKeepsDirty) {
             // Deliberate verification bug: the lazy pages keep their
@@ -122,10 +118,9 @@ UvmDriver::prefetchBlockToGpu(VaBlock &b, const PageMask &m, GpuId id,
             to_clear &= ~b.discarded_lazily;
         }
         clearDiscarded(b, to_clear);
-        b.discarded_lazily &= ~to_clear;
     }
 
-    t = mapOnGpu(b, m, id, t, /*big_ok=*/m == b.valid);
+    t = mapOnGpu(b, m, id, t);
 
     if (missing.none() && rearm.none()) {
         // Pure recency update (Section 7.5.1: prefetches that neither
@@ -154,7 +149,7 @@ UvmDriver::rearmDiscardedRange(VaRange &range, sim::SimTime start)
     Queues &q = gpu(id).queues;
     sim::SimTime t = start;
     for (VaBlock *b : range.blocks) {
-        if (!cfg_.track_fully_prepared || !b->fullyPrepared())
+        if (needsRezero(*b))
             t = rezeroChunk(*b, id, t);
         if (lazy)
             t += cfg_.block_op_cost;

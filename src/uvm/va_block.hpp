@@ -106,14 +106,6 @@ struct VaBlock {
      *  CPU-resident copy of this block. */
     std::uint8_t remote_mapped = 0;
 
-    /** Remote accesses observed (the Volta-style access counters);
-     *  crossing the configured threshold overrides the hint and
-     *  migrates the block after all. */
-    std::uint32_t remote_access_count = 0;
-
-    /** Access counters decided to migrate despite the hint. */
-    bool counter_migrated = false;
-
     // ---- Discard state (this paper) ----
 
     /** Pages whose contents were discarded and not re-dirtied.  For

@@ -55,12 +55,10 @@ runVerifiedScenario(const std::string &script, const VerifyOptions &opts)
     hooks.observer = &oracle;
     hooks.sync_each_op = true;
     hooks.mutate_config = [&](uvm::UvmConfig &cfg) {
-        // The oracle wants the violation *list*, not a panic, and the
-        // G4 content checks need real bytes behind the pages.  The
-        // lazy-contract warning is an expected event under fuzzing
-        // (the fuzzer writes discarded pages on purpose), so it must
-        // not spam a 1000-seed campaign.
-        cfg.panic_on_violation = false;
+        // The G4 content checks need real bytes behind the pages.
+        // The lazy-contract warning is an expected event under
+        // fuzzing (the fuzzer writes discarded pages on purpose), so
+        // it must not spam a 1000-seed campaign.
         cfg.lazy_contract_warnings = false;
         cfg.bug = opts.bug;
         if (opts.check_content)

@@ -403,6 +403,48 @@ TEST_F(DiscardFixture, DiscardQueueAblationFallsBackToUsedQueue)
     drv.checkInvariants();
 }
 
+TEST(DiscardLazyStateTest, EveryReArmClearsTheLazyState)
+{
+    // Two GPUs, and a two-block range driven through its first block
+    // only, so every operation takes the per-block paths.
+    UvmConfig cfg = test::tinyConfig(/*chunks=*/4);
+    cfg.num_gpus = 2;
+    UvmDriver drv(cfg, test::testLink());
+    mem::VirtAddr a = drv.allocManaged(2 * kBigPageSize, "a");
+    sim::SimTime t = drv.hostAccess(a, kBigPageSize, AccessKind::kWrite, 0);
+    VaBlock *b = drv.vaSpace().blockOf(a);
+    auto lazyDiscardOnGpu0 = [&] {
+        t = drv.prefetch(a, kBigPageSize, ProcessorId::gpu(0), t);
+        t = drv.discard(a, kBigPageSize, DiscardMode::kLazy, t);
+        EXPECT_EQ(b->discarded, b->valid);
+        EXPECT_EQ(b->discarded_lazily, b->valid);
+    };
+    auto expectReArmed = [&](const char *route) {
+        EXPECT_TRUE(b->discarded.none()) << route;
+        EXPECT_TRUE(b->discarded_lazily.none()) << route;
+        EXPECT_TRUE(drv.collectInvariantViolations().empty()) << route;
+    };
+
+    // The mandatory prefetch re-arms the pages in place (Section 5.2).
+    lazyDiscardOnGpu0();
+    t = drv.prefetch(a, kBigPageSize, ProcessorId::gpu(0), t);
+    EXPECT_EQ(b->owner_gpu, 0);
+    expectReArmed("prefetch");
+
+    // A host write faults the pages back to the host.
+    lazyDiscardOnGpu0();
+    t = drv.hostAccess(a, kBigPageSize, AccessKind::kWrite, t);
+    EXPECT_EQ(b->resident_cpu, b->valid);
+    expectReArmed("host write");
+
+    // The owner's mappings survive a lazy discard, so its kernels hit;
+    // a kernel on the other GPU faults and takes the block over.
+    lazyDiscardOnGpu0();
+    t = drv.gpuAccess(1, {{a, kBigPageSize, AccessKind::kWrite}}, t);
+    EXPECT_EQ(b->owner_gpu, 1);
+    expectReArmed("kernel fault");
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModes, DiscardTest,
                          ::testing::Values(DiscardMode::kEager,
                                            DiscardMode::kLazy),

@@ -216,7 +216,7 @@ TEST_F(DriverTest, FreeManagedReleasesEverything)
     mem::VirtAddr a = drv_.allocManaged(3 * kBigPageSize, "a");
     t_ = drv_.prefetch(a, 3 * kBigPageSize, ProcessorId::gpu(0), t_);
     EXPECT_EQ(drv_.allocator(0).allocatedChunks(), 3u);
-    drv_.freeManaged(a);
+    EXPECT_TRUE(drv_.tryFreeManaged(a));
     EXPECT_EQ(drv_.allocator(0).allocatedChunks(), 0u);
     EXPECT_EQ(drv_.vaSpace().blockCount(), 0u);
     drv_.checkInvariants();
@@ -384,6 +384,21 @@ TEST(DriverWordIoTest, DisabledStoreIgnoresWritesAndReadsZeros)
     drv.peekWords(a, 0, words);
     EXPECT_EQ(words, std::vector<std::uint64_t>(mem::kPagesPerBlock, 0));
     EXPECT_EQ(drv.backing().materializedPages(), 0u);
+}
+
+TEST_F(DriverTest, LazyStateOffTheGpuIsAnInvariantViolation)
+{
+    mem::VirtAddr a = drv_.allocManaged(kBigPageSize, "a");
+    t_ = drv_.hostAccess(a, kBigPageSize, AccessKind::kWrite, t_);
+    EXPECT_TRUE(drv_.collectInvariantViolations().empty());
+    // Only GPU-resident pages can be lazily discarded: the deferred
+    // unmap is paid when their chunk is reclaimed (Section 5.6).
+    drv_.vaSpace().blockOf(a)->discarded_lazily.set(3);
+    std::vector<InvariantViolation> v = drv_.collectInvariantViolations();
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_EQ(v[0].code, "lazy-not-gpu-resident");
+    EXPECT_EQ(v[0].block, a);
+    EXPECT_EQ(v[0].pages, 1u);
 }
 
 TEST_F(DriverTest, DumpStatsListsKeyCounters)

@@ -395,8 +395,6 @@ expectSameState(UvmDriver &whole, UvmDriver &split, int gpus,
         EXPECT_EQ(w.mapped_gpu, s.mapped_gpu) << at;
         EXPECT_EQ(w.gpu_mapping_big, s.gpu_mapping_big) << at;
         EXPECT_EQ(w.remote_mapped, s.remote_mapped) << at;
-        EXPECT_EQ(w.remote_access_count, s.remote_access_count) << at;
-        EXPECT_EQ(w.counter_migrated, s.counter_migrated) << at;
         EXPECT_EQ(w.gpu_prepared, s.gpu_prepared) << at;
         EXPECT_EQ(w.discarded, s.discarded) << at;
         EXPECT_EQ(w.discarded_lazily, s.discarded_lazily) << at;

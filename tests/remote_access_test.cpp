@@ -144,57 +144,5 @@ TEST_F(RemoteAccessTest, RemoteModeAvoidsEvictionPressure)
     drv_.checkInvariants();
 }
 
-TEST_F(RemoteAccessTest, AccessCountersOverrideTheHint)
-{
-    UvmConfig cfg = test::tinyConfig(4);
-    cfg.remote_access_migrate_threshold = 3;
-    UvmDriver drv(cfg, test::testLink());
-    mem::VirtAddr a = drv.allocManaged(kBigPageSize, "a");
-    sim::SimTime t = drv.hostAccess(a, kBigPageSize,
-                                    AccessKind::kWrite, 0);
-    drv.pokeValue<std::uint64_t>(a, 7);
-    drv.memAdvise(a, kBigPageSize, MemAdvise::kSetAccessedBy, 0);
-
-    // Two remote touches, then the third migrates.
-    for (int i = 0; i < 3; ++i) {
-        t = drv.gpuAccess(
-            0, {{a, kBigPageSize, AccessKind::kRead}}, t);
-    }
-    VaBlock *b = drv.vaSpace().blockOf(a);
-    EXPECT_TRUE(b->has_gpu_chunk);
-    EXPECT_TRUE(b->counter_migrated);
-    EXPECT_EQ(drv.counters().get("access_counter_migrations"), 1u);
-    // Two remote reads crossed the link, then one migration.
-    EXPECT_EQ(drv.counters().get("remote_read_bytes"),
-              2 * kBigPageSize);
-    EXPECT_EQ(drv.peekValue<std::uint64_t>(a), 7u);
-
-    // Subsequent accesses are local.
-    sim::Bytes before = drv.trafficH2d();
-    t = drv.gpuAccess(0, {{a, kBigPageSize, AccessKind::kRead}}, t);
-    EXPECT_EQ(drv.trafficH2d(), before);
-    drv.checkInvariants();
-}
-
-TEST_F(RemoteAccessTest, UnsetPreferredResetsTheCounters)
-{
-    UvmConfig cfg = test::tinyConfig(4);
-    cfg.remote_access_migrate_threshold = 2;
-    UvmDriver drv(cfg, test::testLink());
-    mem::VirtAddr a = drv.allocManaged(kBigPageSize, "a");
-    sim::SimTime t = drv.hostAccess(a, kBigPageSize,
-                                    AccessKind::kWrite, 0);
-    drv.memAdvise(a, kBigPageSize,
-                  MemAdvise::kSetPreferredLocationCpu);
-    t = drv.gpuAccess(0, {{a, kBigPageSize, AccessKind::kRead}}, t);
-    t = drv.gpuAccess(0, {{a, kBigPageSize, AccessKind::kRead}}, t);
-    EXPECT_TRUE(drv.vaSpace().blockOf(a)->counter_migrated);
-
-    drv.memAdvise(a, kBigPageSize,
-                  MemAdvise::kUnsetPreferredLocation);
-    EXPECT_FALSE(drv.vaSpace().blockOf(a)->counter_migrated);
-    EXPECT_EQ(drv.vaSpace().blockOf(a)->remote_access_count, 0u);
-}
-
 }  // namespace
 }  // namespace uvmd::uvm

@@ -97,7 +97,7 @@ TEST_F(TraceLogTest, RecordsTransferSequence)
     t_ = drv_.hostAccess(a, kBigPageSize, AccessKind::kWrite, t_);
     t_ = drv_.prefetch(a, kBigPageSize, ProcessorId::gpu(0), t_);
     t_ = drv_.discard(a, kBigPageSize, uvm::DiscardMode::kEager, t_);
-    drv_.freeManaged(a);
+    EXPECT_TRUE(drv_.tryFreeManaged(a));
 
     auto log = transferEvents();
     ASSERT_EQ(log.size(), 3u);
