@@ -39,7 +39,9 @@
  *                    (whole-range fast paths visit none);
  *                    allocs_per_run the heap allocations per cell;
  *                    evictions_used and evictions_discarded summed
- *                    over both cells
+ *                    over both cells; batches_simulated the training
+ *                    batches both cells actually simulated (the
+ *                    steady-state fast-forward computes the rest)
  *   e2e_hashjoin     one full Table 7/8 cell end to end: runHashJoin
  *                    under UvmDiscard at 200% on PCIe-4; wall_ms is
  *                    the fastest of a few repetitions; blocks_walked
@@ -421,12 +423,14 @@ benchE2eDl(int reps)
     std::uint64_t walked = 0;
     std::uint64_t evicted_used = 0;
     std::uint64_t evicted_discarded = 0;
+    std::uint64_t simulated = 0;
     double checksum = 0.0;
     std::uint64_t allocs = 0;
     for (int i = 0; i < reps; ++i) {
         walked = 0;
         evicted_used = 0;
         evicted_discarded = 0;
+        simulated = 0;
         checksum = 0.0;
         std::uint64_t allocs_before = heapAllocations();
         Clock::time_point start = Clock::now();
@@ -438,6 +442,7 @@ benchE2eDl(int reps)
             walked += r.blocks_walked;
             evicted_used += r.evictions_used;
             evicted_discarded += r.evictions_discarded;
+            simulated += r.batches_simulated;
             checksum += r.throughput;
         }
         double ms = msSince(start);
@@ -451,6 +456,7 @@ benchE2eDl(int reps)
          static_cast<double>(allocs) / std::size(batches)},
         {"evictions_used", static_cast<double>(evicted_used)},
         {"evictions_discarded", static_cast<double>(evicted_discarded)},
+        {"batches_simulated", static_cast<double>(simulated)},
     };
     return res;
 }

@@ -24,22 +24,27 @@
 #      builds e2ebench/uvmd_e2e.cpp on its own against src/ and checks
 #      every workload in both trace modes, so a library change that
 #      breaks the benchmark fails here,
-#   9. results byte-stability (release build): every results-producing
+#   9. the DL fast-forward differential (release build, label `slow`):
+#      every DL grid the harnesses train, with dl::runTraining's
+#      steady-state fast-forward on and off, must match field for
+#      field (tier-1 runs one network's cells of it),
+#  10. results byte-stability (release build): every results-producing
 #      bench_* harness regenerates its CSVs at --jobs N, and
 #      scripts/check_results.py fails on any byte of drift from the
 #      committed results/ or any broken paper-claim relation
 #      (EXPERIMENTS.md) and names them,
-#  10. a perf smoke stage (release build): bench_host_perf emits
+#  11. a perf smoke stage (release build): bench_host_perf emits
 #      BENCH_perf.json at --jobs 2 whatever N is, so its
 #      dl_sweep_parallel stage runs the workload its baseline was
 #      taken with on every host; it is gated against the committed
 #      BENCH_baseline.json by scripts/perf_gate.py (throughput and
 #      wall-clock within a tolerance band; the exact work counters,
-#      every allocs_per_* count, blocks_walked and the evictions_*
-#      counts, may never increase; UVMD_PERF_STRICT=0 downgrades the
-#      gate to report-only for noisy machines); then one table sweep runs
-#      serial and parallel with the CSVs asserted bit-identical (the
-#      --jobs determinism contract, docs/performance.md).
+#      every allocs_per_* count, blocks_walked, batches_simulated and
+#      the evictions_* counts, may never increase; UVMD_PERF_STRICT=0
+#      downgrades the gate to report-only for noisy machines); then one
+#      table sweep runs serial and parallel with the CSVs asserted
+#      bit-identical (the --jobs determinism contract,
+#      docs/performance.md).
 #
 # Every tree is configured with UVMD_WERROR=ON, so a compiler warning
 # in any of them fails CI.
@@ -128,6 +133,9 @@ cmake --build --preset release -j "$JOBS"
 
 echo "== end-to-end benchmark smoke test =="
 python3 e2ebench/smoke_test.py
+
+echo "== DL fast-forward differential, every grid (release build) =="
+ctest --test-dir build-release -L slow --output-on-failure -j "$JOBS"
 
 echo "== results byte-stability (release build) =="
 python3 scripts/check_results.py --build build-release --jobs "$JOBS"

@@ -12,16 +12,18 @@ Gate semantics (docs/performance.md, "Regression gate"):
     mode (`--quick` vs full) — wall times of different modes are not
     comparable.
   - Exact work counters — allocation counts (names starting with
-    `allocs_per_`), `blocks_walked` and the eviction counts (names
-    starting with `evictions_`) — are deterministic counts, not
-    timings: any increase over the baseline fails regardless of
-    tolerance (the zero-allocation steady state keeps
+    `allocs_per_`), `blocks_walked`, `batches_simulated` and the
+    eviction counts (names starting with `evictions_`) — are
+    deterministic counts, not timings: any increase over the baseline
+    fails regardless of tolerance (the zero-allocation steady state keeps
     `allocs_per_iter` at 0; `allocs_per_script` catches a return to
     deep-copied backing-store payloads; `allocs_per_run` catches a
     return to a heap node per audited block; `blocks_walked` catches a
     return to per-block walks for fully resident or fully discarded
-    ranges; `evictions_used` and `evictions_discarded` catch a change
-    of the victims the eviction process picks).
+    ranges; `batches_simulated` catches the DL steady-state
+    fast-forward no longer firing; `evictions_used` and
+    `evictions_discarded` catch a change of the victims the eviction
+    process picks).
   - Benches present in the baseline but missing from the current run
     fail (a silently-dropped bench is a coverage regression); new
     benches in the current run are ignored (they gate once
@@ -50,7 +52,8 @@ def bench_map(doc):
 
 
 def is_exact_counter(key):
-    return (key.startswith("allocs_per_") or key == "blocks_walked" or
+    return (key.startswith("allocs_per_") or
+            key in ("blocks_walked", "batches_simulated") or
             key.startswith("evictions_"))
 
 

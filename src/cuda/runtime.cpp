@@ -415,6 +415,43 @@ Runtime::hostTouch(mem::VirtAddr addr, sim::Bytes size,
     host_time_ = driver_.hostAccess(addr, size, kind, host_time_);
 }
 
+std::optional<std::uint64_t>
+Runtime::stateDigest() const
+{
+    sim::Digest d(host_time_);
+    // With every stream empty no dispatch is pending, so the schedule
+    // order (clock_.next_seq) ranks nothing; dispatched is a counter.
+    d.addTime(clock_.now);
+    for (const StreamState &s : streams_) {
+        if (!s.ops.empty())
+            return std::nullopt;
+        d.addTime(s.ready);
+    }
+    for (const EventState &ev : events_) {
+        d.add(ev.recorded);
+        d.addTime(ev.time);
+    }
+    for (const auto &engine : compute_engines_)
+        d.addTime(engine->freeAt());
+    d.add(static_cast<std::uint64_t>(last_error_));
+    // The buffer map iterates in no canonical order: sum the entries'
+    // own digests.  Names are labels only.
+    std::uint64_t buffers = 0;
+    for (const auto &[addr, buf] : device_buffers_) {
+        sim::Digest entry;
+        entry.add(addr);
+        entry.add(buf.size);
+        entry.add(static_cast<std::uint64_t>(buf.gpu));
+        buffers += entry.value();
+    }
+    d.add(device_buffers_.size());
+    d.add(buffers);
+    d.add(next_device_addr_);
+    if (!driver_.hashState(d))
+        return std::nullopt;
+    return d.value();
+}
+
 void
 Runtime::hostWrite(mem::VirtAddr addr, const void *data,
                    std::size_t len)

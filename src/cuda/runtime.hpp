@@ -22,6 +22,7 @@
 #define UVMD_CUDA_RUNTIME_HPP
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -190,6 +191,19 @@ class Runtime
 
     /** Host-thread wall clock (== total elapsed after synchronize). */
     sim::SimTime now() const { return host_time_; }
+
+    /**
+     * A 64-bit digest of every piece of simulator state that can
+     * change the future, with times taken relative to now(): the
+     * driver (UvmDriver::hashState), the compute engines, the
+     * streams, events and device buffers.  Two runs whose digests
+     * are equal continue identically, shifted in time.  Counters are
+     * outputs and stay out.
+     * @return nullopt when the streams still hold queued work (take
+     *         it after synchronize()) or the driver state holds what
+     *         no digest covers (see UvmDriver::hashState).
+     */
+    std::optional<std::uint64_t> stateDigest() const;
 
   private:
     /** Is [addr, addr+size) contained in one managed range? */

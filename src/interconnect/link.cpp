@@ -1,6 +1,7 @@
 #include "interconnect/link.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/logging.hpp"
@@ -116,6 +117,25 @@ Link::scaleBandwidth(double factor)
     if (factor <= 0.0 || factor > 1.0)
         sim::panic("Link: bandwidth factor must be in (0, 1]");
     bandwidth_factor_ *= factor;
+}
+
+void
+Link::hashState(sim::Digest &d) const
+{
+    for (const Lane &l : lanes_) {
+        d.add(l.engines.size());
+        for (std::uint32_t i = 0; i < l.engines.size(); ++i) {
+            d.add(l.offline[i]);
+            d.addTime(l.engines[i].freeAt());
+            // Engines free by now() all offset to 0, but pickEngine
+            // still tells them apart by their raw busy-until times.
+            for (std::uint32_t j = i + 1; j < l.engines.size(); ++j) {
+                d.add(l.engines[i].freeAt() < l.engines[j].freeAt());
+                d.add(l.engines[j].freeAt() < l.engines[i].freeAt());
+            }
+        }
+    }
+    d.add(std::bit_cast<std::uint64_t>(bandwidth_factor_));
 }
 
 const sim::Resource &

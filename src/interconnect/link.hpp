@@ -29,6 +29,7 @@
 
 #include "interconnect/link_spec.hpp"
 #include "sim/arena.hpp"
+#include "sim/digest.hpp"
 #include "sim/resource.hpp"
 #include "sim/stats.hpp"
 
@@ -130,6 +131,12 @@ class Link
     sim::Bytes bytesD2h() const { return stats_[LinkStat::bytes_d2h]; }
 
     sim::StatGroup stats() const { return stats_.group(); }
+
+    /** Add the state that shapes future issues to @p d: each engine's
+     *  busy-until offset, offline flag and, with several engines, the
+     *  order pickEngine sees them in; the bandwidth factor.  Traffic
+     *  and descriptor totals are outputs and stay out. */
+    void hashState(sim::Digest &d) const;
 
   private:
     /** The copy engines of one direction.  Engine timelines and

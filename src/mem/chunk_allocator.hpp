@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "mem/page.hpp"
+#include "sim/digest.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
@@ -111,6 +112,18 @@ class ChunkAllocator
 
     /** Allocation statistics (UVMD_ALLOC_STATS). */
     sim::StatGroup stats() const { return stats_.group(); }
+
+    /** Add the chunk accounting to @p d (the statistics are outputs
+     *  and stay out).  Chunks carry no id: which block holds one is
+     *  the block's state. */
+    void
+    hashState(sim::Digest &d) const
+    {
+        d.add(total_chunks_);
+        d.add(allocated_chunks_);
+        d.add(reserved_chunks_);
+        d.add(retired_chunks_);
+    }
 
   private:
     std::uint64_t total_chunks_;

@@ -182,6 +182,9 @@ class GpuPageQueues
     List &unusedQueue() { return unused_; }
     List &usedQueue() { return used_; }
     List &discardedQueue() { return discarded_; }
+    const List &unusedQueue() const { return unused_; }
+    const List &usedQueue() const { return used_; }
+    const List &discardedQueue() const { return discarded_; }
 
     /** Which queue (if any) currently holds @p elem. */
     QueueKind

@@ -214,7 +214,7 @@ Auditor::book(const BlockAudit &audit, std::uint64_t h2d,
 
 template <typename Fn>
 void
-Auditor::forEachOpen(std::uint64_t first, std::uint64_t end, Fn fn)
+Auditor::forEachOpen(std::uint64_t first, std::uint64_t end, Fn fn) const
 {
     end = std::min<std::uint64_t>(end, open_.size() * 64);
     for (std::uint64_t k = first; k < end;) {
@@ -280,6 +280,24 @@ Auditor::finalize()
         return;  // nothing open: a repeated call stays free
     forEachOpen(0, open_.size() * 64,
                 [&](std::uint64_t key) { closeWhole(key, false); });
+}
+
+bool
+Auditor::hashState(sim::Digest &d) const
+{
+    auto counts = [&](const OpenCounts &c) {
+        d.add(c.uniform);
+        d.add(c.total);
+        if (c.planes != kNoPlanes)
+            planes_[c.planes].hashState(d);
+    };
+    forEachOpen(0, open_.size() * 64, [&](std::uint64_t key) {
+        const BlockAudit &audit = recordAt(key);
+        d.add(key);
+        counts(audit.h2d);
+        counts(audit.d2h);
+    });
+    return true;
 }
 
 std::vector<Auditor::RangeWaste>

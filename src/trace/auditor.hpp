@@ -97,6 +97,12 @@ class Auditor : public uvm::TransferObserver
     void onFree(const uvm::VaBlock &block,
                 const uvm::PageMask &pages) override;
 
+    /** Add the open-transfer state (per open block, each direction's
+     *  uniform count, planes and total) to @p d.  The classified
+     *  totals and the per-range table are outputs and stay out, and a
+     *  record's range id only routes attribution to that table. */
+    bool hashState(sim::Digest &d) const override;
+
     /**
      * Close still-open transfers as redundant (a value that is never
      * read again did not need its last moves).  Call after the
@@ -180,6 +186,14 @@ class Auditor : public uvm::TransferObserver
 
         void clear() { planes_.clear(); }
 
+        void
+        hashState(sim::Digest &d) const
+        {
+            d.add(planes_.size());
+            for (const uvm::PageMask &plane : planes_)
+                d.add(plane);
+        }
+
       private:
         sim::SmallVec<uvm::PageMask, 1> planes_;
     };
@@ -206,6 +220,11 @@ class Auditor : public uvm::TransferObserver
     using Chunk = std::array<BlockAudit, std::size_t{1} << kChunkLog>;
 
     /** The record of open key @p key (its chunk exists). */
+    const BlockAudit &
+    recordAt(std::uint64_t key) const
+    {
+        return (*table_[key >> kChunkLog])[key & ((1u << kChunkLog) - 1)];
+    }
     BlockAudit &
     recordAt(std::uint64_t key)
     {
@@ -248,7 +267,7 @@ class Auditor : public uvm::TransferObserver
 
     /** Call @p fn(key) for every set bit of open_ in [first, end). */
     template <typename Fn>
-    void forEachOpen(std::uint64_t first, std::uint64_t end, Fn fn);
+    void forEachOpen(std::uint64_t first, std::uint64_t end, Fn fn) const;
 
     /** Chunk key >> kChunkLog holds the record of open key key;
      *  null until a block in it first transfers. */

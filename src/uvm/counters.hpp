@@ -8,7 +8,10 @@
  * byCause(first, cause) finds a cause's row by offset.  blocks_walked
  * counts the blocks visited by the driver's per-block walks (access,
  * prefetch, discard, host access, advise; whole-range fast paths add
- * 0), an exact count of host work.
+ * 0), an exact count of the simulated run's walks.  A DL run that
+ * fast-forwards its steady state (dl::runTraining) reports it for
+ * every batch, computed ones included, like every other row; its
+ * host work shows in TrainResult::batches_simulated.
  */
 
 #ifndef UVMD_UVM_COUNTERS_HPP

@@ -1,5 +1,6 @@
 #include "uvm/driver.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "sim/logging.hpp"
@@ -275,6 +276,51 @@ jsonEngines(std::ostream &os, const interconnect::Link &link)
 }
 
 }  // namespace
+
+bool
+UvmDriver::hashState(sim::Digest &d) const
+{
+    if (backing_.enabled() || injector_.enabled() ||
+        cfg_.eviction_policy == EvictionPolicy::kRandom || progress_sink_)
+        return false;
+    // Left out: cfg_ (fixed for the run), counters_ and
+    // invariant_violations_ (outputs), the zero engines (a cost model
+    // and statistics), summary_walk_ (set only inside an op) and
+    // next_alloc_ordinal_ (see the ranks below).
+    va_space_.hashState(d);
+    // Each queue adds its size and head, by block base; with each
+    // block's successor (VaBlock::hashState) that fixes its order.
+    std::vector<std::uint64_t> ordinals;
+    for (const auto &g : gpus_) {
+        g->allocator.hashState(d);
+        g->link.hashState(d);
+        for (const Queues::List *list :
+             {&g->queues.unusedQueue(), &g->queues.usedQueue(),
+              &g->queues.discardedQueue()}) {
+            d.add(list->size());
+            d.add(list->empty() ? 0 : list->front()->base);
+            if (cfg_.eviction_policy != EvictionPolicy::kFifo)
+                continue;
+            for (VaBlock *b = list->front(); b; b = list->next(b))
+                ordinals.push_back(b->alloc_ordinal);
+        }
+    }
+    // FIFO victims are picked by allocation ordinal, which only counts
+    // up: relabel each chunk holder, in queue visit order, by its
+    // ordinal's rank.  No other policy reads the ordinals.
+    if (!ordinals.empty()) {
+        std::vector<std::uint64_t> sorted = ordinals;
+        std::sort(sorted.begin(), sorted.end());
+        for (std::uint64_t o : ordinals) {
+            d.add(static_cast<std::uint64_t>(
+                std::lower_bound(sorted.begin(), sorted.end(), o) -
+                sorted.begin()));
+        }
+    }
+    peer_link_.hashState(d);
+    xfer_->hashState(d);
+    return !observer_ || observer_->hashState(d);
+}
 
 void
 UvmDriver::dumpStatsJson(std::ostream &os)

@@ -314,6 +314,20 @@ class UvmDriver
      *  descriptor counts) as one JSON object. */
     void dumpStatsJson(std::ostream &os);
 
+    /**
+     * Add every piece of driver state that can change the future to
+     * @p d, times as offsets from its reference time: the blocks and
+     * ranges (VaSpace::hashState), each GPU's chunk accounting, links
+     * and queue order, the peer link, the transfer engine and the
+     * observer's state.  Counters are outputs and stay out.
+     * @return false, leaving @p d incomplete, when the state holds
+     *         what no digest covers: page payloads (backed mode), the
+     *         fault injector's or the random victim policy's random
+     *         stream, an attached progress sink, or an observer whose
+     *         hashState() declines.
+     */
+    bool hashState(sim::Digest &d) const;
+
   private:
     struct GpuState {
         explicit GpuState(const UvmConfig &cfg,

@@ -16,6 +16,7 @@
 
 #include "interconnect/link.hpp"
 #include "sim/arena.hpp"
+#include "sim/digest.hpp"
 #include "uvm/va_block.hpp"
 
 namespace uvmd::uvm {
@@ -158,6 +159,20 @@ class TransferObserver
         (void)block;
         (void)from;
         (void)to;
+    }
+
+    /**
+     * Add the observer's state that shapes its future results to
+     * @p d (UvmDriver::hashState).  @return false when the observer
+     * cannot: a state digest then cannot be taken, so nothing that
+     * trusts one skips events this observer would have seen.  That
+     * is the default.
+     */
+    virtual bool
+    hashState(sim::Digest &d) const
+    {
+        (void)d;
+        return false;
     }
 };
 

@@ -61,6 +61,19 @@ TransferEngine::linkIndex(const TransferRequest &req) const
 }
 
 void
+TransferEngine::hashState(sim::Digest &d) const
+{
+    d.add(static_cast<std::uint64_t>(batch_depth_));
+    for (const std::array<Tail, 2> &pair : tails_) {
+        for (const Tail &t : pair) {
+            d.add(t.valid);
+            d.add(t.end_addr);
+            d.add(t.engine);
+        }
+    }
+}
+
+void
 TransferEngine::invalidateTail(std::size_t link_idx, Direction dir)
 {
     if (link_idx < tails_.size())

@@ -30,6 +30,7 @@
 
 #include "interconnect/link.hpp"
 #include "sim/arena.hpp"
+#include "sim/digest.hpp"
 #include "sim/fault_injector.hpp"
 #include "uvm/config.hpp"
 #include "uvm/counters.hpp"
@@ -134,6 +135,10 @@ class TransferEngine
     sim::SimTime rawTransfer(GpuId gpu, sim::Bytes bytes,
                              interconnect::Direction dir,
                              sim::SimTime start);
+
+    /** Add the open batch depth and the coalescing tails to @p d (the
+     *  links hash themselves). */
+    void hashState(sim::Digest &d) const;
 
   private:
     /** Coalescing tail: where the last descriptor of a (link, dir)

@@ -1,6 +1,9 @@
 #include "uvm/va_block.hpp"
 
+#include <array>
+#include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/logging.hpp"
 
@@ -12,6 +15,57 @@ makeMask(std::uint32_t first, std::uint32_t last)
     if (first > last || last >= mem::kPagesPerBlock)
         sim::panic("makeMask: bad page range");
     return mem::makeRunMask<mem::kPagesPerBlock>(first, last);
+}
+
+void
+VaBlock::hashState(sim::Digest &d) const
+{
+    // A digest reads every block, so the masks are read as words: a
+    // PageMask is exactly 64 bytes of bits (no padding), and any
+    // one-to-one view of them hashes correctly.  Most masks are empty
+    // or all set; those shapes pack into one word with the scalar
+    // fields, and only the other masks are hashed word by word.
+    // `valid` follows from the range's size, and `base` from the
+    // block's place in its range.
+    using Words = std::array<std::uint64_t, mem::kPagesPerBlock / 64>;
+    static_assert(sizeof(PageMask) == sizeof(Words) &&
+                  std::is_trivially_copyable_v<PageMask>);
+    const PageMask *masks[] = {&resident_cpu,     &resident_gpu,
+                               &cpu_pages_present, &mapped_cpu,
+                               &mapped_gpu,       &discarded,
+                               &discarded_lazily, &gpu_prepared};
+    Words partial[std::size(masks)];
+    std::size_t n_partial = 0;
+    std::uint64_t word = 0;
+    for (const PageMask *m : masks) {
+        Words w;
+        std::memcpy(w.data(), m, sizeof w);
+        std::uint64_t any = 0;
+        std::uint64_t all = ~std::uint64_t{0};
+        for (std::uint64_t x : w) {
+            any |= x;
+            all &= x;
+        }
+        std::uint64_t shape = any == 0 ? 0 : ~all == 0 ? 1 : 2;
+        if (shape == 2)
+            partial[n_partial++] = w;
+        word = word << 2 | shape;
+    }
+    word = word << 8 | static_cast<std::uint8_t>(owner_gpu);
+    word = word << 8 | accessed_by;
+    word = word << 8 | remote_mapped;
+    word = word << 2 | static_cast<std::uint8_t>(link.on);
+    word = word << 1 | has_gpu_chunk;
+    word = word << 1 | gpu_mapping_big;
+    word = word << 1 | prefer_cpu;
+    d.add(word);
+    // Queue order: each block's successor, by base (the driver adds
+    // each queue's head).
+    d.add(link.next ? link.next->base : 0);
+    for (std::size_t i = 0; i < n_partial; ++i) {
+        for (std::uint64_t x : partial[i])
+            d.add(x);
+    }
 }
 
 PageMask

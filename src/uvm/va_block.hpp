@@ -20,6 +20,7 @@
 
 #include "mem/page.hpp"
 #include "mem/page_queues.hpp"
+#include "sim/digest.hpp"
 #include "uvm/ids.hpp"
 
 namespace uvmd::uvm {
@@ -213,6 +214,12 @@ struct VaBlock {
     }
 
     std::string describe() const;
+
+    /** Add the block's residency, mapping, discard, lazy, prepared
+     *  and advice state, its chunk ownership, its queue and its
+     *  successor there to @p d.  The queue heads and the allocation
+     *  ordinal are the driver's to hash (UvmDriver::hashState). */
+    void hashState(sim::Digest &d) const;
 };
 
 }  // namespace uvmd::uvm

@@ -93,4 +93,22 @@ VaSpace::forEachBlockAll(sim::FunctionRef<void(VaBlock &)> fn)
     }
 }
 
+void
+VaSpace::hashState(sim::Digest &d) const
+{
+    d.add(next_range_id_);
+    d.add(next_base_);
+    for (const auto &[id, range] : ranges_) {
+        d.add(id);
+        d.add(range.base);
+        d.add(range.size);
+        d.add(static_cast<std::uint64_t>(range.state));
+        // summary_gpu is stale while no summary holds.
+        if (range.state != RangeState::kNone)
+            d.add(static_cast<std::uint64_t>(range.summary_gpu));
+        for (const VaBlock *block : range.blocks)
+            block->hashState(d);
+    }
+}
+
 }  // namespace uvmd::uvm

@@ -154,6 +154,13 @@ class VaSpace
 
     std::size_t blockCount() const { return live_blocks_; }
 
+    /** Add every range (id, extent, summary) and every block's state
+     *  (VaBlock::hashState) to @p d, in address order, with the bump
+     *  allocator's next id and base.  Range names are labels only;
+     *  the block index, lookup cache and arena follow from the
+     *  ranges. */
+    void hashState(sim::Digest &d) const;
+
     /** Dense-index key (VaBlock::blockIndex) of the first possible
      *  block, at the 1 TiB VA base; managed keys count up from it. */
     static constexpr std::uint64_t kFirstKey =

@@ -24,6 +24,13 @@ void
 harvest(RunResult &result, cuda::Runtime &rt, trace::Auditor &auditor)
 {
     auditor.finalize();
+    readCounters(result, rt, auditor);
+}
+
+void
+readCounters(RunResult &result, cuda::Runtime &rt,
+             const trace::Auditor &auditor)
+{
     uvm::UvmDriver &drv = rt.driver();
     result.traffic_h2d = drv.trafficH2d();
     result.traffic_d2h = drv.trafficD2h();

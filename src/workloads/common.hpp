@@ -158,7 +158,25 @@ struct RunResult {
     }
 };
 
-/** Fill the counter-derived fields of @p result from a finished run. */
+/** The counter-derived fields of RunResult, which harvest() fills:
+ *  running totals that only grow while a run goes on. */
+inline constexpr std::uint64_t RunResult::*kRunCounters[] = {
+    &RunResult::traffic_h2d,         &RunResult::traffic_d2h,
+    &RunResult::required,            &RunResult::redundant,
+    &RunResult::skipped_by_discard,  &RunResult::gpu_fault_batches,
+    &RunResult::evictions_used,      &RunResult::evictions_discarded,
+    &RunResult::fault_injected,      &RunResult::transfer_retries,
+    &RunResult::pages_retired,       &RunResult::oom_fallbacks,
+    &RunResult::blocks_walked,
+};
+
+/** Fill the kRunCounters fields of @p result from a run so far,
+ *  without closing the Auditor's open transfers. */
+void readCounters(RunResult &result, cuda::Runtime &rt,
+                  const trace::Auditor &auditor);
+
+/** Fill the kRunCounters fields of @p result from a finished run:
+ *  auditor.finalize(), then readCounters(). */
 void harvest(RunResult &result, cuda::Runtime &rt,
              trace::Auditor &auditor);
 

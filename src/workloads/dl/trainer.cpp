@@ -1,6 +1,7 @@
 #include "workloads/dl/trainer.hpp"
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "sim/logging.hpp"
@@ -435,6 +436,22 @@ class ManualSwapTrainer : public TrainerBase
     std::map<sim::Bytes, std::vector<mem::VirtAddr>> cache_;
 };
 
+/** What runTraining reads at a batch boundary: the clock and the
+ *  running totals, before the Auditor's finalize(). */
+struct Boundary {
+    sim::SimTime now = 0;
+    RunResult totals;
+};
+
+Boundary
+boundary(Runtime &rt, const trace::Auditor &auditor)
+{
+    Boundary b;
+    b.now = rt.now();
+    readCounters(b.totals, rt, auditor);
+    return b;
+}
+
 }  // namespace
 
 TrainResult
@@ -462,25 +479,61 @@ runTraining(System sys, const TrainParams &p,
         break;
     }
 
+    // Every runBatch() ends synchronized.  seen[j] is the boundary
+    // after batch j (0: after setup); the loop stops early once a
+    // batch ends in the state it started from.  Digests start after
+    // batch 1: a digest costs a pass over every block, and only the
+    // No-UVM trainer, whose batches are cheap, could repeat the setup.
     trainer->setup();
-    for (int b = 0; b < p.warmup_batches; ++b)
+    const int batches = p.warmup_batches + p.measured_batches;
+    const bool fast_forward =
+        p.fast_forward && sys != System::kManualSwap;
+    std::vector<Boundary> seen;
+    seen.reserve(batches + 1);
+    seen.push_back(boundary(rt, auditor));
+    std::optional<std::uint64_t> digest;
+    while (static_cast<int>(seen.size()) <= batches) {
         trainer->runBatch();
-    rt.synchronize();
+        seen.push_back(boundary(rt, auditor));
+        if (!fast_forward || static_cast<int>(seen.size()) > batches)
+            continue;
+        std::optional<std::uint64_t> next = rt.stateDigest();
+        if (next && next == digest)
+            break;
+        digest = next;
+    }
+    const int simulated = static_cast<int>(seen.size()) - 1;
+    result.batches_simulated = simulated;
 
-    sim::SimTime t0 = rt.now();
-    sim::Bytes traffic0 = rt.driver().totalTrafficBytes();
-    for (int b = 0; b < p.measured_batches; ++b)
-        trainer->runBatch();
-    rt.synchronize();
+    // Boundary j: as simulated, or, past the last simulated batch, by
+    // repeating its period.
+    auto at = [&](int j) {
+        if (j <= simulated)
+            return seen[j];
+        const Boundary &last = seen[simulated];
+        const Boundary &prev = seen[simulated - 1];
+        Boundary b = last;
+        std::uint64_t k = j - simulated;
+        b.now += static_cast<sim::SimDuration>(k) * (last.now - prev.now);
+        for (std::uint64_t RunResult::*c : kRunCounters)
+            b.totals.*c += k * (last.totals.*c - prev.totals.*c);
+        return b;
+    };
+    const Boundary start = at(p.warmup_batches);
+    const Boundary end = at(batches);
 
-    result.elapsed = rt.now() - t0;
+    result.elapsed = end.now - start.now;
     result.traffic_measured =
-        rt.driver().totalTrafficBytes() - traffic0;
+        end.totals.trafficTotal() - start.totals.trafficTotal();
     result.throughput =
         p.measured_batches * p.batch_size /
         sim::toSeconds(result.elapsed);
 
+    // finalize() adds to the live state what it would add at the end
+    // of the run: the two states are equal.
     harvest(result, rt, auditor);
+    for (std::uint64_t RunResult::*c : kRunCounters)
+        result.*c += end.totals.*c - seen[simulated].totals.*c;
     double required_frac =
         result.required + result.redundant > 0
             ? static_cast<double>(result.required) /

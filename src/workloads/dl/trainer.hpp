@@ -38,6 +38,11 @@ struct TrainParams {
     /** Host-side batch generation time (excluded pre-processing is
      *  modelled as zero; this is the in-loop part). */
     sim::SimDuration host_gen_time = sim::microseconds(200);
+
+    /** Stop simulating once a batch ends in the state it started
+     *  from (see runTraining); the results are the same either way.
+     *  Tests turn it off to compare. */
+    bool fast_forward = true;
 };
 
 struct TrainResult : RunResult {
@@ -58,10 +63,28 @@ struct TrainResult : RunResult {
     /** Estimated measured-region required traffic (full-run required
      *  fraction applied to the measured traffic; see DESIGN.md). */
     sim::Bytes required_measured = 0;
+
+    /** Batches actually simulated (host work): every batch of the run
+     *  without the fast-forward, fewer with it. */
+    int batches_simulated = 0;
 };
 
-/** Train @p params.net under @p sys.  Fatal for No-UVM when the
- *  allocation exceeds GPU memory (the Listing 4 failure mode). */
+/**
+ * Train @p params.net under @p sys.  Fatal for No-UVM when the
+ * allocation exceeds GPU memory (the Listing 4 failure mode).
+ *
+ * Steady-state fast-forward: the simulation is deterministic, so once
+ * the state after batch b equals the state after batch b-1 (equal
+ * cuda::Runtime::stateDigest(), times relative to now()), every later
+ * batch repeats batch b exactly.  The run then stops simulating and
+ * computes the clock, the traffic and every RunResult counter at the
+ * later batch boundaries from the last period.  The result is the
+ * one the full simulation gives, field for field.  The fast-forward
+ * is off with params.fast_forward unset, for ManualSwap (its caching
+ * allocator is trainer state outside the digest) and whenever the
+ * state takes no digest (backed mode, fault injection, the random
+ * victim policy).
+ */
 TrainResult runTraining(System sys, const TrainParams &params,
                         interconnect::LinkSpec link,
                         const uvm::UvmConfig &cfg =

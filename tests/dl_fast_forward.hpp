@@ -1,0 +1,120 @@
+/**
+ * @file
+ * Helpers for the fast-forward differential tests: the Figure 5/6
+ * cells of some networks, and an exact on/off comparison of
+ * dl::runTraining over a list of cells.
+ */
+
+#ifndef UVMD_TESTS_DL_FAST_FORWARD_HPP
+#define UVMD_TESTS_DL_FAST_FORWARD_HPP
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "dl_sweep.hpp"
+#include "workloads/dl/trainer.hpp"
+
+namespace uvmd::test {
+
+using DlCell = std::pair<workloads::System, workloads::dl::TrainParams>;
+
+/** The cells bench::dlSweep trains for the networks in @p nets (all
+ *  when empty): each batch of the network's grid under the Figure 6
+ *  systems, No-UVM only where it fits. */
+inline std::vector<DlCell>
+fig6Grid(const std::set<std::string> &nets = {})
+{
+    const uvm::UvmConfig cfg = uvm::UvmConfig::rtx3080ti();
+    std::vector<DlCell> cells;
+    for (const workloads::dl::NetSpec &net :
+         workloads::dl::NetSpec::all()) {
+        if (!nets.empty() && !nets.count(net.name))
+            continue;
+        for (int batch : bench::batchGrid(net)) {
+            workloads::dl::TrainParams p;
+            p.net = net;
+            p.batch_size = batch;
+            for (workloads::System sys : bench::kDlSystems) {
+                if (sys != workloads::System::kNoUvm ||
+                    net.allocBytes(batch) <= cfg.gpu_memory)
+                    cells.emplace_back(sys, p);
+            }
+        }
+    }
+    return cells;
+}
+
+/** Every TrainResult field of @p on equals that of @p off. */
+inline void
+expectSameTraining(const workloads::dl::TrainResult &on,
+                   const workloads::dl::TrainResult &off,
+                   const std::string &label)
+{
+    EXPECT_EQ(on.system, off.system) << label;
+    EXPECT_EQ(on.ovsp_ratio, off.ovsp_ratio) << label;
+    EXPECT_EQ(on.elapsed, off.elapsed) << label;
+    EXPECT_EQ(on.traffic_h2d, off.traffic_h2d) << label;
+    EXPECT_EQ(on.traffic_d2h, off.traffic_d2h) << label;
+    EXPECT_EQ(on.required, off.required) << label;
+    EXPECT_EQ(on.redundant, off.redundant) << label;
+    EXPECT_EQ(on.skipped_by_discard, off.skipped_by_discard) << label;
+    EXPECT_EQ(on.gpu_fault_batches, off.gpu_fault_batches) << label;
+    EXPECT_EQ(on.evictions_used, off.evictions_used) << label;
+    EXPECT_EQ(on.evictions_discarded, off.evictions_discarded) << label;
+    EXPECT_EQ(on.fault_injected, off.fault_injected) << label;
+    EXPECT_EQ(on.transfer_retries, off.transfer_retries) << label;
+    EXPECT_EQ(on.pages_retired, off.pages_retired) << label;
+    EXPECT_EQ(on.oom_fallbacks, off.oom_fallbacks) << label;
+    EXPECT_EQ(on.blocks_walked, off.blocks_walked) << label;
+    EXPECT_EQ(on.batch_size, off.batch_size) << label;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(on.throughput),
+              std::bit_cast<std::uint64_t>(off.throughput))
+        << label;
+    EXPECT_EQ(on.traffic_measured, off.traffic_measured) << label;
+    EXPECT_EQ(on.required_measured, off.required_measured) << label;
+}
+
+/**
+ * Train each of @p cells on @p link under @p cfg with the
+ * fast-forward on and off:
+ * every field must match, the runs without it simulate every batch,
+ * and the UVM runs with it at most @p max_simulated batches.
+ */
+inline void
+expectFastForwardExact(const std::vector<DlCell> &cells,
+                       const interconnect::LinkSpec &link,
+                       const uvm::UvmConfig &cfg =
+                           uvm::UvmConfig::rtx3080ti(),
+                       int max_simulated = 3)
+{
+    ASSERT_FALSE(cells.empty());
+    for (const auto &[sys, params] : cells) {
+        workloads::dl::TrainParams p = params;
+        const std::string label = p.net.name + " batch " +
+                                  std::to_string(p.batch_size) + " " +
+                                  workloads::toString(sys) + " on " +
+                                  link.name;
+        p.fast_forward = false;
+        workloads::dl::TrainResult off =
+            workloads::dl::runTraining(sys, p, link, cfg);
+        p.fast_forward = true;
+        workloads::dl::TrainResult on =
+            workloads::dl::runTraining(sys, p, link, cfg);
+        expectSameTraining(on, off, label);
+        EXPECT_EQ(off.batches_simulated,
+                  p.warmup_batches + p.measured_batches)
+            << label;
+        if (workloads::usesUvm(sys)) {
+            EXPECT_LE(on.batches_simulated, max_simulated) << label;
+        }
+    }
+}
+
+}  // namespace uvmd::test
+
+#endif  // UVMD_TESTS_DL_FAST_FORWARD_HPP
