@@ -6,7 +6,7 @@
 #      schedules against a fault-free reference),
 #   3. the sanitized suite (asan+ubsan build, label `sanitized`),
 #   4. the threaded suite under TSan (tsan build, label `threaded`:
-#      parallel sweeps, watchdog threads),
+#      parallel sweeps, the watchdog's asynchronous expiry handler),
 #   5. a verify-fuzz smoke: scenario_fuzz runs seeded random
 #      scenarios under the differential oracle in both fault modes
 #      (UVMD_FUZZ_SEEDS overrides the per-mode seed count, default

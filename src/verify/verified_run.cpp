@@ -46,7 +46,7 @@ runVerifiedScenario(const std::string &script, const VerifyOptions &opts)
 {
     VerifyResult res;
     Oracle oracle(opts.check_content);
-    ProgressMonitor monitor(opts.progress);
+    ProgressMonitor monitor;
     Watchdog watchdog;
     std::string label =
         opts.label.empty() ? "verified scenario" : opts.label;
@@ -74,12 +74,11 @@ runVerifiedScenario(const std::string &script, const VerifyOptions &opts)
         oracle.finalCheck(rt);
     };
     hooks.on_deadline = [&](sim::SimDuration d) {
-        watchdog.arm(
-            static_cast<std::uint64_t>(sim::toMilliseconds(d)), label);
+        watchdog.arm(std::chrono::nanoseconds(d), label);
     };
 
     if (opts.wall_clock_ms)
-        watchdog.arm(opts.wall_clock_ms, label);
+        watchdog.arm(std::chrono::milliseconds(opts.wall_clock_ms), label);
 
     try {
         res.stats = workloads::runScenario(script, hooks);

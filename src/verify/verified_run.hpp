@@ -51,9 +51,6 @@ struct VerifyOptions {
     /** Deliberate driver mutation (oracle-detection self-test). */
     uvm::BugInjection bug = uvm::BugInjection::kNone;
 
-    /** Livelock monitor thresholds. */
-    ProgressMonitor::Limits progress;
-
     /** Wall-clock budget; the DSL's `deadline` directive overrides.
      *  0 disables the wall-clock watchdog entirely. */
     std::uint64_t wall_clock_ms = 30000;

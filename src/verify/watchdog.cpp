@@ -1,10 +1,13 @@
 #include "verify/watchdog.hpp"
 
-#include <chrono>
-#include <cstdio>
+#include <algorithm>
+#include <cerrno>
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+
+#include <unistd.h>
 
 namespace uvmd::verify {
 
@@ -41,71 +44,72 @@ ProgressMonitor::onStep(const char *phase, sim::SimTime now)
     last_time_ = now;
 }
 
-Watchdog::~Watchdog()
+namespace {
+
+/** SIGRTMAX handler: writes the diagnosis line si_value points at and
+ *  exits.  Async-signal-safe calls only; no destructors, no atexit:
+ *  any of those could hang on the same stuck state. */
+void
+onExpiry(int, siginfo_t *info, void *)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        shutdown_ = true;
-        armed_ = false;
-        ++generation_;
-    }
-    cv_.notify_all();
-    if (thread_.joinable())
-        thread_.join();
+    if (info->si_code != SI_TIMER)
+        return;
+    const auto *line =
+        static_cast<const std::atomic<char> *>(info->si_value.sival_ptr);
+    char out[256];
+    std::size_t n = 0;
+    while (n < sizeof(out) &&
+           (out[n] = line[n].load(std::memory_order_relaxed)) != '\0')
+        ++n;
+    (void)!::write(STDERR_FILENO, out, n);
+    std::_Exit(WatchdogError::kExitCode);
+}
+
+}  // namespace
+
+Watchdog::Watchdog()
+{
+    static const bool handler_installed = [] {
+        struct sigaction sa{};
+        sa.sa_sigaction = &onExpiry;
+        sa.sa_flags = SA_SIGINFO;
+        return sigaction(SIGRTMAX, &sa, nullptr) == 0;
+    }();
+    sigevent ev{};
+    ev.sigev_notify = SIGEV_SIGNAL;
+    ev.sigev_signo = SIGRTMAX;
+    ev.sigev_value.sival_ptr = line_.data();
+    if (!handler_installed ||
+        timer_create(CLOCK_MONOTONIC, &ev, &timer_) != 0)
+        throw sim::FatalError(
+            std::string("watchdog: cannot create a wall-clock timer: ") +
+            std::strerror(errno));
 }
 
 void
-Watchdog::arm(std::uint64_t millis, const std::string &what)
+Watchdog::arm(std::chrono::nanoseconds after, const std::string &what)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(millis);
-    what_ = what;
-    armed_ = true;
-    ++generation_;
-    if (!thread_.joinable())
-        thread_ = std::thread([this] { run(); });
-    cv_.notify_all();
+    using namespace std::literals;
+    static_assert(WatchdogError::kExitCode == 5);
+    std::size_t n = 0;
+    for (std::string_view s :
+         {"uvmd watchdog: wall-clock deadline expired for "sv,
+          what.empty() ? "<unnamed scenario>"sv : std::string_view(what),
+          "; killing run (exit 5)\n"sv})
+        for (char c : s.substr(0, line_.size() - 1 - n))
+            line_[n++].store(c, std::memory_order_relaxed);
+    line_[n].store('\0', std::memory_order_relaxed);
+    // A zero it_value would disarm the timer instead of expiring it.
+    std::int64_t ns = std::max<std::int64_t>(after.count(), 1);
+    itimerspec spec{{0, 0}, {ns / 1000000000, ns % 1000000000}};
+    timer_settime(timer_, 0, &spec, nullptr);
 }
 
 void
 Watchdog::disarm()
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    armed_ = false;
-    ++generation_;
-    cv_.notify_all();
-}
-
-void
-Watchdog::run()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        if (shutdown_)
-            return;
-        if (!armed_) {
-            cv_.wait(lock,
-                     [this] { return armed_ || shutdown_; });
-            continue;
-        }
-        std::uint64_t gen = generation_;
-        if (cv_.wait_until(lock, deadline_, [this, gen] {
-                return generation_ != gen;
-            }))
-            continue;  // re-armed or disarmed; re-evaluate
-        // Deadline hit while still armed: the main thread is stuck.
-        // Flush a diagnosis and kill the process — no destructors, no
-        // atexit: any of those could hang on the same stuck state.
-        std::fprintf(stderr,
-                     "uvmd watchdog: wall-clock deadline expired for "
-                     "%s; killing run (exit %d)\n",
-                     what_.empty() ? "<unnamed scenario>"
-                                   : what_.c_str(),
-                     WatchdogError::kExitCode);
-        std::fflush(stderr);
-        std::_Exit(WatchdogError::kExitCode);
-    }
+    itimerspec off{};
+    timer_settime(timer_, 0, &off, nullptr);
 }
 
 }  // namespace uvmd::verify

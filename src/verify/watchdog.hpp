@@ -16,7 +16,7 @@
  *
  *  2. *Wall-clock runaway*: the sim makes "progress" but never
  *     terminates (unbounded event cascades), or some host-side loop
- *     hangs where no sink is consulted.  The Watchdog thread arms a
+ *     hangs where no sink is consulted.  The Watchdog's timer arms a
  *     hard deadline per scenario (the DSL's `deadline 5s` directive,
  *     or a harness default); on expiry it prints a diagnosis to
  *     stderr and _Exit()s with WatchdogError::kExitCode, because a
@@ -29,11 +29,12 @@
 #ifndef UVMD_VERIFY_WATCHDOG_HPP
 #define UVMD_VERIFY_WATCHDOG_HPP
 
-#include <condition_variable>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <mutex>
+#include <ctime>
 #include <string>
-#include <thread>
 
 #include "sim/logging.hpp"
 #include "sim/progress.hpp"
@@ -86,42 +87,39 @@ class ProgressMonitor : public sim::ProgressSink
 };
 
 /**
- * Wall-clock deadline watchdog (level 2).  One background thread per
- * instance; arm() starts the countdown, disarm() cancels it.  On
- * expiry the process is terminated via std::_Exit(kExitCode) after
- * printing a diagnosis — by construction the main thread is hung, so
- * throwing is not an option.
+ * Wall-clock deadline watchdog (level 2).  One CLOCK_MONOTONIC kernel
+ * timer per instance; arm() starts the countdown, disarm() cancels it.
+ * On expiry the timer raises SIGRTMAX; the handler (installed by the
+ * first Watchdog) prints the diagnosis and std::_Exit(kExitCode)s on
+ * whichever thread it interrupts, as the hung thread cannot throw.
+ * (Under ThreadSanitizer it waits for that thread's next libc call.)
  */
 class Watchdog
 {
   public:
-    Watchdog() = default;
-    ~Watchdog();
+    /** Throws sim::FatalError when no timer can be created. */
+    Watchdog();
+    ~Watchdog() { timer_delete(timer_); }
 
     Watchdog(const Watchdog &) = delete;
     Watchdog &operator=(const Watchdog &) = delete;
 
     /**
      * Start (or restart) the countdown: unless disarm() is called
-     * within @p millis, the process exits.  @p what names the guarded
-     * work (scenario path, seed, ...) for the diagnosis line.
+     * within @p after (0 expires at once), the process exits.  @p what
+     * names the guarded work (scenario path, seed, ...) for the
+     * diagnosis line.
      */
-    void arm(std::uint64_t millis, const std::string &what);
+    void arm(std::chrono::nanoseconds after, const std::string &what);
 
     /** Cancel the countdown (idempotent; no-op when never armed). */
     void disarm();
 
   private:
-    void run();
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::thread thread_;
-    std::chrono::steady_clock::time_point deadline_;
-    std::string what_;
-    std::uint64_t generation_ = 0;  // bumped by arm/disarm
-    bool armed_ = false;
-    bool shutdown_ = false;
+    timer_t timer_{};
+    /** arm()'s diagnosis line, NUL-terminated; atomic chars so the
+     *  handler reads it on any thread without a race. */
+    std::array<std::atomic<char>, 256> line_{};
 };
 
 }  // namespace uvmd::verify

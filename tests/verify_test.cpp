@@ -300,28 +300,120 @@ TEST(ProgressMonitorTest, TotalStepBudgetIsABackstop)
         WatchdogError);
 }
 
+using std::chrono::milliseconds;
+using std::chrono::nanoseconds;
+using std::chrono::seconds;
+
 TEST(WatchdogTest, DisarmCancelsTheDeadline)
 {
     Watchdog dog;
-    dog.arm(50, "short job");
+    dog.arm(milliseconds(50), "short job");
     dog.disarm();
     // Long past the deadline: the process is still here.
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    dog.arm(10000, "re-armed");
+    dog.arm(milliseconds(10000), "re-armed");
     dog.disarm();
     SUCCEED();
 }
 
+// runVerifiedScenario's order: the harness default, then the
+// script's `deadline` directive replaces it.
+TEST(WatchdogTest, RearmingReplacesTheDeadline)
+{
+    Watchdog dog;
+    dog.arm(milliseconds(20), "default budget");
+    dog.arm(seconds(10), "deadline directive");
+    std::this_thread::sleep_for(milliseconds(100));
+    dog.disarm();
+    SUCCEED();
+}
+
+TEST(WatchdogTest, DestroyingAnArmedWatchdogCancelsIt)
+{
+    {
+        Watchdog dog;
+        dog.arm(milliseconds(20), "abandoned job");
+    }
+    std::this_thread::sleep_for(milliseconds(100));
+    SUCCEED();
+}
+
+// gtest runs the DeathTest suites first, so these fork from a process
+// that has no Watchdog yet; ExpiryInAChildOfAProcessWithATimer forks
+// from one that holds an armed timer.
 TEST(WatchdogDeathTest, ExpiryExitsWithTheWatchdogCode)
 {
     EXPECT_EXIT(
         {
             Watchdog dog;
-            dog.arm(20, "hung scenario");
+            dog.arm(milliseconds(20), "hung scenario");
             std::this_thread::sleep_for(std::chrono::seconds(30));
         },
         ::testing::ExitedWithCode(WatchdogError::kExitCode),
         "watchdog");
+}
+
+TEST(WatchdogDeathTest, TwoWatchdogsKeepSeparateDeadlines)
+{
+    EXPECT_EXIT(
+        {
+            Watchdog slow;
+            Watchdog fast;
+            slow.arm(seconds(10), "slow job");
+            fast.arm(milliseconds(20), "fast job");
+            std::this_thread::sleep_for(seconds(30));
+        },
+        ::testing::ExitedWithCode(WatchdogError::kExitCode),
+        "deadline expired for fast job;");
+}
+
+TEST(WatchdogDeathTest, ZeroLengthArmExpiresAtOnce)
+{
+    EXPECT_EXIT(
+        {
+            Watchdog dog;
+            dog.arm(nanoseconds(0), "zero budget");
+            std::this_thread::sleep_for(seconds(30));
+        },
+        ::testing::ExitedWithCode(WatchdogError::kExitCode),
+        "expired for zero budget;");
+}
+
+// A sub-millisecond `deadline` arms at its own resolution and never
+// rounds down to a zero timer, which would disarm the watchdog.
+TEST(WatchdogDeathTest, SubMillisecondDeadlineDirectiveExpires)
+{
+    EXPECT_EXIT(
+        {
+            VerifyOptions opts;
+            opts.label = "sub-ms script";
+            runVerifiedScenario(R"(
+deadline 1us
+gpu_memory 16MiB
+alloc a 4MiB
+kernel writer write a compute 100us
+host_read a
+)",
+                                opts);
+            std::this_thread::sleep_for(seconds(30));
+        },
+        ::testing::ExitedWithCode(WatchdogError::kExitCode),
+        "expired for sub-ms script;");
+}
+
+TEST(WatchdogDeathTest, ExpiryInAChildOfAProcessWithATimer)
+{
+    Watchdog parent;
+    parent.arm(seconds(30), "parent process");
+    EXPECT_EXIT(
+        {
+            Watchdog dog;
+            dog.arm(milliseconds(20), "forked child");
+            std::this_thread::sleep_for(seconds(30));
+        },
+        ::testing::ExitedWithCode(WatchdogError::kExitCode),
+        "expired for forked child;");
+    parent.disarm();
 }
 
 }  // namespace
