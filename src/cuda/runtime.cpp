@@ -348,11 +348,11 @@ Runtime::executeOp(StreamOp &op, sim::SimTime t0)
       case StreamOp::Type::kMemcpyH2D:
         return driver_.transferEngine().rawTransfer(
             op.gpu, op.size, interconnect::Direction::kHostToDevice,
-            t0);
+            uvm::UvmStat::bytes_h2d_raw, t0);
       case StreamOp::Type::kMemcpyD2H:
         return driver_.transferEngine().rawTransfer(
             op.gpu, op.size, interconnect::Direction::kDeviceToHost,
-            t0);
+            uvm::UvmStat::bytes_d2h_raw, t0);
       case StreamOp::Type::kEventRecord: {
         EventState &ev = events_[op.event];
         ev.recorded = true;

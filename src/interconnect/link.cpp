@@ -61,7 +61,7 @@ Link::pickEngine(Direction dir) const
 
 sim::SimTime
 Link::issueOn(std::uint32_t engine, Direction dir, sim::SimTime earliest,
-              sim::Bytes bytes, std::uint32_t descriptors, bool retry)
+              sim::Bytes bytes, std::uint32_t descriptors)
 {
     Lane &l = lane(dir);
     if (engine >= l.engines.size())
@@ -71,12 +71,6 @@ Link::issueOn(std::uint32_t engine, Direction dir, sim::SimTime earliest,
     sim::SimDuration duration =
         descriptors * spec_.setup +
         sim::transferTime(bytes, spec_.peak_gbps * bandwidth_factor_);
-    if (!retry) {
-        l.descriptors += descriptors;
-        bool h2d = dir == Direction::kHostToDevice;
-        stats_[h2d ? LinkStat::bytes_h2d : LinkStat::bytes_d2h] += bytes;
-        ++stats_[h2d ? LinkStat::transfers_h2d : LinkStat::transfers_d2h];
-    }
     return l.engines[engine].reserve(earliest, duration);
 }
 

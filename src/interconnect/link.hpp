@@ -2,10 +2,9 @@
  * @file
  * Host-device interconnect model: one Link per wire.
  *
- * A Link holds the wire's spec, N copy engines per direction (config
- * knob copy_engines_per_dir, default 1) and its traffic totals, which
- * feed every "PCIe traffic" table in the evaluation.  Work is issued
- * as *descriptors* — contiguous spans that each pay the per-transfer
+ * A Link holds the wire's spec and N copy engines per direction
+ * (config knob copy_engines_per_dir, default 1).  Work is issued as
+ * *descriptors* — contiguous spans that each pay the per-transfer
  * setup — so a span costs
  *
  *     t = descriptors * setup + bytes / peak_bw
@@ -17,8 +16,9 @@
  * direction, overlap with each other and with GPU computation.
  *
  * The Link is mechanism only: it knows nothing about va_blocks,
- * causes, or discard state.  uvm::TransferEngine sits above it and
- * turns structured transfer requests into descriptor issues.
+ * causes, or discard state, and it models timing only: it counts
+ * nothing.  uvm::TransferEngine sits above it, turns structured
+ * transfer requests into descriptor issues and counts the traffic.
  */
 
 #ifndef UVMD_INTERCONNECT_LINK_HPP
@@ -31,17 +31,8 @@
 #include "sim/arena.hpp"
 #include "sim/digest.hpp"
 #include "sim/resource.hpp"
-#include "sim/stats.hpp"
-
-#define UVMD_LINK_STATS(X, X2)                                          \
-    X(bytes_h2d)                                                        \
-    X(transfers_h2d)                                                    \
-    X(bytes_d2h)                                                        \
-    X(transfers_d2h)
 
 namespace uvmd::interconnect {
-
-UVMD_STAT_TABLE(LinkStat, LinkStats, UVMD_LINK_STATS);
 
 class Link
 {
@@ -77,15 +68,12 @@ class Link
      *
      * @p descriptors may be 0 when the span coalesces onto a
      * descriptor already issued on that engine (no setup cost).  A
-     * first issue counts the descriptors and one transfer of
-     * @p bytes.  A @p retry re-sends a failed descriptor: it pays the
-     * same cost but counts neither descriptors nor traffic (the
-     * caller accounts retries separately).
+     * re-sent failed descriptor is issued the same way.
      * @return completion time.
      */
     sim::SimTime issueOn(std::uint32_t engine, Direction dir,
                          sim::SimTime earliest, sim::Bytes bytes,
-                         std::uint32_t descriptors, bool retry = false);
+                         std::uint32_t descriptors);
 
     // ---- Fault handling (degradation and engine loss) ----
 
@@ -116,26 +104,9 @@ class Link
     const sim::Resource &engineAt(Direction dir,
                                   std::uint32_t index) const;
 
-    /** DMA descriptors issued in @p dir since construction. */
-    std::uint64_t descriptors(Direction dir) const
-    {
-        return lane(dir).descriptors;
-    }
-    std::uint64_t totalDescriptors() const
-    {
-        return lanes_[0].descriptors + lanes_[1].descriptors;
-    }
-
-    sim::Bytes totalBytes() const { return bytesH2d() + bytesD2h(); }
-    sim::Bytes bytesH2d() const { return stats_[LinkStat::bytes_h2d]; }
-    sim::Bytes bytesD2h() const { return stats_[LinkStat::bytes_d2h]; }
-
-    sim::StatGroup stats() const { return stats_.group(); }
-
     /** Add the state that shapes future issues to @p d: each engine's
      *  busy-until offset, offline flag and, with several engines, the
-     *  order pickEngine sees them in; the bandwidth factor.  Traffic
-     *  and descriptor totals are outputs and stay out. */
+     *  order pickEngine sees them in; the bandwidth factor. */
     void hashState(sim::Digest &d) const;
 
   private:
@@ -146,7 +117,6 @@ class Link
     struct Lane {
         sim::SmallVec<sim::Resource, 4> engines;
         sim::SmallVec<bool, 4> offline;
-        std::uint64_t descriptors = 0;
     };
 
     Lane &lane(Direction dir) { return lanes_[std::size_t(dir)]; }
@@ -158,7 +128,6 @@ class Link
     LinkSpec spec_;
     std::array<Lane, 2> lanes_;
     double bandwidth_factor_ = 1.0;
-    LinkStats stats_;
 };
 
 }  // namespace uvmd::interconnect

@@ -158,15 +158,12 @@ Auditor::onTransfer(const uvm::VaBlock &block,
 
 void
 Auditor::onTransferSkipped(const uvm::VaBlock &block,
-                           const uvm::PageMask &pages, Direction dir,
+                           const uvm::PageMask &pages,
+                           Direction /*dir*/,
                            uvm::TransferCause /*cause*/)
 {
-    sim::Bytes bytes = block.pagesIn(pages) * mem::kSmallPageSize;
-    if (dir == Direction::kHostToDevice)
-        skipped_h2d_ += bytes;
-    else
-        skipped_d2h_ += bytes;
-    wasteOf(*block.range).already_skipped += bytes;
+    wasteOf(*block.range).already_skipped +=
+        block.pagesIn(pages) * mem::kSmallPageSize;
 }
 
 void

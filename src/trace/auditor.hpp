@@ -54,7 +54,9 @@
  * instead of a compiler.  Every redundant close and every skipped
  * transfer is booked to the managed range the block belongs to, in
  * a table indexed by VaRange::id, and suggestions() ranks the ranges
- * a discard call would help.  Run the application under plain UVM
+ * a discard call would help.  The skip totals themselves are the
+ * driver's saved_*_bytes counters; the auditor keeps only their
+ * per-range split.  Run the application under plain UVM
  * and read the report; running the fixed application again should
  * produce an empty one.
  */
@@ -117,8 +119,6 @@ class Auditor : public uvm::TransferObserver
     sim::Bytes requiredD2h() const { return required_d2h_; }
     sim::Bytes redundantH2d() const { return redundant_h2d_; }
     sim::Bytes redundantD2h() const { return redundant_d2h_; }
-    sim::Bytes skippedH2d() const { return skipped_h2d_; }
-    sim::Bytes skippedD2h() const { return skipped_d2h_; }
 
     sim::Bytes
     totalTransferred() const
@@ -280,8 +280,6 @@ class Auditor : public uvm::TransferObserver
     sim::Bytes required_d2h_ = 0;
     sim::Bytes redundant_h2d_ = 0;
     sim::Bytes redundant_d2h_ = 0;
-    sim::Bytes skipped_h2d_ = 0;
-    sim::Bytes skipped_d2h_ = 0;
     sim::Bytes open_bytes_ = 0;
 };
 

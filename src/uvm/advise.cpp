@@ -67,14 +67,14 @@ UvmDriver::remoteTouchBlock(VaBlock &block, const PageMask &m,
     // reads pull device-ward, writes push host-ward.
     sim::Bytes bytes = block.pagesIn(m) * mem::kSmallPageSize;
     if (reads(kind)) {
-        counters_[UvmStat::remote_read_bytes] += bytes;
-        t = xfer_->rawTransfer(
-            id, bytes, interconnect::Direction::kHostToDevice, t);
+        t = xfer_->rawTransfer(id, bytes,
+                               interconnect::Direction::kHostToDevice,
+                               UvmStat::remote_read_bytes, t);
     }
     if (writes(kind)) {
-        counters_[UvmStat::remote_write_bytes] += bytes;
-        t = xfer_->rawTransfer(
-            id, bytes, interconnect::Direction::kDeviceToHost, t);
+        t = xfer_->rawTransfer(id, bytes,
+                               interconnect::Direction::kDeviceToHost,
+                               UvmStat::remote_write_bytes, t);
     }
     notifyAccess(block, m, kind, ProcessorId::gpu(id));
     return t;

@@ -4,9 +4,13 @@
  * TransferEngine (mechanism side) and dumped under "uvm.".
  *
  * Each row is declared once in UVMD_UVM_STATS.  The per-cause traffic
- * and retry rows are written out in TransferCause order, so
- * byCause(first, cause) finds a cause's row by offset.  blocks_walked
- * counts the blocks visited by the driver's per-block walks (access,
+ * and retry rows are written out in TransferCause order, then .raw,
+ * so byCause(first, cause) finds a cause's row by offset.  This table is
+ * the only traffic ledger: TransferEngine adds each moved byte (one
+ * row: bytes_*.<cause>, bytes_d2d, bytes_*.raw for cudaMemcpyAsync or
+ * remote_*_bytes), skipped byte (saved_*) and first-issue descriptor
+ * (dma_descriptors, raw_transfers) once.  blocks_walked counts the
+ * blocks visited by the driver's per-block walks (access,
  * prefetch, discard, host access, advise; whole-range fast paths add
  * 0), an exact count of the simulated run's walks.  A DL run that
  * fast-forwards its steady state (dl::runTraining) reports it for
@@ -59,14 +63,17 @@
     X(blocks_walked)                                                    \
     X(dma_descriptors)                                                  \
     X(dma_descriptors_coalesced)                                        \
+    X(raw_transfers)                                                    \
     X2(bytes_h2d, prefetch)                                             \
     X2(bytes_h2d, gpu_fault)                                            \
     X2(bytes_h2d, cpu_fault)                                            \
     X2(bytes_h2d, eviction)                                             \
+    X2(bytes_h2d, raw)                                                  \
     X2(bytes_d2h, prefetch)                                             \
     X2(bytes_d2h, gpu_fault)                                            \
     X2(bytes_d2h, cpu_fault)                                            \
     X2(bytes_d2h, eviction)                                             \
+    X2(bytes_d2h, raw)                                                  \
     X(bytes_d2d)                                                        \
     X(saved_h2d_bytes)                                                  \
     X(saved_d2h_bytes)                                                  \

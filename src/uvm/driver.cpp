@@ -225,18 +225,20 @@ UvmDriver::notifyAccess(const VaBlock &block, const PageMask &pages,
 sim::Bytes
 UvmDriver::trafficH2d() const
 {
-    sim::Bytes total = 0;
-    for (const auto &g : gpus_)
-        total += g->link.bytesH2d();
+    sim::Bytes total = counters_[UvmStat::remote_read_bytes];
+    for (auto r = UvmStat::bytes_h2d_prefetch; r <= UvmStat::bytes_h2d_raw;
+         r = UvmStat(std::size_t(r) + 1))
+        total += counters_[r];
     return total;
 }
 
 sim::Bytes
 UvmDriver::trafficD2h() const
 {
-    sim::Bytes total = 0;
-    for (const auto &g : gpus_)
-        total += g->link.bytesD2h();
+    sim::Bytes total = counters_[UvmStat::remote_write_bytes];
+    for (auto r = UvmStat::bytes_d2h_prefetch; r <= UvmStat::bytes_d2h_raw;
+         r = UvmStat(std::size_t(r) + 1))
+        total += counters_[r];
     return total;
 }
 
@@ -248,22 +250,17 @@ UvmDriver::totalTrafficBytes() const
 
 namespace {
 
-/** JSON object with each copy engine's busy time plus descriptor
- *  counts for one link. */
+/** JSON object with each copy engine's busy time for one link. */
 void
 jsonEngines(std::ostream &os, const interconnect::Link &link)
 {
     using interconnect::Direction;
     os << "{";
-    bool first_dir = true;
     for (Direction dir :
          {Direction::kHostToDevice, Direction::kDeviceToHost}) {
-        if (!first_dir)
+        if (dir == Direction::kDeviceToHost)
             os << ",";
-        first_dir = false;
-        os << "\"" << interconnect::toString(dir)
-           << "\":{\"descriptors\":" << link.descriptors(dir)
-           << ",\"busy\":[";
+        os << "\"" << interconnect::toString(dir) << "\":{\"busy\":[";
         for (int i = 0; i < link.enginesPerDir(); ++i) {
             if (i)
                 os << ",";
@@ -333,9 +330,7 @@ UvmDriver::dumpStatsJson(std::ostream &os)
         GpuState &g = *gpus_[i];
         if (i)
             os << ",";
-        os << "{\"link\":";
-        g.link.stats().dumpJson(os);
-        os << ",\"copy_engines\":";
+        os << "{\"copy_engines\":";
         jsonEngines(os, g.link);
         os << ",\"alloc\":";
         g.allocator.stats().dumpJson(os);
@@ -351,9 +346,7 @@ UvmDriver::dumpStatsJson(std::ostream &os)
            << ",\"discarded\":" << g.queues.discardedQueue().size()
            << "}}";
     }
-    os << "],\"peer\":{\"link\":";
-    peer_link_.stats().dumpJson(os);
-    os << ",\"copy_engines\":";
+    os << "],\"peer\":{\"copy_engines\":";
     jsonEngines(os, peer_link_);
     os << "}}\n";
 }

@@ -255,16 +255,16 @@ class UvmDriver
     using Queues = mem::GpuPageQueues<VaBlock, &VaBlock::link>;
     Queues &queues(GpuId gpu = 0) { return gpus_[gpu]->queues; }
 
-    /** The GPU-to-GPU peer link (traffic counter "bytes_d2d"). */
-    interconnect::Link &peerLink() { return peer_link_; }
-
     /** Peer-link bytes moved (not part of the PCIe traffic totals). */
-    sim::Bytes trafficD2d() const { return peer_link_.totalBytes(); }
+    sim::Bytes trafficD2d() const { return counters_[UvmStat::bytes_d2d]; }
 
     mem::BackingStore &backing() { return backing_; }
 
     /** The "uvm." counter table (uvm/counters.hpp), read by name. */
     sim::StatGroup counters() const { return counters_.group(); }
+
+    /** One row of the "uvm." counter table. */
+    std::uint64_t counter(UvmStat row) const { return counters_[row]; }
 
     /** The transfer mechanism: every byte the driver moves flows
      *  through this engine (accounting, observers, DMA scheduling). */
@@ -274,7 +274,8 @@ class UvmDriver
      *  tally lets tests reconcile the fault_injected counter. */
     const sim::FaultInjector &faultInjector() const { return injector_; }
 
-    /** Aggregate interconnect traffic across all GPUs. */
+    /** Host-link traffic of all GPUs: the bytes_{h2d,d2h}.* and
+     *  remote_*_bytes rows. */
     sim::Bytes totalTrafficBytes() const;
     sim::Bytes trafficH2d() const;
     sim::Bytes trafficD2h() const;
@@ -309,9 +310,9 @@ class UvmDriver
         progress_sink_ = sink;
     }
 
-    /** Dump every statistic (driver counters, per-GPU link/allocator/
-     *  queue state, zero engines, copy-engine busy times and
-     *  descriptor counts) as one JSON object. */
+    /** Dump every statistic (driver counters, per-GPU copy-engine
+     *  busy times, allocator, zero engine, chunk and queue state) as
+     *  one JSON object. */
     void dumpStatsJson(std::ostream &os);
 
     /**

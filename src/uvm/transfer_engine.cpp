@@ -170,8 +170,7 @@ TransferEngine::injectDmaRetries(interconnect::Link &link,
                 injector_->plan().dma_retry_backoff *
                 (sim::SimDuration{1} << attempt);
             sim::SimTime before = done;
-            done = link.issueOn(engine, dir, done + backoff, per_desc, 1,
-                                /*retry=*/true);
+            done = link.issueOn(engine, dir, done + backoff, per_desc, 1);
             ++counters_[UvmStat::transfer_retries];
             ++counters_[cause_retries];
             counters_[UvmStat::transfer_retry_ns] += done - before;
@@ -187,13 +186,11 @@ TransferEngine::injectDmaRetries(interconnect::Link &link,
 void
 TransferEngine::applyLinkEvents(sim::SimTime now)
 {
-    // The wired links count first issues, raw and peer descriptors
-    // included, and never retries: exactly the events' threshold.
-    std::uint64_t issued = peer_link_ ? peer_link_->totalDescriptors() : 0;
-    for (const interconnect::Link *link : gpu_links_)
-        issued += link->totalDescriptors();
-    for (const sim::LinkFaultEvent &ev :
-         injector_->takeDueLinkEvents(issued)) {
+    // The events' threshold counts first issues on every wired link,
+    // raw and peer descriptors included, and never retries.
+    for (const sim::LinkFaultEvent &ev : injector_->takeDueLinkEvents(
+             counters_[UvmStat::dma_descriptors] +
+             counters_[UvmStat::raw_transfers])) {
         interconnect::Link *link = nullptr;
         std::size_t link_idx = 0;
         if (ev.gpu < 0) {
@@ -241,7 +238,8 @@ TransferEngine::applyLinkEvents(sim::SimTime now)
 
 sim::SimTime
 TransferEngine::rawTransfer(GpuId gpu, sim::Bytes bytes,
-                            Direction dir, sim::SimTime start)
+                            Direction dir, UvmStat row,
+                            sim::SimTime start)
 {
     if (gpu < 0 || gpu >= static_cast<GpuId>(gpu_links_.size()))
         sim::panic("TransferEngine: bad GPU id");
@@ -251,6 +249,8 @@ TransferEngine::rawTransfer(GpuId gpu, sim::Bytes bytes,
     interconnect::Link &link = *gpu_links_[gpu];
     std::uint32_t engine = link.pickEngine(dir);
     sim::SimTime done = link.issueOn(engine, dir, start, bytes, 1);
+    counters_[row] += bytes;
+    ++counters_[UvmStat::raw_transfers];
     if (injector_ && injector_->enabled()) {
         done = injectDmaRetries(link, engine, dir, bytes, 1, done,
                                 UvmStat::transfer_retries_raw, 0, 0);

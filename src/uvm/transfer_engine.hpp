@@ -10,11 +10,10 @@
  * on the owning interconnect::Link's copy engines.
  *
  * The engine is the single choke point for the transfer event spine:
- *   - per-cause traffic accounting (the uvm.bytes_{h2d,d2h}.* and
- *     uvm.saved_*_bytes counters every evaluation table reads),
- *   - link-level byte/transfer totals,
- *   - TransferObserver notification (auditor, oracle),
- *   - the dma_descriptors counter.
+ * the only place traffic is counted (submit, skipped and rawTransfer
+ * each add their bytes and first-issue descriptors to the driver's
+ * counter table once; the Link below counts nothing) and the
+ * TransferObserver notification (auditor, oracle).
  *
  * Within a batch scope (one prefetch, one kernel's fault walk, one
  * eviction run) the engine can *coalesce* virtually-contiguous runs
@@ -129,11 +128,12 @@ class TransferEngine
     /**
      * Raw single-descriptor traffic with no va_block identity: the
      * cudaMemcpyAsync path on explicit device buffers, and in-place
-     * remote accesses (Section 2.3 mode).
+     * remote accesses (Section 2.3 mode).  Its bytes count in the
+     * caller's @p row, its descriptor in raw_transfers.
      * @return completion time.
      */
     sim::SimTime rawTransfer(GpuId gpu, sim::Bytes bytes,
-                             interconnect::Direction dir,
+                             interconnect::Direction dir, UvmStat row,
                              sim::SimTime start);
 
     /** Add the open batch depth and the coalescing tails to @p d (the

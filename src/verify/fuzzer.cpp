@@ -200,13 +200,15 @@ halveSizeToken(const std::string &tok)
     return std::to_string(halved) + tok.substr(i);
 }
 
+/** Upper bound on shrink candidate executions per failure. */
+constexpr std::uint64_t kShrinkRunsBudget = 2000;
+
 }  // namespace
 
 std::string
 shrinkScenario(const std::string &script,
                const verify::VerifyOptions &opts,
-               verify::Outcome target, std::uint64_t runs_budget,
-               const std::string &candidate_path)
+               verify::Outcome target, const std::string &candidate_path)
 {
     // Shrink candidates run with a tightened wall-clock so a campaign
     // never stalls on a pathological candidate.
@@ -216,7 +218,7 @@ shrinkScenario(const std::string &script,
 
     std::uint64_t runs = 0;
     auto reproduces = [&](const std::string &candidate) {
-        if (runs >= runs_budget)
+        if (runs >= kShrinkRunsBudget)
             return false;
         ++runs;
         writeFile(candidate_path, candidate);
@@ -231,13 +233,13 @@ shrinkScenario(const std::string &script,
     // error, which never matches `target` — validity is enforced by
     // the reproduction test itself.
     bool progress = true;
-    while (progress && runs < runs_budget) {
+    while (progress && runs < kShrinkRunsBudget) {
         progress = false;
         for (std::size_t win =
                  std::max<std::size_t>(1, lines.size() / 2);
              win >= 1; win /= 2) {
             for (std::size_t i = 0;
-                 i + win <= lines.size() && runs < runs_budget;) {
+                 i + win <= lines.size() && runs < kShrinkRunsBudget;) {
                 std::vector<std::string> candidate;
                 candidate.reserve(lines.size() - win);
                 candidate.insert(candidate.end(), lines.begin(),
@@ -263,7 +265,7 @@ shrinkScenario(const std::string &script,
 
     // Phase 2: operand minimization on the surviving lines.
     progress = true;
-    while (progress && runs < runs_budget) {
+    while (progress && runs < kShrinkRunsBudget) {
         progress = false;
         for (std::size_t i = 0; i < lines.size(); ++i) {
             std::istringstream ls(lines[i]);
@@ -363,7 +365,7 @@ runSeed(std::uint64_t seed, const FuzzOptions &opts)
     r.repro = r.scenario;
     if (opts.shrink) {
         r.repro = shrinkScenario(r.scenario, vopts, r.result.outcome,
-                                 opts.max_shrink_runs, candidate_path);
+                                 candidate_path);
         // Re-run the minimal reproducer so the stored report matches
         // the stored script.
         verify::VerifyResult final_run =

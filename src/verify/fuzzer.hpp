@@ -48,9 +48,6 @@ struct FuzzOptions {
 
     /** Skip the shrinking phase (report the raw failing script). */
     bool shrink = true;
-
-    /** Upper bound on shrink candidate executions per failure. */
-    std::uint64_t max_shrink_runs = 2000;
 };
 
 /** Deterministically derive a scenario script from @p seed. */
@@ -79,14 +76,13 @@ FuzzCaseResult runSeed(std::uint64_t seed, const FuzzOptions &opts);
 /**
  * Shrink @p script to a minimal version that still produces
  * @p target under @p opts.  Returns the smallest reproducing script
- * found (possibly @p script itself).  @p runs_budget bounds candidate
+ * found (possibly @p script itself) within 2000 candidate
  * executions; @p candidate_path, when non-empty, receives each
  * candidate before it runs (watchdog evidence).
  */
 std::string shrinkScenario(const std::string &script,
                            const verify::VerifyOptions &opts,
                            verify::Outcome target,
-                           std::uint64_t runs_budget,
                            const std::string &candidate_path = "");
 
 struct CampaignResult {

@@ -66,9 +66,10 @@ void
 Oracle::onTransfer(const uvm::VaBlock &block, const uvm::PageMask &pages,
                    interconnect::Direction dir, uvm::TransferCause cause)
 {
-    (void)dir;
     (void)cause;
     ++checks_;
+    reported_[static_cast<std::size_t>(dir)] +=
+        block.pagesIn(pages) * mem::kSmallPageSize;
     // G3: the paper's core claim — discarded data never travels.  The
     // driver computes every transfer mask as `... & ~discarded`; the
     // mirror's copy of the dirty bits must agree at submit time.
@@ -86,9 +87,10 @@ Oracle::onTransferSkipped(const uvm::VaBlock &block,
                           interconnect::Direction dir,
                           uvm::TransferCause cause)
 {
-    (void)dir;
     (void)cause;
     ++checks_;
+    reported_[2 + static_cast<std::size_t>(dir)] +=
+        block.pagesIn(pages) * mem::kSmallPageSize;
     // G3: every skip must be justified by the discard state the
     // mirror observed (skips of live data would be data loss).
     uvm::PageMask bad = pages & ~mirrorOf(block).discarded;
@@ -464,6 +466,30 @@ Oracle::finalCheck(cuda::Runtime &rt)
     if (check_content_)
         verifyAllTags(rt);
     checkAll(rt);
+
+    // G6: the events and the driver's ledger count the same bytes.
+    // Peer moves are reported device-ward, peer skips host-ward.
+    using uvm::UvmStat;
+    auto row = [&](UvmStat r) { return rt.driver().counter(r); };
+    auto causes = [&](UvmStat first) {
+        sim::Bytes sum = 0;
+        for (int c = 0; c <= int(uvm::TransferCause::kEviction); ++c)
+            sum += row(uvm::byCause(first, uvm::TransferCause(c)));
+        return sum;
+    };
+    const sim::Bytes ledger[] = {
+        causes(UvmStat::bytes_h2d_prefetch) + row(UvmStat::bytes_d2d),
+        causes(UvmStat::bytes_d2h_prefetch),
+        row(UvmStat::saved_h2d_bytes),
+        row(UvmStat::saved_d2h_bytes) + row(UvmStat::saved_d2d_bytes)};
+    for (std::size_t i = 0; i < 4; ++i) {
+        check(reported_[i] == ledger[i], "ledger", [&] {
+            return std::string(i < 2 ? "moved " : "skipped ") +
+                   (i % 2 ? "d2h" : "h2d") + ": events report " +
+                   std::to_string(reported_[i]) + " bytes, counters " +
+                   std::to_string(ledger[i]);
+        });
+    }
 }
 
 // ------------------------------------------------------------------

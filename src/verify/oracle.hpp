@@ -34,6 +34,10 @@
  *     must stay empty, plus the oracle's own derived rule that a
  *     pinned CPU copy implies the page is populated somewhere
  *     (cpu_pages_present ⊆ resident_cpu ∪ resident_gpu).
+ *  G6 *traffic ledger* (final check): the bytes the events reported
+ *     moved and skipped, per direction, equal the driver's bytes_*,
+ *     bytes_d2d and saved_*_bytes rows (so the Oracle must observe
+ *     the run from its first transfer, as ScenarioHooks attaches it).
  *
  * On first divergence a VerificationError is thrown carrying a JSON
  * report with the failing check, the op that exposed it, and a full
@@ -210,6 +214,9 @@ class Oracle : public uvm::TransferObserver
     std::size_t op_line_ = 0;
 
     std::uint64_t checks_ = 0;
+    /** Bytes onTransfer (h2d, d2h) and onTransferSkipped (h2d, d2h)
+     *  reported, for the G6 ledger checks. */
+    std::array<sim::Bytes, 4> reported_{};
 };
 
 }  // namespace uvmd::verify

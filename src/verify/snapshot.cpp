@@ -79,6 +79,10 @@ dumpBlockJson(std::ostream &os, const uvm::VaBlock &block)
        << (block.has_gpu_chunk ? "true" : "false")
        << ",\"gpu_mapping_big\":"
        << (block.gpu_mapping_big ? "true" : "false")
+       << ",\"accessed_by\":" << unsigned{block.accessed_by}
+       << ",\"prefer_cpu\":" << (block.prefer_cpu ? "true" : "false")
+       << ",\"remote_mapped\":" << unsigned{block.remote_mapped}
+       << ",\"alloc_ordinal\":" << block.alloc_ordinal
        << ",\"queue\":\"" << mem::toString(block.link.on) << "\""
        << "}";
 }
@@ -94,22 +98,9 @@ dumpDriverStateJson(std::ostream &os, uvm::UvmDriver &driver)
         first = false;
         dumpBlockJson(os, b);
     });
-    os << "],\"gpus\":[";
-    for (int i = 0; i < driver.config().num_gpus; ++i) {
-        if (i)
-            os << ",";
-        const mem::ChunkAllocator &alloc = driver.allocator(i);
-        auto &queues = driver.queues(i);
-        os << "{\"chunks\":{\"total\":" << alloc.totalChunks()
-           << ",\"allocated\":" << alloc.allocatedChunks()
-           << ",\"reserved\":" << alloc.reservedChunks()
-           << ",\"retired\":" << alloc.retiredChunks()
-           << "},\"queues\":{\"unused\":" << queues.unusedQueue().size()
-           << ",\"used\":" << queues.usedQueue().size()
-           << ",\"discarded\":" << queues.discardedQueue().size()
-           << "}}";
-    }
-    os << "]}";
+    os << "],\"stats\":";
+    driver.dumpStatsJson(os);
+    os << "}";
 }
 
 }  // namespace uvmd::verify

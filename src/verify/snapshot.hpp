@@ -30,12 +30,16 @@ std::string maskToRuns(const uvm::PageMask &mask);
 /** Minimal JSON string escaping (quotes, backslashes, control). */
 std::string jsonEscape(const std::string &s);
 
-/** One block's full state as a JSON object. */
+/** One block's full state as a JSON object: its page masks, owner,
+ *  chunk and mapping flags, the memAdvise hints (accessed_by and
+ *  remote_mapped as GPU bit masks, prefer_cpu), alloc_ordinal and its
+ *  queue. */
 void dumpBlockJson(std::ostream &os, const uvm::VaBlock &block);
 
 /**
- * The whole driver state — every block of every range, per-GPU chunk
- * accounting and queue depths — as one JSON object.
+ * The whole driver state — every block of every range, then
+ * UvmDriver::dumpStatsJson (counters, per-GPU chunk accounting and
+ * queue depths) as "stats" — as one JSON object.
  */
 void dumpDriverStateJson(std::ostream &os, uvm::UvmDriver &driver);
 

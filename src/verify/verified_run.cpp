@@ -45,7 +45,7 @@ VerifyResult
 runVerifiedScenario(const std::string &script, const VerifyOptions &opts)
 {
     VerifyResult res;
-    Oracle oracle(opts.check_content);
+    Oracle oracle;
     ProgressMonitor monitor;
     Watchdog watchdog;
     std::string label =
@@ -61,8 +61,7 @@ runVerifiedScenario(const std::string &script, const VerifyOptions &opts)
         // it must not spam a 1000-seed campaign.
         cfg.lazy_contract_warnings = false;
         cfg.bug = opts.bug;
-        if (opts.check_content)
-            cfg.backed = true;
+        cfg.backed = true;
     };
     hooks.on_runtime_ready = [&](cuda::Runtime &rt) {
         oracle.attachRuntime(rt);

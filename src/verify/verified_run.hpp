@@ -44,10 +44,9 @@ const char *toString(Outcome outcome);
  *  4 divergence, 5 watchdog; matches scenario_runner --verify). */
 int exitCode(Outcome outcome);
 
+/** A verified run is always backed: the Oracle checks host-written
+ *  data end to end. */
 struct VerifyOptions {
-    /** Run in backed mode and check host-written data end to end. */
-    bool check_content = true;
-
     /** Deliberate driver mutation (oracle-detection self-test). */
     uvm::BugInjection bug = uvm::BugInjection::kNone;
 

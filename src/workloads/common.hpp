@@ -131,6 +131,7 @@ struct RunResult {
     /** Auditor classification (whole run). */
     sim::Bytes required = 0;
     sim::Bytes redundant = 0;
+    /** Transfers the discard state let skip (saved_*_bytes). */
     sim::Bytes skipped_by_discard = 0;
 
     std::uint64_t gpu_fault_batches = 0;

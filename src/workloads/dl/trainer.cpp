@@ -15,6 +15,10 @@ using uvm::ProcessorId;
 
 namespace {
 
+/** Host-side batch generation time (excluded pre-processing is
+ *  modelled as zero; this is the in-loop part). */
+constexpr sim::SimDuration kHostGenTime = sim::microseconds(200);
+
 /** Buffers and per-batch loops shared by the training policies. */
 class TrainerBase
 {
@@ -91,7 +95,7 @@ class UvmTrainer : public TrainerBase
 
         // Host generates the batch (after the previous batch's
         // discard of the data buffer, the host write repopulates it).
-        rt_.hostCompute(p_.host_gen_time);
+        rt_.hostCompute(kHostGenTime);
         rt_.hostTouch(data_, dataBytes(), AccessKind::kWrite);
         rt_.hostTouch(labels_, labelBytes(), AccessKind::kWrite);
         rt_.prefetchAsync(data_, dataBytes(), ProcessorId::gpu(0));
@@ -249,7 +253,7 @@ class NoUvmTrainer : public TrainerBase
     {
         const NetSpec &net = p_.net;
         std::size_t n = layerCount();
-        rt_.hostCompute(p_.host_gen_time);
+        rt_.hostCompute(kHostGenTime);
         rt_.memcpyAsync(d_data_, dataBytes(), /*to_device=*/true);
         rt_.memcpyAsync(d_labels_, labelBytes(), true);
         for (std::size_t i = 0; i < n; ++i) {
@@ -309,7 +313,7 @@ class ManualSwapTrainer : public TrainerBase
     {
         const NetSpec &net = p_.net;
         std::size_t n = layerCount();
-        rt_.hostCompute(p_.host_gen_time);
+        rt_.hostCompute(kHostGenTime);
 
         // Forward: swap weights in, compute, stream outputs out.
         mem::VirtAddr d_in = acquire(dataBytes());

@@ -35,10 +35,6 @@ struct TrainParams {
     int warmup_batches = 3;
     int measured_batches = 7;
 
-    /** Host-side batch generation time (excluded pre-processing is
-     *  modelled as zero; this is the in-loop part). */
-    sim::SimDuration host_gen_time = sim::microseconds(200);
-
     /** Stop simulating once a batch ends in the state it started
      *  from (see runTraining); the results are the same either way.
      *  Tests turn it off to compare. */

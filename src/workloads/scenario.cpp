@@ -1,5 +1,6 @@
 #include "workloads/scenario.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -13,6 +14,11 @@
 namespace uvmd::workloads {
 
 namespace {
+
+/** The configuration directives, which must precede every op. */
+constexpr std::string_view kConfigDirectives[] = {
+    "gpu_memory", "inject",   "link",         "policy",
+    "occupy",     "coalesce", "copy_engines", "deadline"};
 
 [[noreturn]] void
 scriptError(std::size_t line_no, const std::string &msg)
@@ -300,6 +306,10 @@ class ScenarioInterpreter
         for (std::size_t i = 0; i < lines_.size(); ++i) {
             const auto &[line_no, tokens] = lines_[i];
             const std::string &cmd = tokens[0];
+            if (!std::ranges::count(kConfigDirectives, cmd)) {
+                first_op = i;
+                break;
+            }
             if (cmd == "gpu_memory") {
                 arity(i, 2);
                 cfg.gpu_memory = arg(i, 1, &parseSize);
@@ -360,9 +370,6 @@ class ScenarioInterpreter
                     scriptError(line_no, "deadline must be positive");
                 if (hooks_.on_deadline)
                     hooks_.on_deadline(d);
-            } else {
-                first_op = i;
-                break;
             }
         }
 
@@ -520,10 +527,7 @@ class ScenarioInterpreter
         } else if (cmd == "sync") {
             arity(i, 1);
             rt_->synchronize();
-        } else if (cmd == "gpu_memory" || cmd == "link" ||
-                   cmd == "policy" || cmd == "occupy" ||
-                   cmd == "copy_engines" || cmd == "coalesce" ||
-                   cmd == "inject" || cmd == "deadline") {
+        } else if (std::ranges::count(kConfigDirectives, cmd)) {
             scriptError(line_no,
                         "configuration directives must precede all "
                         "operations");

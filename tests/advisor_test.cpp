@@ -75,7 +75,8 @@ TEST_F(AdvisorTest, FlagsTheTempBuffer)
 {
     runTempPattern(/*with_discard=*/false);
     auto suggestions = advisor_.suggestions();
-    test::expectAttributionConserved(advisor_, "temp pattern");
+    test::expectAttributionConserved(advisor_, test::savedBytes(drv_),
+                                     "temp pattern");
     ASSERT_FALSE(suggestions.empty());
     EXPECT_EQ(suggestions.front().range_name, "temp");
     EXPECT_GT(suggestions.front().wasted_bytes, 0u);
@@ -97,7 +98,8 @@ TEST_F(AdvisorTest, SilentOnceDiscardsAreInserted)
 {
     runTempPattern(/*with_discard=*/true);
     auto suggestions = advisor_.suggestions();
-    test::expectAttributionConserved(advisor_, "temp pattern, fixed");
+    test::expectAttributionConserved(advisor_, test::savedBytes(drv_),
+                                     "temp pattern, fixed");
     for (const auto &s : suggestions)
         EXPECT_EQ(s.wasted_bytes, 0u) << s.range_name;
     EXPECT_TRUE(suggestions.empty());
@@ -172,7 +174,8 @@ TEST(AdvisorWorkloadTest, FindsHashJoinIntermediates)
     }
 
     auto suggestions = advisor.suggestions(sim::kMiB);
-    test::expectAttributionConserved(advisor, "hash-join");
+    test::expectAttributionConserved(advisor, test::savedBytes(rt.driver()),
+                                     "hash-join");
     ASSERT_GE(suggestions.size(), 2u);
     std::vector<std::string> names;
     std::map<std::string, sim::Bytes> wasted;

@@ -264,7 +264,9 @@ TEST_F(AuditorUnitTest, SkippedTransfersAreCountedSeparately)
     auditor_.onTransferSkipped(block_, fullMask(),
                                Direction::kDeviceToHost,
                                TransferCause::kEviction);
-    EXPECT_EQ(auditor_.skippedD2h(), kBigPageSize);
+    ASSERT_GT(auditor_.ranges().size(), block_.range->id);
+    EXPECT_EQ(auditor_.ranges()[block_.range->id].already_skipped,
+              kBigPageSize);
     EXPECT_EQ(auditor_.totalTransferred(), 0u);
 }
 
@@ -638,7 +640,7 @@ class AuditorTwin
         EXPECT_EQ(auditor.requiredTotal(), ref.required) << label;
         EXPECT_EQ(auditor.redundantTotal(), ref.redundant) << label;
         EXPECT_EQ(auditor.openBytes(), ref.openBytes()) << label;
-        test::expectAttributionConserved(auditor, label);
+        test::expectAttributionConserved(auditor, ref.skipped, label);
     }
 
     Auditor auditor;
@@ -895,7 +897,7 @@ expectMatchesReference(const std::string &script, const std::string &label)
     EXPECT_EQ(r.skipped_by_discard, ref.skipped) << label;
     attributed.finalize();
     EXPECT_EQ(attributed.redundantTotal(), ref.redundant) << label;
-    test::expectAttributionConserved(attributed, label);
+    test::expectAttributionConserved(attributed, ref.skipped, label);
     return ref.max_count;
 }
 
@@ -1083,7 +1085,7 @@ TEST_F(AuditorDifferential, MatchesReferenceOnPartialClosesThroughTheRuntime)
         auditor.finalize();
         ref.finalize();
         expectMatch("finalize");
-        test::expectAttributionConserved(auditor, label);
+        test::expectAttributionConserved(auditor, ref.skipped, label);
     }
 }
 

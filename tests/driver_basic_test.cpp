@@ -416,12 +416,9 @@ TEST_F(DriverTest, DumpStatsListsKeyCounters)
             .busyTime());
     EXPECT_NE(s.find("\"bytes_h2d.prefetch\":" + block),
               std::string::npos);
-    EXPECT_NE(s.find("\"gpus\":[{\"link\":{\"bytes_h2d\":" + block),
-              std::string::npos);
     EXPECT_NE(s.find("\"allocated\":1,"), std::string::npos);
     EXPECT_NE(s.find(",\"used\":1,"), std::string::npos);
-    EXPECT_NE(s.find("\"copy_engines\":{\"h2d\":{\"descriptors\":1,"
-                     "\"busy\":[" +
+    EXPECT_NE(s.find("\"gpus\":[{\"copy_engines\":{\"h2d\":{\"busy\":[" +
                      busy + "]}"),
               std::string::npos);
     EXPECT_NE(s.find("\"dma_descriptors\":1,"), std::string::npos);

@@ -157,6 +157,11 @@ TEST(DmaFaults, RetriesAddTimeAndReconcileWithInjector)
     // Retried descriptors pay setup + wire time + backoff again.
     EXPECT_GT(t_faulty, t_clean);
     EXPECT_GT(c.get("transfer_retry_ns"), 0u);
+    // A retry re-sends a descriptor already counted: the ledger's
+    // bytes and descriptors equal the clean run's.
+    EXPECT_EQ(faulty.totalTrafficBytes(), clean.totalTrafficBytes());
+    EXPECT_EQ(c.get("dma_descriptors"),
+              clean.counters().get("dma_descriptors"));
     // Per-cause attribution sums to the total.
     EXPECT_EQ(c.get("transfer_retries.prefetch") +
                   c.get("transfer_retries.eviction") +

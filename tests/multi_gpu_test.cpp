@@ -67,9 +67,16 @@ TEST_F(MultiGpuTest, HostBounceWithoutPeerLink)
         0, {{a, kBigPageSize, AccessKind::kWrite}}, t);
     t = drv.prefetch(a, kBigPageSize, ProcessorId::gpu(1), t);
     // Bounced: one D2H on gpu0's link plus one H2D on gpu1's link.
-    EXPECT_EQ(drv.link(0).bytesD2h(), kBigPageSize);
-    EXPECT_EQ(drv.link(1).bytesH2d(), kBigPageSize);
+    EXPECT_EQ(drv.trafficD2h(), kBigPageSize);
+    EXPECT_EQ(drv.trafficH2d(), kBigPageSize);
     EXPECT_EQ(drv.trafficD2d(), 0u);
+    using interconnect::Direction;
+    EXPECT_GT(drv.link(0).engineAt(Direction::kDeviceToHost, 0).busyTime(),
+              0);
+    EXPECT_EQ(drv.link(1).engineAt(Direction::kDeviceToHost, 0).busyTime(),
+              0);
+    EXPECT_GT(drv.link(1).engineAt(Direction::kHostToDevice, 0).busyTime(),
+              0);
     drv.checkInvariants();
 }
 

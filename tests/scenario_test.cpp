@@ -382,6 +382,31 @@ TEST(ScenarioRobust, BadCopyEngineCountIsFatalBeforeRuntime)
     EXPECT_NO_THROW(runScenario("copy_engines 64\nalloc a 4MiB\n"));
 }
 
+TEST(ScenarioRobust, ConfigDirectiveAfterAnOpIsFatal)
+{
+    // Each of the eight configuration directives, valid in the header,
+    // is rejected once an operation has run.
+    for (const char *directive :
+         {"gpu_memory 8MiB", "inject on", "link pcie3", "policy fifo",
+          "occupy 1MiB", "copy_engines 2", "coalesce on", "deadline 1s"}) {
+        EXPECT_NO_THROW(
+            runScenario(std::string(directive) + "\nalloc a 1MiB\n"))
+            << directive;
+        try {
+            runScenario(std::string("alloc a 1MiB\n") + directive + "\n");
+            ADD_FAILURE() << "expected ScenarioParseError for "
+                          << directive;
+        } catch (const ScenarioParseError &err) {
+            EXPECT_EQ(err.line_no, 2u) << directive;
+            EXPECT_NE(std::string(err.what()).find(
+                          "configuration directives must precede all "
+                          "operations"),
+                      std::string::npos)
+                << directive << ": " << err.what();
+        }
+    }
+}
+
 TEST(ScenarioRobust, FuzzedScriptsNeverCrash)
 {
     // Deterministic fuzz: mutate a valid script by truncation, token

@@ -114,14 +114,10 @@ TEST(StatTable, DriverDumpsListEveryRowOnceWithItsValue)
     drv.dumpStatsJson(json);
 
     expectRowsInJsonOnce(drv.counters(), json.str(), "\"uvm\":");
-    expectRowsInJsonOnce(drv.link(0).stats(), json.str(),
-                         "[{\"link\":");
     expectRowsInJsonOnce(drv.allocator(0).stats(), json.str(),
                          "\"alloc\":");
     expectRowsInJsonOnce(drv.zeroEngine(0).stats(), json.str(),
                          "\"zero\":");
-    expectRowsInJsonOnce(drv.peerLink().stats(), json.str(),
-                         "\"peer\":{\"link\":");
 }
 
 TEST(StatTable, FaultTallyDumpsEveryRowOnceWithItsValue)
@@ -152,7 +148,6 @@ expectUniqueNames(std::span<const std::string_view> names)
 TEST(StatTable, RowNamesAreUniqueWithinAGroup)
 {
     expectUniqueNames(uvm::UvmStatNames);
-    expectUniqueNames(interconnect::LinkStatNames);
     expectUniqueNames(mem::AllocStatNames);
     expectUniqueNames(mem::ZeroStatNames);
     expectUniqueNames(FaultStatNames);
@@ -174,7 +169,6 @@ expectResetZeroesEveryRow(StatTable<Id, Names> t)
 TEST(StatTable, ResetZeroesEveryRow)
 {
     expectResetZeroesEveryRow(uvm::UvmStats{});
-    expectResetZeroesEveryRow(interconnect::LinkStats{});
     expectResetZeroesEveryRow(mem::AllocStats{});
     expectResetZeroesEveryRow(mem::ZeroStats{});
     expectResetZeroesEveryRow(FaultStats{});

@@ -15,6 +15,7 @@
 #include "interconnect/link.hpp"
 #include "trace/auditor.hpp"
 #include "uvm/config.hpp"
+#include "uvm/driver.hpp"
 #include "uvm/observer.hpp"
 
 namespace uvmd::test {
@@ -39,10 +40,21 @@ testLink()
     return interconnect::LinkSpec::pcie4();
 }
 
+/** Bytes the discard state let skip: the driver's saved_*_bytes
+ *  rows, peer skips included. */
+inline sim::Bytes
+savedBytes(const uvm::UvmDriver &drv)
+{
+    return drv.counter(uvm::UvmStat::saved_h2d_bytes) +
+           drv.counter(uvm::UvmStat::saved_d2h_bytes) +
+           drv.counter(uvm::UvmStat::saved_d2d_bytes);
+}
+
 /** After trace::Auditor::finalize(): the per-range table holds every
- *  redundant and every skipped byte the auditor counted. */
+ *  redundant byte the auditor counted and all @p skipped bytes. */
 inline void
 expectAttributionConserved(const trace::Auditor &auditor,
+                           sim::Bytes skipped_total,
                            const std::string &label)
 {
     sim::Bytes wasted = 0;
@@ -52,8 +64,7 @@ expectAttributionConserved(const trace::Auditor &auditor,
         skipped += range.already_skipped;
     }
     EXPECT_EQ(wasted, auditor.redundantTotal()) << label;
-    EXPECT_EQ(skipped, auditor.skippedH2d() + auditor.skippedD2h())
-        << label;
+    EXPECT_EQ(skipped, skipped_total) << label;
 }
 
 /**

@@ -67,7 +67,6 @@ TEST(TransferEngine, FullBlockMatchesLinkCostFormula)
     EXPECT_EQ(done, f.link.transferCost(kChunk));
     EXPECT_EQ(f.count("dma_descriptors"), 1u);
     EXPECT_EQ(f.count("bytes_h2d.prefetch"), kChunk);
-    EXPECT_EQ(f.link.bytesH2d(), kChunk);
 }
 
 TEST(TransferEngine, FragmentedMaskPaysSetupPerRun)
@@ -200,8 +199,8 @@ TEST(TransferEngine, RawTransferBreaksTheTail)
          TransferCause::kPrefetch},
         0);
     // A cudaMemcpy-style descriptor lands on the same engines.
-    t = f.eng.rawTransfer(0, 64 * sim::kKiB,
-                          Direction::kHostToDevice, t);
+    t = f.eng.rawTransfer(0, 64 * sim::kKiB, Direction::kHostToDevice,
+                          UvmStat::bytes_h2d_raw, t);
     f.eng.submit({&f.b1, fullMask(), Direction::kHostToDevice,
                   TransferCause::kPrefetch},
                  t);
@@ -225,7 +224,12 @@ TEST(TransferEngine, SkipAccountingPerDirectionAndPeer)
     EXPECT_EQ(f.count("saved_h2d_bytes"), bytes);
     EXPECT_EQ(f.count("saved_d2d_bytes"), bytes);
     // Skips never touch the engines.
-    EXPECT_EQ(f.link.totalDescriptors(), 0u);
+    EXPECT_EQ(f.count("dma_descriptors"), 0u);
+    for (Direction dir :
+         {Direction::kHostToDevice, Direction::kDeviceToHost}) {
+        EXPECT_EQ(f.link.engineAt(dir, 0).busyTime(), 0);
+        EXPECT_EQ(f.peer.engineAt(dir, 0).busyTime(), 0);
+    }
 }
 
 TEST(TransferEngine, PeerRequestsRideThePeerLink)
@@ -235,9 +239,51 @@ TEST(TransferEngine, PeerRequestsRideThePeerLink)
                   TransferCause::kGpuFault, /*gpu=*/0, /*peer=*/true},
                  0);
     EXPECT_EQ(f.count("bytes_d2d"), kChunk);
-    EXPECT_EQ(f.peer.bytesH2d(), kChunk);
-    EXPECT_EQ(f.link.totalDescriptors(), 0u);
-    EXPECT_EQ(f.peer.totalDescriptors(), 1u);
+    EXPECT_EQ(f.count("bytes_h2d.gpu_fault"), 0u);
+    EXPECT_EQ(f.count("dma_descriptors"), 1u);
+    EXPECT_EQ(f.peer.engineAt(Direction::kHostToDevice, 0).busyTime(),
+              f.peer.transferCost(kChunk));
+    EXPECT_EQ(f.link.engineAt(Direction::kHostToDevice, 0).busyTime(), 0);
+}
+
+TEST(TransferEngine, RawTransfersCreditTheirCallersRowOnce)
+{
+    EngineFixture f(/*coalesce=*/false);
+    f.eng.rawTransfer(0, 64 * sim::kKiB, Direction::kHostToDevice,
+                      UvmStat::bytes_h2d_raw, 0);
+    f.eng.rawTransfer(0, 32 * sim::kKiB, Direction::kDeviceToHost,
+                      UvmStat::remote_write_bytes, 0);
+    EXPECT_EQ(f.count("bytes_h2d.raw"), 64 * sim::kKiB);
+    EXPECT_EQ(f.count("remote_write_bytes"), 32 * sim::kKiB);
+    EXPECT_EQ(f.count("bytes_d2h.raw"), 0u);
+    EXPECT_EQ(f.count("remote_read_bytes"), 0u);
+    // One descriptor each, outside the block-transfer count.
+    EXPECT_EQ(f.count("raw_transfers"), 2u);
+    EXPECT_EQ(f.count("dma_descriptors"), 0u);
+    EXPECT_EQ(f.link.engineAt(Direction::kHostToDevice, 0).busyTime(),
+              f.link.transferCost(64 * sim::kKiB));
+}
+
+TEST(TransferEngine, LinkEventThresholdCountsBlockAndRawDescriptors)
+{
+    EngineFixture f(/*coalesce=*/false);
+    sim::FaultPlan plan;
+    plan.enabled = true;
+    plan.link_events.push_back({3, 0, 0.5, -1, 0});
+    sim::FaultInjector inj(plan);
+    f.eng.setInjector(&inj);
+    PageMask two_runs;
+    two_runs.set(0);
+    two_runs.set(9);
+    sim::SimTime t = f.eng.submit(
+        {&f.b0, two_runs, Direction::kHostToDevice,
+         TransferCause::kPrefetch},
+        0);
+    EXPECT_EQ(f.link.bandwidthFactor(), 1.0);  // 2 descriptors issued
+    f.eng.rawTransfer(0, 64 * sim::kKiB, Direction::kDeviceToHost,
+                      UvmStat::bytes_d2h_raw, t);
+    EXPECT_EQ(f.link.bandwidthFactor(), 0.5);  // the raw one is third
+    EXPECT_EQ(f.count("fault_injected"), 1u);
 }
 
 // ------------------------------------------------------------------
@@ -287,7 +333,6 @@ TEST(TransferEngineRegression, DefaultPrefetchMatchesSerialFormula)
     const interconnect::Link &l = rt.driver().link(0);
     sim::SimDuration dma = 2 * l.transferCost(kChunk);
     EXPECT_GE(elapsed, dma);
-    EXPECT_EQ(l.totalDescriptors(), 2u);
     EXPECT_EQ(l.engineAt(Direction::kHostToDevice, 0).busyTime(), dma);
     EXPECT_EQ(
         rt.driver().counters().get("dma_descriptors"),

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <sstream>
 #include <thread>
 
+#include "verify/snapshot.hpp"
 #include "verify/verified_run.hpp"
 #include "verify/watchdog.hpp"
 
@@ -51,8 +53,9 @@ free a
 sync
 )");
     EXPECT_EQ(res.outcome, Outcome::kOk) << res.message;
-    // Exact, so a check that stops being evaluated or counted shows.
-    EXPECT_EQ(res.checks, 123u);
+    // Exact, so a check that stops being evaluated or counted shows
+    // (the last 4 are the final traffic-ledger checks).
+    EXPECT_EQ(res.checks, 127u);
 }
 
 
@@ -78,8 +81,9 @@ sync
 )");
     EXPECT_EQ(res.outcome, Outcome::kOk) << res.message;
     // Exact: 1152 tag checks after the read kernel (768 + 384 pages),
-    // 384 in the final sweep, and the state checks of every op.
-    EXPECT_EQ(res.checks, 1828u);
+    // 384 in the final sweep, the state checks of every op and the 4
+    // traffic-ledger checks.
+    EXPECT_EQ(res.checks, 1832u);
 }
 
 TEST_F(VerifyTest, ParseErrorIsClassified)
@@ -414,6 +418,92 @@ TEST(WatchdogDeathTest, ExpiryInAChildOfAProcessWithATimer)
         ::testing::ExitedWithCode(WatchdogError::kExitCode),
         "expired for forked child;");
     parent.disarm();
+}
+
+// The scenario DSL drives one GPU; peer moves and peer skips reach the
+// G6 ledger checks through the Runtime directly.
+TEST_F(VerifyTest, LedgerReconcilesPeerMovesAndSkips)
+{
+    uvm::UvmConfig cfg;
+    cfg.gpu_memory = 8 * mem::kBigPageSize;
+    cfg.num_gpus = 2;
+    cfg.backed = true;
+    cuda::Runtime rt(cfg, interconnect::LinkSpec::pcie4());
+    Oracle oracle;
+    oracle.attachRuntime(rt);
+    rt.driver().setObserver(&oracle);
+    const sim::Bytes size = 2 * mem::kBigPageSize;
+    mem::VirtAddr a = rt.mallocManaged(size, "a");
+    rt.hostTouch(a, size, uvm::AccessKind::kWrite);
+    rt.prefetchAsync(a, size, uvm::ProcessorId::gpu(0));
+    rt.discardAsync(a, mem::kBigPageSize, uvm::DiscardMode::kEager);
+    rt.prefetchAsync(a, size, uvm::ProcessorId::gpu(1));
+    rt.synchronize();
+    ASSERT_EQ(rt.driver().vaSpace().blockOf(a + mem::kBigPageSize)->owner_gpu,
+              1);
+    const std::uint64_t before = oracle.checksRun();
+    EXPECT_NO_THROW(oracle.finalCheck(rt));
+    EXPECT_GE(oracle.checksRun(), before + 4);
+    // The live block moved over the peer fabric, the discarded one
+    // was skipped.
+    EXPECT_EQ(rt.driver().counter(uvm::UvmStat::bytes_d2d),
+              mem::kBigPageSize);
+    EXPECT_EQ(rt.driver().counter(uvm::UvmStat::saved_d2d_bytes),
+              mem::kBigPageSize);
+}
+
+// A divergence artifact carries every field VaBlock::hashState treats
+// as future-shaping, the memAdvise hints included, and the driver's
+// stats dump.
+TEST(Snapshot, AdvisedBlockCarriesItsHintsAndOrdinal)
+{
+    using mem::kBigPageSize;
+    using uvm::AccessKind;
+    uvm::UvmConfig cfg;
+    cfg.gpu_memory = 4 * kBigPageSize;
+    uvm::UvmDriver drv(cfg, interconnect::LinkSpec::pcie4());
+    sim::SimTime t = 0;
+    mem::VirtAddr x = drv.allocManaged(kBigPageSize, "x");
+    mem::VirtAddr y = drv.allocManaged(kBigPageSize, "y");
+    t = drv.prefetch(x, kBigPageSize, uvm::ProcessorId::gpu(0), t);
+    t = drv.prefetch(y, kBigPageSize, uvm::ProcessorId::gpu(0), t);
+    mem::VirtAddr a = drv.allocManaged(kBigPageSize, "a");
+    t = drv.hostAccess(a, kBigPageSize, AccessKind::kWrite, t);
+    drv.memAdvise(a, kBigPageSize, uvm::MemAdvise::kSetAccessedBy, 0);
+    drv.memAdvise(a, kBigPageSize,
+                  uvm::MemAdvise::kSetPreferredLocationCpu);
+    drv.gpuAccess(0, {{a, kBigPageSize, AccessKind::kRead}}, t);
+
+    const uvm::VaBlock &advised = *drv.vaSpace().blockOf(a);
+    ASSERT_EQ(advised.remote_mapped, 1u);
+    std::ostringstream os;
+    dumpBlockJson(os, advised);
+    EXPECT_NE(os.str().find("\"accessed_by\":1,\"prefer_cpu\":true,"
+                            "\"remote_mapped\":1,"),
+              std::string::npos)
+        << os.str();
+
+    const uvm::VaBlock &second = *drv.vaSpace().blockOf(y);
+    ASSERT_GT(second.alloc_ordinal, 0u);
+    os.str("");
+    dumpBlockJson(os, second);
+    EXPECT_NE(os.str().find("\"accessed_by\":0,\"prefer_cpu\":false,"
+                            "\"remote_mapped\":0,\"alloc_ordinal\":" +
+                            std::to_string(second.alloc_ordinal) + ","),
+              std::string::npos)
+        << os.str();
+
+    // The snapshot embeds dumpStatsJson whole: the per-GPU chunk and
+    // queue object is written in one place.
+    std::ostringstream state, stats;
+    dumpDriverStateJson(state, drv);
+    drv.dumpStatsJson(stats);
+    EXPECT_NE(state.str().find("],\"stats\":" + stats.str() + "}"),
+              std::string::npos)
+        << state.str();
+    EXPECT_NE(stats.str().find("\"chunks\":{\"total\":4,\"allocated\":2,"),
+              std::string::npos)
+        << stats.str();
 }
 
 }  // namespace
