@@ -35,14 +35,14 @@ runHarness(int, char **)
         p.batch_size = b;
         TrainResult r = dl::runTraining(
             System::kUvmOpt, p, interconnect::LinkSpec::pcie4(), cfg);
-        double total = r.trafficMeasuredGb();
-        double required = r.required_measured / 1e9;
+        const RunResult &m = r.measured;
         fig.row({std::to_string(b),
                  trace::fmt(net.allocBytes(b) / 1e9, 1),
-                 trace::fmt(total), trace::fmt(required),
-                 total > 0 ? trace::fmt(100.0 * (1 - required / total),
-                                        1) + "%"
-                           : "-"});
+                 trace::fmt(m.trafficGb()), trace::fmt(m.required / 1e9),
+                 m.trafficTotal() > 0
+                     ? trace::fmt(100.0 * m.redundant / m.trafficTotal(),
+                                  1) + "%"
+                     : "-"});
     }
     fig.print();
     fig.writeCsv("fig3_resnet_traffic.csv");

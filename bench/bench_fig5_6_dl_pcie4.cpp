@@ -39,7 +39,7 @@ runHarness(int argc, char **argv)
                  for (System sys : {System::kUvmOpt, System::kUvmDiscard,
                                     System::kUvmDiscardLazy})
                      row.push_back(
-                         trace::fmt(runs.at(sys).trafficMeasuredGb()));
+                         trace::fmt(runs.at(sys).measured.trafficGb()));
              });
 
     std::printf("\nPaper Figure 5 shape: traffic is near zero while "

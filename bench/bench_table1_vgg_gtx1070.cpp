@@ -54,7 +54,7 @@ runHarness(int, char **)
             TrainResult r = dl::runTraining(
                 sys, p, interconnect::LinkSpec::pcie3(), cfg);
             row.push_back(trace::fmt(r.throughput, 0) + "/" +
-                          trace::fmt(r.trafficMeasuredGb(), 0));
+                          trace::fmt(r.measured.trafficGb(), 0));
         }
         t1.row(row);
     }

@@ -4,8 +4,11 @@
  * GPU memory (the paper's headline use case — Listing 6).
  *
  * Trains one of the four evaluation networks at a configurable batch
- * size under every memory system and reports throughput, traffic and
- * the redundant/required split.
+ * size under every memory system and reports, over the measured
+ * batches, throughput, traffic and the Auditor's required/redundant
+ * split of it.  For the UVM systems required + redundant is the
+ * traffic.  No-UVM and ManualSwap move their data with explicit
+ * copies, which the Auditor does not classify: their split is 0/0.
  *
  * Usage:  ./examples/dl_training [net] [batch]
  *         net in {vgg16, darknet19, resnet53, rnn}, default resnet53
@@ -67,9 +70,9 @@ main(int argc, char **argv)
         dl::TrainResult r = dl::runTraining(
             sys, p, interconnect::LinkSpec::pcie4(), cfg);
         std::printf("%-16s %12.1f %12.2f %12.2f %12.2f\n",
-                    toString(sys), r.throughput,
-                    r.trafficMeasuredGb(), r.required / 1e9,
-                    r.redundant / 1e9);
+                    toString(sys), r.throughput, r.measured.trafficGb(),
+                    r.measured.required / 1e9,
+                    r.measured.redundant / 1e9);
     }
 
     std::printf("\nForward activations, backward deltas and the CUDNN\n"

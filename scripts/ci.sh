@@ -27,7 +27,13 @@
 #   9. the DL fast-forward differential (release build, label `slow`):
 #      every DL grid the harnesses train, with dl::runTraining's
 #      steady-state fast-forward on and off, must match field for
-#      field (tier-1 runs one network's cells of it),
+#      field, whole run and measured region (tier-1 runs one
+#      network's cells of it); every UVM run's measured required and
+#      redundant bytes must add up to its measured traffic; and at
+#      every Figure 5 cell whose allocation fits the GPU, UvmDiscard's
+#      measured savings over UVM-opt must not exceed UVM-opt's
+#      measured redundant bytes (EXPERIMENTS.md, "Paper-claim
+#      relations"),
 #  10. results byte-stability (release build): every results-producing
 #      bench_* harness regenerates its CSVs at --jobs N, and
 #      scripts/check_results.py fails on any byte of drift from the
@@ -40,7 +46,8 @@
 #      BENCH_baseline.json by scripts/perf_gate.py (throughput and
 #      wall-clock within a tolerance band; the exact work counters,
 #      every allocs_per_* count, blocks_walked, batches_simulated and
-#      the evictions_* counts, may never increase; UVMD_PERF_STRICT=0
+#      the evictions_* counts, may never increase, and the e2e_verify
+#      Oracle `checks` count may never decrease; UVMD_PERF_STRICT=0
 #      downgrades the gate to report-only for noisy machines); then one
 #      table sweep runs serial and parallel with the CSVs asserted
 #      bit-identical (the --jobs determinism contract,

@@ -5,8 +5,8 @@ Usage: perf_gate.py BASELINE.json CURRENT.json [--tolerance FRAC]
 
 Gate semantics (docs/performance.md, "Regression gate"):
 
-  - Throughput metrics (names ending in `_per_sec` or named
-    `speedup`) regress when  current < baseline * (1 - tolerance).
+  - Throughput metrics (names ending in `_per_sec`) regress when
+    current < baseline * (1 - tolerance).
   - `wall_ms` regresses when  current > baseline * (1 + tolerance),
     and is only compared when both files were produced in the same
     mode (`--quick` vs full) — wall times of different modes are not
@@ -24,6 +24,9 @@ Gate semantics (docs/performance.md, "Regression gate"):
     fast-forward no longer firing; `evictions_used` and
     `evictions_discarded` catch a change of the victims the eviction
     process picks).
+  - Coverage counters (`checks`, the Oracle checks a verify run
+    makes) are deterministic too: any decrease fails, so a check
+    dropped from the Oracle cannot pass unnoticed.
   - Benches present in the baseline but missing from the current run
     fail (a silently-dropped bench is a coverage regression); new
     benches in the current run are ignored (they gate once
@@ -55,6 +58,10 @@ def is_exact_counter(key):
     return (key.startswith("allocs_per_") or
             key in ("blocks_walked", "batches_simulated") or
             key.startswith("evictions_"))
+
+
+def is_coverage_counter(key):
+    return key == "checks"
 
 
 def is_quick(doc):
@@ -116,7 +123,13 @@ def main(argv):
                     regressions.append(
                         f"{name}: {key} {cv} vs baseline "
                         f"{bv} (any increase fails)")
-            elif key.endswith("_per_sec") or key == "speedup":
+            elif is_coverage_counter(key):
+                compared += 1
+                if cv < bv:
+                    regressions.append(
+                        f"{name}: {key} {cv} vs baseline "
+                        f"{bv} (any decrease fails)")
+            elif key.endswith("_per_sec"):
                 compared += 1
                 if cv < bv * (1 - tolerance):
                     regressions.append(

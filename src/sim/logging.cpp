@@ -56,11 +56,4 @@ warn(const std::string &msg)
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-inform(const std::string &msg)
-{
-    if (logLevel() == LogLevel::kVerbose)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 }  // namespace uvmd::sim

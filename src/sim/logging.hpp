@@ -10,7 +10,6 @@
  *  - warn():   something is suspicious but simulation continues (e.g.
  *              writing a lazily-discarded page without the mandatory
  *              prefetch).
- *  - inform(): neutral status output.
  */
 
 #ifndef UVMD_SIM_LOGGING_HPP
@@ -31,10 +30,10 @@ class FatalError : public std::runtime_error
         : std::runtime_error(what) {}
 };
 
-/** Verbosity levels for inform()/warn() output. */
-enum class LogLevel { kQuiet, kNormal, kVerbose };
+/** Verbosity levels for warn() output. */
+enum class LogLevel { kQuiet, kNormal };
 
-/** Process-wide log level; benches set kQuiet to keep tables clean. */
+/** Process-wide log level; tests that provoke warnings set kQuiet. */
 LogLevel logLevel();
 void setLogLevel(LogLevel level);
 
@@ -45,7 +44,6 @@ void resetWarnCount();
 [[noreturn]] void panic(const std::string &msg);
 [[noreturn]] void fatal(const std::string &msg);
 void warn(const std::string &msg);
-void inform(const std::string &msg);
 
 }  // namespace uvmd::sim
 

@@ -527,8 +527,8 @@ runTraining(System sys, const TrainParams &p,
     const Boundary end = at(batches);
 
     result.elapsed = end.now - start.now;
-    result.traffic_measured =
-        end.totals.trafficTotal() - start.totals.trafficTotal();
+    for (std::uint64_t RunResult::*c : kRunCounters)
+        result.measured.*c = end.totals.*c - start.totals.*c;
     result.throughput =
         p.measured_batches * p.batch_size /
         sim::toSeconds(result.elapsed);
@@ -538,13 +538,6 @@ runTraining(System sys, const TrainParams &p,
     harvest(result, rt, auditor);
     for (std::uint64_t RunResult::*c : kRunCounters)
         result.*c += end.totals.*c - seen[simulated].totals.*c;
-    double required_frac =
-        result.required + result.redundant > 0
-            ? static_cast<double>(result.required) /
-                  (result.required + result.redundant)
-            : 1.0;
-    result.required_measured = static_cast<sim::Bytes>(
-        required_frac * result.traffic_measured);
     return result;
 }
 

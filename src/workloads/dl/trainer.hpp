@@ -41,24 +41,25 @@ struct TrainParams {
     bool fast_forward = true;
 };
 
+/**
+ * A training run.  The inherited counters cover the whole run (setup,
+ * warm-up and measured batches, the Auditor finalized at the end);
+ * @c elapsed, @c throughput and @c measured cover the measured
+ * batches only.
+ */
 struct TrainResult : RunResult {
     int batch_size = 0;
 
     /** Images (samples) per second over the measured batches. */
     double throughput = 0.0;
 
-    /** Interconnect traffic during the measured region only. */
-    sim::Bytes traffic_measured = 0;
-
-    double
-    trafficMeasuredGb() const
-    {
-        return static_cast<double>(traffic_measured) / 1e9;
-    }
-
-    /** Estimated measured-region required traffic (full-run required
-     *  fraction applied to the measured traffic; see DESIGN.md). */
-    sim::Bytes required_measured = 0;
+    /** The measured region's counters (only kRunCounters is set):
+     *  each field's value after the last measured batch minus its
+     *  value after the last warm-up batch.  required and redundant
+     *  count the transfers the Auditor closed in between, so they
+     *  add up to the traffic when its open transfers are the same
+     *  at both ends. */
+    RunResult measured;
 
     /** Batches actually simulated (host work): every batch of the run
      *  without the fast-forward, fewer with it. */

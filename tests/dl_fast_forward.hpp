@@ -49,50 +49,51 @@ fig6Grid(const std::set<std::string> &nets = {})
     return cells;
 }
 
+/** Every RunResult field of @p on equals that of @p off. */
+inline void
+expectSameRun(const workloads::RunResult &on,
+              const workloads::RunResult &off, const std::string &label)
+{
+    EXPECT_EQ(on.system, off.system) << label;
+    EXPECT_EQ(on.ovsp_ratio, off.ovsp_ratio) << label;
+    EXPECT_EQ(on.elapsed, off.elapsed) << label;
+    std::size_t i = 0;
+    for (std::uint64_t workloads::RunResult::*c : workloads::kRunCounters)
+        EXPECT_EQ(on.*c, off.*c) << label << ", kRunCounters[" << i++
+                                 << "]";
+}
+
 /** Every TrainResult field of @p on equals that of @p off. */
 inline void
 expectSameTraining(const workloads::dl::TrainResult &on,
                    const workloads::dl::TrainResult &off,
                    const std::string &label)
 {
-    EXPECT_EQ(on.system, off.system) << label;
-    EXPECT_EQ(on.ovsp_ratio, off.ovsp_ratio) << label;
-    EXPECT_EQ(on.elapsed, off.elapsed) << label;
-    EXPECT_EQ(on.traffic_h2d, off.traffic_h2d) << label;
-    EXPECT_EQ(on.traffic_d2h, off.traffic_d2h) << label;
-    EXPECT_EQ(on.required, off.required) << label;
-    EXPECT_EQ(on.redundant, off.redundant) << label;
-    EXPECT_EQ(on.skipped_by_discard, off.skipped_by_discard) << label;
-    EXPECT_EQ(on.gpu_fault_batches, off.gpu_fault_batches) << label;
-    EXPECT_EQ(on.evictions_used, off.evictions_used) << label;
-    EXPECT_EQ(on.evictions_discarded, off.evictions_discarded) << label;
-    EXPECT_EQ(on.fault_injected, off.fault_injected) << label;
-    EXPECT_EQ(on.transfer_retries, off.transfer_retries) << label;
-    EXPECT_EQ(on.pages_retired, off.pages_retired) << label;
-    EXPECT_EQ(on.oom_fallbacks, off.oom_fallbacks) << label;
-    EXPECT_EQ(on.blocks_walked, off.blocks_walked) << label;
+    expectSameRun(on, off, label + ", whole run");
+    expectSameRun(on.measured, off.measured, label + ", measured");
     EXPECT_EQ(on.batch_size, off.batch_size) << label;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(on.throughput),
               std::bit_cast<std::uint64_t>(off.throughput))
         << label;
-    EXPECT_EQ(on.traffic_measured, off.traffic_measured) << label;
-    EXPECT_EQ(on.required_measured, off.required_measured) << label;
 }
 
 /**
  * Train each of @p cells on @p link under @p cfg with the
  * fast-forward on and off:
  * every field must match, the runs without it simulate every batch,
- * and the UVM runs with it at most @p max_simulated batches.
+ * and the UVM runs with it at most @p max_simulated batches, with
+ * measured required + redundant bytes equal to the measured traffic.
+ * Returns the results with the fast-forward on, in cell order.
  */
-inline void
+inline std::vector<workloads::dl::TrainResult>
 expectFastForwardExact(const std::vector<DlCell> &cells,
                        const interconnect::LinkSpec &link,
                        const uvm::UvmConfig &cfg =
                            uvm::UvmConfig::rtx3080ti(),
                        int max_simulated = 3)
 {
-    ASSERT_FALSE(cells.empty());
+    EXPECT_FALSE(cells.empty());
+    std::vector<workloads::dl::TrainResult> results;
     for (const auto &[sys, params] : cells) {
         workloads::dl::TrainParams p = params;
         const std::string label = p.net.name + " batch " +
@@ -111,8 +112,13 @@ expectFastForwardExact(const std::vector<DlCell> &cells,
             << label;
         if (workloads::usesUvm(sys)) {
             EXPECT_LE(on.batches_simulated, max_simulated) << label;
+            EXPECT_EQ(on.measured.required + on.measured.redundant,
+                      on.measured.trafficTotal())
+                << label;
         }
+        results.push_back(on);
     }
+    return results;
 }
 
 }  // namespace uvmd::test

@@ -3,12 +3,17 @@
  * The steady-state fast-forward of dl::runTraining against the full
  * simulation over every DL grid the harnesses train: Figures 5 and 6
  * (PCIe-4), Figure 7 (PCIe-3), Figure 3 and Table 1.  Every
- * TrainResult field must match exactly, and every UVM run must reach
- * its steady state within three batches.  Label `slow`: registered in
- * the release tree, where scripts/ci.sh runs it.
+ * TrainResult field must match exactly, every UVM run must reach its
+ * steady state within three batches, and the measured required and
+ * redundant bytes of every UVM run must add up to its traffic.  The
+ * Figure 5 grid also checks a paper claim where the model fits.
+ * Label `slow`: registered in the release tree, where scripts/ci.sh
+ * runs it.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "dl_fast_forward.hpp"
 
@@ -19,7 +24,31 @@ using workloads::System;
 
 TEST(FastForwardGrid, Figures5And6OnPcie4)
 {
-    expectFastForwardExact(fig6Grid(), interconnect::LinkSpec::pcie4());
+    const std::vector<DlCell> cells = fig6Grid();
+    const std::vector<workloads::dl::TrainResult> runs =
+        expectFastForwardExact(cells, interconnect::LinkSpec::pcie4());
+    ASSERT_EQ(runs.size(), cells.size());
+
+    // Where the model fits, all that discarding can save is traffic
+    // UVM-opt performs for nothing: UvmDiscard's savings over the
+    // measured batches are at most UVM-opt's redundant bytes.
+    const sim::Bytes gpu_memory = uvm::UvmConfig::rtx3080ti().gpu_memory;
+    std::map<std::pair<std::string, int>,
+             std::map<System, const workloads::RunResult *>>
+        figure5;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const workloads::dl::TrainParams &p = cells[i].second;
+        if (p.net.allocBytes(p.batch_size) <= gpu_memory)
+            figure5[{p.net.name, p.batch_size}][cells[i].first] =
+                &runs[i].measured;
+    }
+    for (const auto &[cell, sys] : figure5) {
+        const workloads::RunResult &opt = *sys.at(System::kUvmOpt);
+        const workloads::RunResult &disc = *sys.at(System::kUvmDiscard);
+        EXPECT_LE(opt.trafficTotal(), disc.trafficTotal() + opt.redundant)
+            << cell.first << " batch " << cell.second;
+    }
+    EXPECT_EQ(figure5.size(), 12u);
 }
 
 TEST(FastForwardGrid, Figure7OnPcie3)

@@ -293,7 +293,26 @@ TEST(DlTrainer, DiscardBeatsUvmOptWhenOversubscribed)
         dl::runTraining(System::kUvmDiscardLazy, p, link());
     EXPECT_GT(disc.throughput, base.throughput);
     EXPECT_GE(lazy.throughput, disc.throughput);
-    EXPECT_LT(disc.traffic_measured, base.traffic_measured);
+    EXPECT_LT(disc.measured.trafficTotal(),
+              base.measured.trafficTotal());
+}
+
+TEST(DlTrainer, MeasuredSplitIsExact)
+{
+    // The measured region's Auditor split covers exactly its traffic,
+    // at fit (28: 5.5 GB) and oversubscribed (90: 17.2 GB).
+    for (int batch : {28, 90}) {
+        dl::TrainParams p;
+        p.net = dl::NetSpec::resnet53();
+        p.batch_size = batch;
+        for (System sys : {System::kUvmOpt, System::kUvmDiscard}) {
+            const RunResult m =
+                dl::runTraining(sys, p, link()).measured;
+            EXPECT_GT(m.trafficTotal(), 0u);
+            EXPECT_EQ(m.required + m.redundant, m.trafficTotal())
+                << "batch " << batch << " " << toString(sys);
+        }
+    }
 }
 
 TEST(DlTrainer, EagerDiscardCostsThroughputAtFit)
@@ -329,7 +348,8 @@ TEST(DlTrainer, ManualSwapTrafficScalesWithModel)
         dl::runTraining(System::kUvmOpt, p, link());
     // At fit, the manual policy still swaps every layer while UVM
     // moves almost nothing (Table 1's story).
-    EXPECT_GT(lms.traffic_measured, 10 * uvm.traffic_measured);
+    EXPECT_GT(lms.measured.trafficTotal(),
+              10 * uvm.measured.trafficTotal());
     EXPECT_LT(lms.throughput, uvm.throughput);
 }
 
