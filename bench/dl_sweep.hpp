@@ -9,6 +9,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -40,33 +41,45 @@ inline constexpr workloads::System kDlSystems[] = {
 using DlRuns = std::map<workloads::System, workloads::dl::TrainResult>;
 using DlResults = std::map<std::string, std::map<int, DlRuns>>;
 
-/**
- * Train every (network, batch, system) combination of kDlSystems on
- * @p link.  No-UVM is skipped (as in the paper's figures) once the
- * allocation no longer fits.  With @p jobs > 1 the independent
- * training runs execute on that many threads; the results do not
- * depend on @p jobs.
- */
-inline DlResults
-dlSweep(interconnect::LinkSpec link, int jobs)
-{
-    using workloads::System;
-    namespace dl = workloads::dl;
+/** One training run of a DL sweep. */
+using DlCell = std::pair<workloads::System, workloads::dl::TrainParams>;
 
-    uvm::UvmConfig cfg = uvm::UvmConfig::rtx3080ti();
-    std::vector<std::pair<System, dl::TrainParams>> grid;
-    for (const dl::NetSpec &net : dl::NetSpec::all()) {
+/**
+ * Every (network, batch, system) combination of kDlSystems, in figure
+ * order.  No-UVM is skipped (as in the paper's figures) once the
+ * allocation no longer fits @p cfg's GPU.
+ */
+inline std::vector<DlCell>
+dlGrid(const uvm::UvmConfig &cfg)
+{
+    std::vector<DlCell> grid;
+    for (const workloads::dl::NetSpec &net : workloads::dl::NetSpec::all()) {
         for (int batch : batchGrid(net)) {
-            dl::TrainParams p;
+            workloads::dl::TrainParams p;
             p.net = net;
             p.batch_size = batch;
-            for (System sys : kDlSystems) {
-                if (sys != System::kNoUvm ||
+            for (workloads::System sys : kDlSystems) {
+                if (sys != workloads::System::kNoUvm ||
                     net.allocBytes(batch) <= cfg.gpu_memory)
                     grid.emplace_back(sys, p);
             }
         }
     }
+    return grid;
+}
+
+/**
+ * Train every cell of dlGrid on @p link.  With @p jobs > 1 the
+ * independent training runs execute on that many threads; the results
+ * do not depend on @p jobs.
+ */
+inline DlResults
+dlSweep(interconnect::LinkSpec link, int jobs)
+{
+    namespace dl = workloads::dl;
+
+    uvm::UvmConfig cfg = uvm::UvmConfig::rtx3080ti();
+    const std::vector<DlCell> grid = dlGrid(cfg);
 
     DlResults results;
     runIndexedSweep(

@@ -14,8 +14,10 @@
 #      build/fuzz-artifacts/,
 #   6. a mutation campaign: scenario_fuzz hunts each deliberate driver
 #      bug (uvm::BugInjection, --bug NAME) over 50 seeds per fault
-#      mode; the stage fails if the Oracle misses any of them (a
-#      campaign that exits 0) or the campaign itself errors,
+#      mode; the stage fails unless the Oracle itself catches each of
+#      them (a campaign exit of 4 or 5 with at least one divergence
+#      line: runtime errors alone are no catch) or if the campaign
+#      itself errors,
 #   7. example output byte-stability (default build): advisor_demo,
 #      and scenario_runner on its built-in demo and on every
 #      examples/scenarios/*.uvm, must print exactly the committed
@@ -107,11 +109,19 @@ rm -rf build/mutation-artifacts
 for bug in lazy-rearm-keeps-dirty silent-dirty-bit-change \
            skip-discard-requeue drop-evicted-cpu-copy; do
     rc=0
-    build/examples/scenario_fuzz --seeds 50 --no-shrink --bug "$bug" \
-        --artifacts "build/mutation-artifacts/$bug" > /dev/null || rc=$?
+    out=$(build/examples/scenario_fuzz --seeds 50 --no-shrink \
+              --bug "$bug" --artifacts "build/mutation-artifacts/$bug") \
+        || rc=$?
+    diverged=$(grep -c ': divergence (' <<<"$out" || true)
     case "$rc" in
-      3|4|5) echo "--bug $bug: caught (exit $rc)" ;;
-      0) echo "mutation campaign: --bug $bug went uncaught" >&2
+      4|5) if [ "$diverged" -eq 0 ]; then
+               echo "mutation campaign: --bug $bug: no Oracle" \
+                    "divergence (exit $rc)" >&2
+               exit 1
+           fi
+           echo "--bug $bug: caught ($diverged divergences, exit $rc)" ;;
+      0|3) echo "mutation campaign: --bug $bug went uncaught by the" \
+                "Oracle (exit $rc)" >&2
          exit 1 ;;
       *) echo "mutation campaign: --bug $bug: scenario_fuzz failed" \
               "(exit $rc)" >&2

@@ -13,13 +13,13 @@ namespace uvmd::verify {
 namespace {
 
 std::string
-joinTokens(const std::vector<std::string> &tokens)
+join(const std::vector<std::string> &parts, const char *sep)
 {
     std::string out;
-    for (const auto &t : tokens) {
+    for (const auto &p : parts) {
         if (!out.empty())
-            out += ' ';
-        out += t;
+            out += sep;
+        out += p;
     }
     return out;
 }
@@ -34,7 +34,7 @@ void
 Oracle::fail(const std::string &kind, const std::string &detail)
 {
     const std::string op_text =
-        op_tokens_ ? joinTokens(*op_tokens_) : op_label_;
+        op_tokens_ ? join(*op_tokens_, " ") : op_label_;
     std::ostringstream os;
     os << "{\"kind\":\"" << jsonEscape(kind) << "\""
        << ",\"op\":{\"index\":" << op_index_
@@ -64,9 +64,8 @@ Oracle::deferFail(const std::string &kind, const std::string &detail)
 
 void
 Oracle::onTransfer(const uvm::VaBlock &block, const uvm::PageMask &pages,
-                   interconnect::Direction dir, uvm::TransferCause cause)
+                   interconnect::Direction dir, uvm::TransferCause)
 {
-    (void)cause;
     ++checks_;
     reported_[static_cast<std::size_t>(dir)] +=
         block.pagesIn(pages) * mem::kSmallPageSize;
@@ -85,9 +84,8 @@ void
 Oracle::onTransferSkipped(const uvm::VaBlock &block,
                           const uvm::PageMask &pages,
                           interconnect::Direction dir,
-                          uvm::TransferCause cause)
+                          uvm::TransferCause)
 {
-    (void)cause;
     ++checks_;
     reported_[2 + static_cast<std::size_t>(dir)] +=
         block.pagesIn(pages) * mem::kSmallPageSize;
@@ -102,15 +100,9 @@ Oracle::onTransferSkipped(const uvm::VaBlock &block,
 }
 
 void
-Oracle::onAccess(const uvm::VaBlock &block, const uvm::PageMask &pages,
-                 bool is_read, bool is_write, uvm::ProcessorId where)
-{
-    (void)block;
-    (void)pages;
-    (void)is_read;
-    (void)is_write;
-    (void)where;
-}
+Oracle::onAccess(const uvm::VaBlock &, const uvm::PageMask &, bool, bool,
+                 uvm::ProcessorId)
+{}
 
 void
 Oracle::onDiscard(const uvm::VaBlock &block, const uvm::PageMask &pages)
@@ -119,9 +111,8 @@ Oracle::onDiscard(const uvm::VaBlock &block, const uvm::PageMask &pages)
 }
 
 void
-Oracle::onFree(const uvm::VaBlock &block, const uvm::PageMask &pages)
+Oracle::onFree(const uvm::VaBlock &block, const uvm::PageMask &)
 {
-    (void)pages;
     // Only the content tags go here: freeing releases the chunk right
     // after this event, and that queue-move must still match the
     // mirror.  The mirror entry itself is pruned by checkAll's sweep
@@ -130,11 +121,8 @@ Oracle::onFree(const uvm::VaBlock &block, const uvm::PageMask &pages)
 }
 
 void
-Oracle::onFault(uvm::FaultEvent event, mem::VirtAddr block_base,
-                std::uint32_t pages)
+Oracle::onFault(uvm::FaultEvent event, mem::VirtAddr, std::uint32_t)
 {
-    (void)block_base;
-    (void)pages;
     // An OOM-served prefetch legitimately leaves its pages discarded
     // (the migration was skipped wholesale); the G2 postcondition for
     // this op is waived.
@@ -327,23 +315,14 @@ Oracle::checkAll(cuda::Runtime &rt)
     }
 }
 
-void
-Oracle::afterOp(const workloads::ScenarioOp &op, cuda::Runtime &rt)
+bool
+Oracle::settle(cuda::Runtime &rt)
 {
     rt_ = &rt;
-    op_index_ = op.index;
-    op_line_ = op.line_no;
-    op_tokens_ = op.tokens;
-
     // Failures spotted inside hooks surface here, outside any driver
     // mutation, so the snapshot below reflects a settled state.
     if (!pending_.empty()) {
-        std::string joined;
-        for (const auto &p : pending_) {
-            if (!joined.empty())
-                joined += " | ";
-            joined += p;
-        }
+        std::string joined = join(pending_, " | ");
         pending_.clear();
         fail("event-stream", joined);
     }
@@ -355,89 +334,17 @@ Oracle::afterOp(const workloads::ScenarioOp &op, cuda::Runtime &rt)
     bool errored = rt.getLastError() != cuda::CudaError::kSuccess;
     if (errored)
         defined_.clear();
+    return errored;
+}
 
-    const std::vector<std::string> &toks = *op.tokens;
-    const std::string &cmd = toks[0];
-
-    if (!errored) {
-        if (cmd == "prefetch" && !oom_fallback_this_op_) {
-            // G2: Section 5.2 — a prefetch is the re-arming operation;
-            // afterwards no page it covered may still be discarded.
-            auto it = op.buffers->find(toks[1]);
-            if (it != op.buffers->end()) {
-                rt.driver().vaSpace().forEachBlock(
-                    it->second.addr, it->second.size,
-                    [&](uvm::VaBlock &b, const uvm::PageMask &msk) {
-                        uvm::PageMask still = msk & b.discarded;
-                        check(still.none(), "prefetch-left-discarded",
-                              [&] {
-                                  return "block " +
-                                         std::to_string(b.base) +
-                                         ": pages " + maskToRuns(still) +
-                                         " still discarded after a "
-                                         "successful prefetch";
-                              });
-                    });
-            }
-        } else if (cmd == "discard") {
-            // G2: every page the driver reported as discarded must
-            // actually carry a cleared dirty bit now.
-            for (const auto &[base, mask] : discard_targets_) {
-                uvm::VaBlock *b = rt.driver().vaSpace().blockOf(base);
-                if (!b)
-                    continue;
-                uvm::PageMask missing = mask & ~b->discarded;
-                check(missing.none(), "discard-not-applied", [&] {
-                    return "block " + std::to_string(base) + ": pages " +
-                           maskToRuns(missing) +
-                           " reported discarded but the dirty bit "
-                           "is still set";
-                });
-            }
-        }
-    }
-
-    if (check_content_ && !errored) {
-        if (cmd == "host_write") {
-            if (auto it = op.buffers->find(toks[1]);
-                it != op.buffers->end())
-                plantTags(rt, it->second.addr, it->second.size);
-        } else if (cmd == "host_read") {
-            if (auto it = op.buffers->find(toks[1]);
-                it != op.buffers->end())
-                verifyTags(rt, it->second.addr, it->second.size);
-        } else if (cmd == "discard") {
-            // Discarded contents are dead by contract (Section 4.1).
-            if (auto it = op.buffers->find(toks[1]);
-                it != op.buffers->end())
-                dropTags(it->second.addr, it->second.size);
-        } else if (cmd == "kernel") {
-            // read buffers must still carry intact data wherever they
-            // now live; written buffers hold unknown values (the sim
-            // kernel writes no real bytes, so only invalidate).
-            std::size_t pos = 2;
-            while (pos + 1 < toks.size()) {
-                const std::string &word = toks[pos];
-                if (word == "read" || word == "write" || word == "rw") {
-                    if (auto it = op.buffers->find(toks[pos + 1]);
-                        it != op.buffers->end()) {
-                        if (word == "read")
-                            verifyTags(rt, it->second.addr,
-                                       it->second.size);
-                        else
-                            dropTags(it->second.addr, it->second.size);
-                    }
-                }
-                pos += 2;
-            }
-        } else if (cmd == "alloc") {
-            // Defensive: a recycled VA must not inherit stale tags.
-            if (auto it = op.buffers->find(toks[1]);
-                it != op.buffers->end())
-                dropTags(it->second.addr, it->second.size);
-        }
-    }
-
+void
+Oracle::afterOp(const workloads::ScenarioOp &op, cuda::Runtime &rt)
+{
+    op_index_ = op.index;
+    op_line_ = op.line_no;
+    op_tokens_ = op.tokens;
+    if (!settle(rt))
+        checkOp(op, rt);
     checkAll(rt);
 
     discard_targets_.clear();
@@ -445,26 +352,83 @@ Oracle::afterOp(const workloads::ScenarioOp &op, cuda::Runtime &rt)
 }
 
 void
+Oracle::checkOp(const workloads::ScenarioOp &op, cuda::Runtime &rt)
+{
+    using Kind = workloads::ScenarioOp::Kind;
+    if (op.kind == Kind::kDiscard) {
+        // G2: every page the driver reported as discarded must
+        // actually carry a cleared dirty bit now.
+        for (const auto &[base, mask] : discard_targets_) {
+            uvm::VaBlock *b = rt.driver().vaSpace().blockOf(base);
+            if (!b)
+                continue;
+            uvm::PageMask missing = mask & ~b->discarded;
+            check(missing.none(), "discard-not-applied", [&] {
+                return "block " + std::to_string(base) + ": pages " +
+                       maskToRuns(missing) +
+                       " reported discarded but the dirty bit is still "
+                       "set";
+            });
+        }
+    }
+
+    // G4 tags exist only when check_content_ is set (plantTags is the
+    // one place that makes them), so verifying or dropping them is a
+    // no-op otherwise.
+    for (const uvm::Access &s : op.spans) {
+        switch (op.kind) {
+        case Kind::kPrefetch:
+            // G2: Section 5.2 — a prefetch is the re-arming operation;
+            // afterwards no page it covered may still be discarded.
+            if (oom_fallback_this_op_)
+                break;
+            rt.driver().vaSpace().forEachBlock(
+                s.addr, s.size,
+                [&](uvm::VaBlock &b, const uvm::PageMask &msk) {
+                    uvm::PageMask still = msk & b.discarded;
+                    check(still.none(), "prefetch-left-discarded", [&] {
+                        return "block " + std::to_string(b.base) +
+                               ": pages " + maskToRuns(still) +
+                               " still discarded after a successful "
+                               "prefetch";
+                    });
+                });
+            break;
+        case Kind::kHostWrite:
+            if (check_content_)
+                plantTags(rt, s.addr, s.size);
+            break;
+        case Kind::kHostRead:
+            verifyTags(rt, s.addr, s.size);
+            break;
+        case Kind::kKernel:
+            // Read spans must still carry intact data wherever they
+            // now live; written ones hold unknown values (the sim
+            // kernel writes no real bytes, so only invalidate).
+            if (s.kind == uvm::AccessKind::kRead)
+                verifyTags(rt, s.addr, s.size);
+            else
+                dropTags(s.addr, s.size);
+            break;
+        case Kind::kDiscard:  // dead by contract (Section 4.1)
+        case Kind::kAlloc:    // a recycled VA must not inherit tags
+            dropTags(s.addr, s.size);
+            break;
+        case Kind::kFree:  // onFree drops the freed blocks' tags
+        case Kind::kAdvise:
+        case Kind::kSync:
+            break;
+        }
+    }
+}
+
+void
 Oracle::finalCheck(cuda::Runtime &rt)
 {
-    rt_ = &rt;
     op_tokens_ = nullptr;
     op_label_ = "<final>";
-    if (!pending_.empty()) {
-        std::string joined;
-        for (const auto &p : pending_) {
-            if (!joined.empty())
-                joined += " | ";
-            joined += p;
-        }
-        pending_.clear();
-        fail("event-stream", joined);
-    }
-    bool errored = rt.getLastError() != cuda::CudaError::kSuccess;
-    if (errored)
-        defined_.clear();
-    if (check_content_)
-        verifyAllTags(rt);
+    settle(rt);
+    verifyAllTags(rt);
     checkAll(rt);
 
     // G6: the events and the driver's ledger count the same bytes.

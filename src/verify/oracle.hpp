@@ -165,6 +165,11 @@ class Oracle : public uvm::TransferObserver
             fail(kind, detail());
     }
 
+    /** Raise the failures deferred from hooks, then read the sticky
+     *  CUDA error; true when it is set, which voids every tag. */
+    bool settle(cuda::Runtime &rt);
+    /** The G2 postconditions and G4 tag updates of @p op. */
+    void checkOp(const workloads::ScenarioOp &op, cuda::Runtime &rt);
     void checkAll(cuda::Runtime &rt);
     void checkBlock(const uvm::VaBlock &block,
                     const uvm::UvmConfig &cfg);

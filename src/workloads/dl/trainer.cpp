@@ -39,6 +39,10 @@ class TrainerBase
         return static_cast<sim::Bytes>(p_.net.data_bytes_per_sample) *
                p_.batch_size;
     }
+    sim::Bytes labelBytes() const
+    {
+        return static_cast<sim::Bytes>(4096) * p_.batch_size;
+    }
 };
 
 /**
@@ -59,9 +63,7 @@ class UvmTrainer : public TrainerBase
         const NetSpec &net = p_.net;
         std::size_t n = layerCount();
         data_ = rt_.mallocManaged(dataBytes(), "dl.data");
-        labels_ = rt_.mallocManaged(
-            static_cast<sim::Bytes>(4096) * p_.batch_size,
-            "dl.labels");
+        labels_ = rt_.mallocManaged(labelBytes(), "dl.labels");
         workspace_ =
             rt_.mallocManaged(net.workspace_bytes, "dl.workspace");
         loss_ = rt_.mallocManaged(4096, "dl.loss");
@@ -212,12 +214,6 @@ class UvmTrainer : public TrainerBase
                       : p_.net.layerActBytes(i - 1, p_.batch_size);
     }
 
-    sim::Bytes
-    labelBytes() const
-    {
-        return static_cast<sim::Bytes>(4096) * p_.batch_size;
-    }
-
     System sys_;
     mem::VirtAddr data_ = 0, labels_ = 0, workspace_ = 0, loss_ = 0;
     std::vector<mem::VirtAddr> weights_, outputs_, deltas_;
@@ -279,12 +275,6 @@ class NoUvmTrainer : public TrainerBase
     }
 
   private:
-    sim::Bytes
-    labelBytes() const
-    {
-        return static_cast<sim::Bytes>(4096) * p_.batch_size;
-    }
-
     mem::VirtAddr d_data_ = 0, d_labels_ = 0, d_workspace_ = 0;
     std::vector<mem::VirtAddr> d_weights_, d_outputs_, d_deltas_;
 };
@@ -381,12 +371,6 @@ class ManualSwapTrainer : public TrainerBase
     }
 
   private:
-    sim::Bytes
-    labelBytes() const
-    {
-        return static_cast<sim::Bytes>(4096) * p_.batch_size;
-    }
-
     /** Caching allocator: reuse freed buffers of the same size to
      *  dodge the Table-2 cudaMalloc/cudaFree costs, spilling cached
      *  buffers (largest first) when the device fills up — the manual

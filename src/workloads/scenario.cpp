@@ -149,8 +149,6 @@ parseOnOff(std::size_t line_no, const std::string &token)
     scriptError(line_no, "expected on|off, got '" + token + "'");
 }
 
-using Buffer = ScenarioBufferInfo;
-
 /** Parses header directives, then replays the op lines. */
 class ScenarioInterpreter
 {
@@ -180,6 +178,12 @@ class ScenarioInterpreter
   private:
     using Line = std::pair<std::size_t, std::vector<std::string>>;
 
+    /** A live buffer of the executing scenario. */
+    struct Buffer {
+        mem::VirtAddr addr = 0;
+        sim::Bytes size = 0;
+    };
+
     const std::string &
     argStr(std::size_t i, std::size_t k)
     {
@@ -204,6 +208,15 @@ class ScenarioInterpreter
             scriptError(lines_[i].first,
                         "unknown buffer '" + name + "'");
         return it->second;
+    }
+
+    /** Resolve the buffer operand of a one-buffer op into its span. */
+    const uvm::Access &
+    operand(std::size_t i, uvm::AccessKind kind = uvm::AccessKind::kRead)
+    {
+        const Buffer &b = buffer(i, argStr(i, 1));
+        one_ = {b.addr, b.size, kind};
+        return one_;
     }
 
     /** Fixed-arity commands reject trailing operands: silently
@@ -354,15 +367,7 @@ class ScenarioInterpreter
                 cfg.copy_engines_per_dir = static_cast<int>(n);
             } else if (cmd == "coalesce") {
                 arity(i, 2);
-                const std::string &v = argStr(i, 1);
-                if (v == "on")
-                    cfg.coalesce_transfers = true;
-                else if (v == "off")
-                    cfg.coalesce_transfers = false;
-                else
-                    scriptError(line_no,
-                                "coalesce expects on|off, got '" + v +
-                                    "'");
+                cfg.coalesce_transfers = arg(i, 1, &parseOnOff);
             } else if (cmd == "deadline") {
                 arity(i, 2);
                 sim::SimDuration d = arg(i, 1, &parseDuration);
@@ -392,15 +397,13 @@ class ScenarioInterpreter
         // Pass 2: operations.
         std::size_t op_index = 0;
         for (std::size_t i = first_op; i < lines_.size(); ++i) {
-            executeOp(i);
+            ScenarioOp op = executeOp(i);
             if (hooks_.sync_each_op)
                 rt_->synchronize();
             if (hooks_.after_op) {
-                ScenarioOp op;
                 op.index = op_index;
                 op.line_no = lines_[i].first;
                 op.tokens = &lines_[i].second;
-                op.buffers = &buffers_;
                 hooks_.after_op(op, *rt_);
             }
             ++op_index;
@@ -419,13 +422,18 @@ class ScenarioInterpreter
     }
 
   private:
-    void
+    /** Execute op line @p i; returns its kind and spans. */
+    ScenarioOp
     executeOp(std::size_t i)
     {
+        using Kind = ScenarioOp::Kind;
         const auto &[line_no, tokens] = lines_[i];
         const std::string &cmd = tokens[0];
+        ScenarioOp op;
+        op.spans = {&one_, 1};
 
         if (cmd == "alloc") {
+            op.kind = Kind::kAlloc;
             arity(i, 3);
             const std::string &name = argStr(i, 1);
             if (buffers_.count(name))
@@ -436,37 +444,37 @@ class ScenarioInterpreter
                 scriptError(line_no,
                             "allocation above 64GiB exceeds the "
                             "simulated VA budget");
-            buffers_[name] = {rt_->mallocManaged(size, name), size};
+            mem::VirtAddr addr = rt_->mallocManaged(size, name);
+            buffers_[name] = {addr, size};
+            one_ = {addr, size, uvm::AccessKind::kRead};
         } else if (cmd == "free") {
+            op.kind = Kind::kFree;
             arity(i, 2);
-            const std::string &name = argStr(i, 1);
-            Buffer &b = buffer(i, name);
-            rt_->freeManaged(b.addr);
-            buffers_.erase(name);
+            rt_->freeManaged(operand(i).addr);
+            buffers_.erase(argStr(i, 1));
         } else if (cmd == "host_write" || cmd == "host_read") {
+            const bool write = cmd == "host_write";
+            op.kind = write ? Kind::kHostWrite : Kind::kHostRead;
             arity(i, 2);
-            Buffer &b = buffer(i, argStr(i, 1));
-            rt_->hostTouch(b.addr, b.size,
-                           cmd == "host_write"
-                               ? uvm::AccessKind::kWrite
-                               : uvm::AccessKind::kRead);
+            const uvm::Access &b =
+                operand(i, write ? uvm::AccessKind::kWrite
+                                 : uvm::AccessKind::kRead);
+            rt_->hostTouch(b.addr, b.size, b.kind);
         } else if (cmd == "prefetch") {
+            op.kind = Kind::kPrefetch;
             arity(i, 3);
-            Buffer &b = buffer(i, argStr(i, 1));
+            const uvm::Access &b = operand(i);
             const std::string &dst = argStr(i, 2);
-            if (dst == "gpu") {
-                rt_->prefetchAsync(b.addr, b.size,
-                                   uvm::ProcessorId::gpu(0));
-            } else if (dst == "cpu") {
-                rt_->prefetchAsync(b.addr, b.size,
-                                   uvm::ProcessorId::cpu());
-            } else {
+            if (dst != "gpu" && dst != "cpu")
                 scriptError(line_no,
                             "prefetch destination must be gpu|cpu");
-            }
+            rt_->prefetchAsync(b.addr, b.size,
+                               dst == "gpu" ? uvm::ProcessorId::gpu(0)
+                                            : uvm::ProcessorId::cpu());
         } else if (cmd == "discard") {
+            op.kind = Kind::kDiscard;
             arity(i, 3);
-            Buffer &b = buffer(i, argStr(i, 1));
+            const uvm::Access &b = operand(i);
             const std::string &mode = argStr(i, 2);
             if (mode != "eager" && mode != "lazy")
                 scriptError(line_no, "discard mode must be eager|lazy");
@@ -475,8 +483,9 @@ class ScenarioInterpreter
                                   ? uvm::DiscardMode::kEager
                                   : uvm::DiscardMode::kLazy);
         } else if (cmd == "advise") {
+            op.kind = Kind::kAdvise;
             arity(i, 3);
-            Buffer &b = buffer(i, argStr(i, 1));
+            const uvm::Access &b = operand(i);
             const std::string &advice = argStr(i, 2);
             if (advice == "accessed_by") {
                 rt_->memAdvise(b.addr, b.size,
@@ -497,14 +506,17 @@ class ScenarioInterpreter
                             "unset");
             }
         } else if (cmd == "kernel") {
-            cuda::KernelDesc k;
-            k.name = argStr(i, 1);
+            op.kind = Kind::kKernel;
+            // kernel_ is reused so its access list keeps its capacity;
+            // launch() takes its own copy.
+            kernel_.name = argStr(i, 1);
+            kernel_.accesses.clear();
+            kernel_.compute = 0;
             std::size_t pos = 2;
-            const auto &toks = tokens;
-            while (pos < toks.size()) {
-                const std::string &word = toks[pos];
+            while (pos < tokens.size()) {
+                const std::string &word = tokens[pos];
                 if (word == "compute") {
-                    k.compute = arg(i, pos + 1, &parseDuration);
+                    kernel_.compute = arg(i, pos + 1, &parseDuration);
                     pos += 2;
                 } else if (word == "read" || word == "write" ||
                            word == "rw") {
@@ -515,7 +527,7 @@ class ScenarioInterpreter
                             : word == "write"
                                   ? uvm::AccessKind::kWrite
                                   : uvm::AccessKind::kReadWrite;
-                    k.accesses.push_back({b.addr, b.size, kind});
+                    kernel_.accesses.push_back({b.addr, b.size, kind});
                     pos += 2;
                 } else {
                     scriptError(line_no,
@@ -523,10 +535,13 @@ class ScenarioInterpreter
                                     "' in kernel");
                 }
             }
-            rt_->launch(k);
+            rt_->launch(kernel_);
+            op.spans = kernel_.accesses;
         } else if (cmd == "sync") {
+            op.kind = Kind::kSync;
             arity(i, 1);
             rt_->synchronize();
+            op.spans = {};
         } else if (std::ranges::count(kConfigDirectives, cmd)) {
             scriptError(line_no,
                         "configuration directives must precede all "
@@ -534,6 +549,7 @@ class ScenarioInterpreter
         } else {
             scriptError(line_no, "unknown command '" + cmd + "'");
         }
+        return op;
     }
 
     ScenarioHooks hooks_;
@@ -542,6 +558,10 @@ class ScenarioInterpreter
     trace::Auditor auditor_;
     uvm::ObserverMux mux_;
     std::map<std::string, Buffer> buffers_;
+    /** The span storage of ScenarioOp: the operand of the last
+     *  one-buffer op, and the last launched kernel. */
+    uvm::Access one_{};
+    cuda::KernelDesc kernel_;
 };
 
 }  // namespace

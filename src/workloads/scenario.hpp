@@ -51,7 +51,7 @@
 
 #include <functional>
 #include <iosfwd>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,22 +86,33 @@ struct ScenarioResult : RunResult {
     std::string summary() const;
 };
 
-/** A live buffer of the executing scenario. */
-struct ScenarioBufferInfo {
-    mem::VirtAddr addr = 0;
-    sim::Bytes size = 0;
-};
-
-/** One executed op line, handed to ScenarioHooks::after_op. */
+/**
+ * One executed op line, handed to ScenarioHooks::after_op.  It says
+ * what ran, as the interpreter resolved it, so a hook never re-reads
+ * the script: @c kind is the command and @c spans the buffers it
+ * named.  @c spans points into the interpreter and is valid only
+ * during the hook call.
+ */
 struct ScenarioOp {
+    enum class Kind {
+        kAlloc, kFree, kHostWrite, kHostRead, kPrefetch,
+        kDiscard, kAdvise, kKernel, kSync
+    };
+
+    Kind kind = Kind::kSync;
+    /** The buffers the op named, in script order: the one buffer of a
+     *  one-buffer op, a kernel's access list (a buffer named twice
+     *  appears twice), none for sync.  Only host_read, host_write and
+     *  kernel spans carry a meaningful access kind; the others read
+     *  kRead. */
+    std::span<const uvm::Access> spans;
     /** 0-based ordinal among op lines (not counting config). */
     std::size_t index = 0;
     /** 1-based line number in the script. */
     std::size_t line_no = 0;
-    /** The whitespace-split tokens of the line (cmd first). */
+    /** The whitespace-split tokens of the line (cmd first), to render
+     *  the op in reports; its meaning is in @c kind and @c spans. */
     const std::vector<std::string> *tokens = nullptr;
-    /** Buffers live *after* this op executed, by name. */
-    const std::map<std::string, ScenarioBufferInfo> *buffers = nullptr;
 };
 
 /**
@@ -122,7 +133,8 @@ struct ScenarioHooks {
     /** Called once the Runtime exists, before the first op. */
     std::function<void(cuda::Runtime &)> on_runtime_ready;
 
-    /** Called after each op line (post sync when sync_each_op). */
+    /** Called after each op line (post sync when sync_each_op) with
+     *  the op's kind and the buffers it named. */
     std::function<void(const ScenarioOp &, cuda::Runtime &)> after_op;
 
     /** Called after the final synchronize, before stats harvest. */

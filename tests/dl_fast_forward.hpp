@@ -13,7 +13,6 @@
 #include <bit>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dl_sweep.hpp"
@@ -21,31 +20,18 @@
 
 namespace uvmd::test {
 
-using DlCell = std::pair<workloads::System, workloads::dl::TrainParams>;
+using bench::DlCell;
 
 /** The cells bench::dlSweep trains for the networks in @p nets (all
- *  when empty): each batch of the network's grid under the Figure 6
- *  systems, No-UVM only where it fits. */
+ *  when empty). */
 inline std::vector<DlCell>
 fig6Grid(const std::set<std::string> &nets = {})
 {
-    const uvm::UvmConfig cfg = uvm::UvmConfig::rtx3080ti();
-    std::vector<DlCell> cells;
-    for (const workloads::dl::NetSpec &net :
-         workloads::dl::NetSpec::all()) {
-        if (!nets.empty() && !nets.count(net.name))
-            continue;
-        for (int batch : bench::batchGrid(net)) {
-            workloads::dl::TrainParams p;
-            p.net = net;
-            p.batch_size = batch;
-            for (workloads::System sys : bench::kDlSystems) {
-                if (sys != workloads::System::kNoUvm ||
-                    net.allocBytes(batch) <= cfg.gpu_memory)
-                    cells.emplace_back(sys, p);
-            }
-        }
-    }
+    std::vector<DlCell> cells = bench::dlGrid(uvm::UvmConfig::rtx3080ti());
+    if (!nets.empty())
+        std::erase_if(cells, [&](const DlCell &c) {
+            return !nets.count(c.second.net.name);
+        });
     return cells;
 }
 

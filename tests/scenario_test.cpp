@@ -382,6 +382,26 @@ TEST(ScenarioRobust, BadCopyEngineCountIsFatalBeforeRuntime)
     EXPECT_NO_THROW(runScenario("copy_engines 64\nalloc a 4MiB\n"));
 }
 
+TEST(ScenarioRobust, BadOnOffValueIsFatalWithLineNumber)
+{
+    // Both on|off directives share one parser and its error text.
+    for (const char *directive :
+         {"coalesce maybe", "inject oom_fallback maybe"}) {
+        try {
+            runScenario(std::string("gpu_memory 8MiB\n") + directive +
+                        "\nalloc a 1MiB\n");
+            ADD_FAILURE() << "expected ScenarioParseError for "
+                          << directive;
+        } catch (const ScenarioParseError &err) {
+            EXPECT_EQ(err.line_no, 2u) << directive;
+            EXPECT_NE(std::string(err.what()).find(
+                          "line 2: expected on|off, got 'maybe'"),
+                      std::string::npos)
+                << directive << ": " << err.what();
+        }
+    }
+}
+
 TEST(ScenarioRobust, ConfigDirectiveAfterAnOpIsFatal)
 {
     // Each of the eight configuration directives, valid in the header,

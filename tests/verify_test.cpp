@@ -86,6 +86,39 @@ sync
     EXPECT_EQ(res.checks, 1832u);
 }
 
+// The op kinds the two scenarios above leave out: every advice, a
+// host-ward prefetch, a kernel whose compute precedes its clauses and
+// that names one buffer twice (a is verified, b dropped, a verified
+// again), and a name freed then allocated again.
+TEST_F(VerifyTest, EveryOpKindReachesTheOracle)
+{
+    VerifyResult res = runVerifiedScenario(R"(
+gpu_memory 16MiB
+alloc a 2MiB
+alloc b 1MiB
+host_write a
+host_write b
+advise a accessed_by
+advise b prefer_cpu
+kernel k1 compute 10us read a rw b read a
+prefetch a cpu
+advise a unset
+advise b unset
+prefetch b gpu
+host_read a
+free b
+alloc b 1MiB
+host_write b
+kernel k2 compute 5us read b write a
+sync
+)");
+    EXPECT_EQ(res.outcome, Outcome::kOk) << res.message;
+    // Exact: 2048 tag checks (1024 in k1 for a read twice, 512 at
+    // host_read a, 256 in k2 and 256 in the final sweep), the state
+    // checks of every op and the 4 traffic-ledger checks.
+    EXPECT_EQ(res.checks, 2326u);
+}
+
 TEST_F(VerifyTest, ParseErrorIsClassified)
 {
     VerifyResult res = runVerifiedScenario("allocate wat\n");
