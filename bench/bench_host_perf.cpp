@@ -29,7 +29,10 @@
  *                    host can only slow a run down; allocs_per_run is
  *                    the exact number of heap allocations of one run,
  *                    evictions_used and evictions_discarded the
- *                    exact eviction counts of the run
+ *                    exact eviction counts of the run;
+ *                    periods_simulated the digit passes it actually
+ *                    simulated (the steady-state fast-forward computes
+ *                    the rest)
  *   e2e_dl           two Figure 6 cells end to end: ResNet-53 under
  *                    UvmDiscard on PCIe-4 at batch 56 (fits) and 90
  *                    (oversubscribed), the runs whose host time is set
@@ -39,7 +42,7 @@
  *                    (whole-range fast paths visit none);
  *                    allocs_per_run the heap allocations per cell;
  *                    evictions_used and evictions_discarded summed
- *                    over both cells; batches_simulated the training
+ *                    over both cells; periods_simulated the training
  *                    batches both cells actually simulated (the
  *                    steady-state fast-forward computes the rest)
  *   e2e_hashjoin     one full Table 7/8 cell end to end: runHashJoin
@@ -404,6 +407,7 @@ benchE2eRadix(int reps)
         {"evictions_used", static_cast<double>(r.evictions_used)},
         {"evictions_discarded",
          static_cast<double>(r.evictions_discarded)},
+        {"periods_simulated", static_cast<double>(r.periods_simulated)},
     };
     return res;
 }
@@ -442,7 +446,7 @@ benchE2eDl(int reps)
             walked += r.blocks_walked;
             evicted_used += r.evictions_used;
             evicted_discarded += r.evictions_discarded;
-            simulated += r.batches_simulated;
+            simulated += r.periods_simulated;
             checksum += r.throughput;
         }
         double ms = msSince(start);
@@ -456,7 +460,7 @@ benchE2eDl(int reps)
          static_cast<double>(allocs) / std::size(batches)},
         {"evictions_used", static_cast<double>(evicted_used)},
         {"evictions_discarded", static_cast<double>(evicted_discarded)},
-        {"batches_simulated", static_cast<double>(simulated)},
+        {"periods_simulated", static_cast<double>(simulated)},
     };
     return res;
 }

@@ -26,11 +26,13 @@
 #      builds e2ebench/uvmd_e2e.cpp on its own against src/ and checks
 #      every workload in both trace modes, so a library change that
 #      breaks the benchmark fails here,
-#   9. the DL fast-forward differential (release build, label `slow`):
-#      every DL grid the harnesses train, with dl::runTraining's
-#      steady-state fast-forward on and off, must match field for
-#      field, whole run and measured region (tier-1 runs one
-#      network's cells of it); every UVM run's measured required and
+#   9. the fast-forward differential (release build, label `slow`):
+#      every DL grid and every radix run the harnesses make, with
+#      runPeriods' steady-state fast-forward on and off, must match
+#      field for field, whole run and measured region (tier-1 runs
+#      one network's cells and small radix runs of it); the radix
+#      runs under fault injection must simulate every pass; every UVM
+#      run's measured required and
 #      redundant bytes must add up to its measured traffic; and at
 #      every Figure 5 cell whose allocation fits the GPU, UvmDiscard's
 #      measured savings over UVM-opt must not exceed UVM-opt's
@@ -47,7 +49,7 @@
 #      taken with on every host; it is gated against the committed
 #      BENCH_baseline.json by scripts/perf_gate.py (throughput and
 #      wall-clock within a tolerance band; the exact work counters,
-#      every allocs_per_* count, blocks_walked, batches_simulated and
+#      every allocs_per_* count, blocks_walked, periods_simulated and
 #      the evictions_* counts, may never increase, and the e2e_verify
 #      Oracle `checks` count may never decrease; UVMD_PERF_STRICT=0
 #      downgrades the gate to report-only for noisy machines); then one
@@ -151,7 +153,7 @@ cmake --build --preset release -j "$JOBS"
 echo "== end-to-end benchmark smoke test =="
 python3 e2ebench/smoke_test.py
 
-echo "== DL fast-forward differential, every grid (release build) =="
+echo "== fast-forward differential, every grid (release build) =="
 ctest --test-dir build-release -L slow --output-on-failure -j "$JOBS"
 
 echo "== results byte-stability (release build) =="

@@ -12,7 +12,7 @@ Gate semantics (docs/performance.md, "Regression gate"):
     mode (`--quick` vs full) — wall times of different modes are not
     comparable.
   - Exact work counters — allocation counts (names starting with
-    `allocs_per_`), `blocks_walked`, `batches_simulated` and the
+    `allocs_per_`), `blocks_walked`, `periods_simulated` and the
     eviction counts (names starting with `evictions_`) — are
     deterministic counts, not timings: any increase over the baseline
     fails regardless of tolerance (the zero-allocation steady state keeps
@@ -20,7 +20,7 @@ Gate semantics (docs/performance.md, "Regression gate"):
     deep-copied backing-store payloads; `allocs_per_run` catches a
     return to a heap node per audited block; `blocks_walked` catches a
     return to per-block walks for fully resident or fully discarded
-    ranges; `batches_simulated` catches the DL steady-state
+    ranges; `periods_simulated` catches the DL or radix steady-state
     fast-forward no longer firing; `evictions_used` and
     `evictions_discarded` catch a change of the victims the eviction
     process picks).
@@ -56,7 +56,7 @@ def bench_map(doc):
 
 def is_exact_counter(key):
     return (key.startswith("allocs_per_") or
-            key in ("blocks_walked", "batches_simulated") or
+            key in ("blocks_walked", "periods_simulated") or
             key.startswith("evictions_"))
 
 

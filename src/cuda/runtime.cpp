@@ -25,6 +25,7 @@ Runtime::~Runtime() = default;
 mem::VirtAddr
 Runtime::mallocManaged(sim::Bytes size, std::string name)
 {
+    ++host_calls_;
     host_time_ += apiCost(ApiOp::kCudaMallocManaged, size);
     return driver_.allocManaged(size, std::move(name));
 }
@@ -63,6 +64,7 @@ Runtime::tryMallocDevice(sim::Bytes size, std::string name,
 {
     if (!validGpu(gpu))
         return CudaError::kErrorInvalidValue;
+    ++host_calls_;
     host_time_ += apiCost(ApiOp::kCudaMalloc, size);
     // Explicit device buffers consume framebuffer capacity directly;
     // this is where the Listing-4 style fails on oversubscription.
@@ -91,6 +93,7 @@ Runtime::tryFreeDevice(mem::VirtAddr addr)
     auto it = device_buffers_.find(addr);
     if (it == device_buffers_.end())
         return CudaError::kErrorInvalidValue;
+    ++host_calls_;
     host_time_ += apiCost(ApiOp::kCudaFree, it->second.size);
     driver_.unreserveGpuMemory(it->second.gpu, it->second.size);
     device_buffers_.erase(it);
@@ -123,6 +126,9 @@ Runtime::validGpu(uvm::GpuId gpu) const
 void
 Runtime::enqueue(StreamId stream, StreamOp op)
 {
+    // After a drain() the clock may run ahead of an idle stream.
+    if (streams_.size() > 1)
+        ++host_calls_;
     op.issue_time = host_time_;
     streams_[stream].ops.push_back(std::move(op));
     pump(stream);
@@ -284,6 +290,7 @@ Runtime::step(sim::SimTime deadline)
 void
 Runtime::runUntil(sim::SimTime t)
 {
+    ++host_calls_;
     while (step(t)) {
     }
     clock_.now = std::max(clock_.now, t);
@@ -379,16 +386,29 @@ Runtime::executeOp(StreamOp &op, sim::SimTime t0)
 void
 Runtime::synchronize()
 {
+    drain();
+    host_time_ = deviceReady();
+}
+
+void
+Runtime::drain()
+{
     while (step(sim::kTimeNever)) {
     }
-    sim::SimTime done = host_time_;
     for (const StreamState &s : streams_) {
         if (!s.ops.empty())
-            sim::panic("synchronize: stream still has queued ops "
-                       "(waiting on an event that is never recorded?)");
-        done = std::max(done, s.ready);
+            sim::panic("drain: stream still has queued ops (waiting "
+                       "on an event that is never recorded?)");
     }
-    host_time_ = std::max(done, clock_.now);
+}
+
+sim::SimTime
+Runtime::deviceReady() const
+{
+    sim::SimTime t = std::max(host_time_, clock_.now);
+    for (const StreamState &s : streams_)
+        t = std::max(t, s.ready);
+    return t;
 }
 
 void
@@ -418,14 +438,14 @@ Runtime::hostTouch(mem::VirtAddr addr, sim::Bytes size,
 std::optional<std::uint64_t>
 Runtime::stateDigest() const
 {
-    sim::Digest d(host_time_);
-    // With every stream empty no dispatch is pending, so the schedule
-    // order (clock_.next_seq) ranks nothing; dispatched is a counter.
-    d.addTime(clock_.now);
+    // No later op starts before deviceReady(): the clock and the ready
+    // times offset nothing.  With the streams empty no dispatch is
+    // pending, so clock_.next_seq ranks nothing; dispatched counts.
+    sim::Digest d(deviceReady());
+    d.add(streams_.size());
     for (const StreamState &s : streams_) {
         if (!s.ops.empty())
             return std::nullopt;
-        d.addTime(s.ready);
     }
     for (const EventState &ev : events_) {
         d.add(ev.recorded);

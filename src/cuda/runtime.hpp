@@ -124,8 +124,12 @@ class Runtime
     // Synchronization
     // ------------------------------------------------------------
 
-    /** cudaDeviceSynchronize: drain all streams. */
+    /** cudaDeviceSynchronize: drain(), then now() = deviceReady(). */
     void synchronize();
+
+    /** Run all queued ops without moving now(): exact if no
+     *  hostCalls() call follows before the next synchronize(). */
+    void drain();
 
     /** cudaStreamSynchronize. */
     void streamSynchronize(StreamId stream);
@@ -192,16 +196,23 @@ class Runtime
     /** Host-thread wall clock (== total elapsed after synchronize). */
     sim::SimTime now() const { return host_time_; }
 
+    /** When all work issued is done (final after drain()). */
+    sim::SimTime deviceReady() const;
+
+    /** Calls a drain() before them would reorder: host touches,
+     *  memAdvise, allocations, frees; enqueues with several streams. */
+    std::uint64_t hostCalls() const { return host_calls_; }
+
     /**
      * A 64-bit digest of every piece of simulator state that can
-     * change the future, with times taken relative to now(): the
-     * driver (UvmDriver::hashState), the compute engines, the
+     * change the future, with times taken relative to deviceReady():
+     * the driver (UvmDriver::hashState), the compute engines, the
      * streams, events and device buffers.  Two runs whose digests
-     * are equal continue identically, shifted in time.  Counters are
-     * outputs and stay out.
+     * are equal continue identically, shifted in time, while no op
+     * starts before deviceReady().  Counters are outputs and stay out.
      * @return nullopt when the streams still hold queued work (take
-     *         it after synchronize()) or the driver state holds what
-     *         no digest covers (see UvmDriver::hashState).
+     *         it after drain()) or the driver state holds what no
+     *         digest covers (see UvmDriver::hashState).
      */
     std::optional<std::uint64_t> stateDigest() const;
 
@@ -224,7 +235,7 @@ class Runtime
      *  @return true if one ran. */
     bool step(sim::SimTime deadline);
 
-    /** Run every dispatch due by @p t, then advance the clock to @p t. */
+    /** Host call: run every dispatch due by @p t, clock to @p t. */
     void runUntil(sim::SimTime t);
 
     /** Execute the head op of @p stream at the current clock time. */
@@ -237,6 +248,7 @@ class Runtime
     std::vector<std::unique_ptr<sim::Resource>> compute_engines_;
 
     sim::SimTime host_time_ = 0;
+    std::uint64_t host_calls_ = 0;
     CudaError last_error_ = CudaError::kSuccess;
     std::vector<StreamState> streams_;
     std::vector<EventState> events_;

@@ -12,10 +12,10 @@
  * (dma_descriptors, raw_transfers) once.  blocks_walked counts the
  * blocks visited by the driver's per-block walks (access,
  * prefetch, discard, host access, advise; whole-range fast paths add
- * 0), an exact count of the simulated run's walks.  A DL run that
- * fast-forwards its steady state (dl::runTraining) reports it for
- * every batch, computed ones included, like every other row; its
- * host work shows in TrainResult::batches_simulated.
+ * 0), an exact count of the simulated run's walks.  A DL or radix
+ * run that fast-forwards its steady state (workloads::runPeriods)
+ * reports it for every period, computed ones included, like every
+ * other row; its host work shows in RunResult::periods_simulated.
  */
 
 #ifndef UVMD_UVM_COUNTERS_HPP

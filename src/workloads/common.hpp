@@ -23,6 +23,7 @@
 #include <string>
 
 #include "cuda/runtime.hpp"
+#include "sim/function.hpp"
 #include "trace/auditor.hpp"
 
 namespace uvmd::workloads {
@@ -147,6 +148,9 @@ struct RunResult {
     /** Blocks visited by the driver's per-block walks (host work). */
     std::uint64_t blocks_walked = 0;
 
+    /** Periods (DL batches, radix passes) simulated: host work. */
+    int periods_simulated = 0;
+
     sim::Bytes
     trafficTotal() const
     {
@@ -176,10 +180,38 @@ inline constexpr std::uint64_t RunResult::*kRunCounters[] = {
 void readCounters(RunResult &result, cuda::Runtime &rt,
                   const trace::Auditor &auditor);
 
+/** Test switch, set between runs: unset, runPeriods() skips none. */
+inline bool fast_forward = true;
+
+struct Periods {
+    RunResult measured;  ///< elapsed, kRunCounters: boundary from..count
+    RunResult skipped;   ///< kRunCounters the unsimulated periods add
+    int simulated = 0;
+};
+
+/**
+ * Run @p count periods, @p period(j) for j = 0, 1, ..., between two
+ * synchronize() calls; every period must make the same calls.
+ * Steady-state fast-forward (DESIGN.md §4): once the state after
+ * period j equals the one before it, the run stops and repeats period
+ * j for the rest.  A boundary is drained if the period before it made
+ * no hostCalls() call.  Period j repeats only if (i) the state
+ * digests at its ends are equal, and either the host is behind the
+ * device at neither end or (ii) the host's lead (deviceReady() -
+ * now()) did not shrink, (iii) covers the host time the period took
+ * and (iv) the period made no hostCalls() call.  Off with @p may_skip
+ * or fast_forward unset.
+ */
+Periods runPeriods(cuda::Runtime &rt, const trace::Auditor &auditor,
+                   int count, int from, bool may_skip,
+                   sim::FunctionRef<void(int)> period);
+
 /** Fill the kRunCounters fields of @p result from a finished run:
- *  auditor.finalize(), then readCounters(). */
+ *  auditor.finalize(), then readCounters(); after runPeriods(), add
+ *  the @p periods not simulated and set elapsed to the measured
+ *  region. */
 void harvest(RunResult &result, cuda::Runtime &rt,
-             trace::Auditor &auditor);
+             trace::Auditor &auditor, const Periods &periods = {});
 
 }  // namespace uvmd::workloads
 

@@ -1,7 +1,6 @@
 #include "workloads/dl/trainer.hpp"
 
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "sim/logging.hpp"
@@ -424,22 +423,6 @@ class ManualSwapTrainer : public TrainerBase
     std::map<sim::Bytes, std::vector<mem::VirtAddr>> cache_;
 };
 
-/** What runTraining reads at a batch boundary: the clock and the
- *  running totals, before the Auditor's finalize(). */
-struct Boundary {
-    sim::SimTime now = 0;
-    RunResult totals;
-};
-
-Boundary
-boundary(Runtime &rt, const trace::Auditor &auditor)
-{
-    Boundary b;
-    b.now = rt.now();
-    readCounters(b.totals, rt, auditor);
-    return b;
-}
-
 }  // namespace
 
 TrainResult
@@ -467,61 +450,16 @@ runTraining(System sys, const TrainParams &p,
         break;
     }
 
-    // Every runBatch() ends synchronized.  seen[j] is the boundary
-    // after batch j (0: after setup); the loop stops early once a
-    // batch ends in the state it started from.  Digests start after
-    // batch 1: a digest costs a pass over every block, and only the
-    // No-UVM trainer, whose batches are cheap, could repeat the setup.
     trainer->setup();
-    const int batches = p.warmup_batches + p.measured_batches;
-    const bool fast_forward =
-        p.fast_forward && sys != System::kManualSwap;
-    std::vector<Boundary> seen;
-    seen.reserve(batches + 1);
-    seen.push_back(boundary(rt, auditor));
-    std::optional<std::uint64_t> digest;
-    while (static_cast<int>(seen.size()) <= batches) {
-        trainer->runBatch();
-        seen.push_back(boundary(rt, auditor));
-        if (!fast_forward || static_cast<int>(seen.size()) > batches)
-            continue;
-        std::optional<std::uint64_t> next = rt.stateDigest();
-        if (next && next == digest)
-            break;
-        digest = next;
-    }
-    const int simulated = static_cast<int>(seen.size()) - 1;
-    result.batches_simulated = simulated;
-
-    // Boundary j: as simulated, or, past the last simulated batch, by
-    // repeating its period.
-    auto at = [&](int j) {
-        if (j <= simulated)
-            return seen[j];
-        const Boundary &last = seen[simulated];
-        const Boundary &prev = seen[simulated - 1];
-        Boundary b = last;
-        std::uint64_t k = j - simulated;
-        b.now += static_cast<sim::SimDuration>(k) * (last.now - prev.now);
-        for (std::uint64_t RunResult::*c : kRunCounters)
-            b.totals.*c += k * (last.totals.*c - prev.totals.*c);
-        return b;
-    };
-    const Boundary start = at(p.warmup_batches);
-    const Boundary end = at(batches);
-
-    result.elapsed = end.now - start.now;
-    for (std::uint64_t RunResult::*c : kRunCounters)
-        result.measured.*c = end.totals.*c - start.totals.*c;
+    const Periods batches =
+        runPeriods(rt, auditor, p.warmup_batches + p.measured_batches,
+                   p.warmup_batches, sys != System::kManualSwap,
+                   [&](int) { trainer->runBatch(); });
+    result.measured = batches.measured;
+    harvest(result, rt, auditor, batches);
     result.throughput =
         p.measured_batches * p.batch_size /
         sim::toSeconds(result.elapsed);
-
-    // finalize() adds to the live state what it would add at the end
-    // of the run: the two states are equal.
-    harvest(result, rt, auditor);
-    for (std::uint64_t RunResult::*c : kRunCounters)
-        result.*c += end.totals.*c - seen[simulated].totals.*c;
     return result;
 }
 

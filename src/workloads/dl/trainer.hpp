@@ -34,11 +34,6 @@ struct TrainParams {
     /** Paper methodology: train 3 mini-batches, measure the next 7. */
     int warmup_batches = 3;
     int measured_batches = 7;
-
-    /** Stop simulating once a batch ends in the state it started
-     *  from (see runTraining); the results are the same either way.
-     *  Tests turn it off to compare. */
-    bool fast_forward = true;
 };
 
 /**
@@ -53,34 +48,21 @@ struct TrainResult : RunResult {
     /** Images (samples) per second over the measured batches. */
     double throughput = 0.0;
 
-    /** The measured region's counters (only kRunCounters is set):
+    /** The measured region (only elapsed and kRunCounters are set):
      *  each field's value after the last measured batch minus its
      *  value after the last warm-up batch.  required and redundant
      *  count the transfers the Auditor closed in between, so they
      *  add up to the traffic when its open transfers are the same
      *  at both ends. */
     RunResult measured;
-
-    /** Batches actually simulated (host work): every batch of the run
-     *  without the fast-forward, fewer with it. */
-    int batches_simulated = 0;
 };
 
 /**
  * Train @p params.net under @p sys.  Fatal for No-UVM when the
  * allocation exceeds GPU memory (the Listing 4 failure mode).
  *
- * Steady-state fast-forward: the simulation is deterministic, so once
- * the state after batch b equals the state after batch b-1 (equal
- * cuda::Runtime::stateDigest(), times relative to now()), every later
- * batch repeats batch b exactly.  The run then stops simulating and
- * computes the clock, the traffic and every RunResult counter at the
- * later batch boundaries from the last period.  The result is the
- * one the full simulation gives, field for field.  The fast-forward
- * is off with params.fast_forward unset, for ManualSwap (its caching
- * allocator is trainer state outside the digest) and whenever the
- * state takes no digest (backed mode, fault injection, the random
- * victim policy).
+ * The batches are runPeriods() periods, but for ManualSwap, whose
+ * caching allocator is trainer state outside the digest.
  */
 TrainResult runTraining(System sys, const TrainParams &params,
                         interconnect::LinkSpec link,

@@ -38,11 +38,10 @@ runRadixSort(System sys, const RadixParams &p,
     // ---- Pre-processing: host generates keys, uploads them ----
     rt.hostTouch(input, p.data_bytes, AccessKind::kWrite);
     rt.prefetchAsync(input, p.data_bytes, ProcessorId::gpu(0));
-    rt.synchronize();
 
     // ---- Measured region: the digit passes ----
-    sim::SimTime t0 = rt.now();
-    for (int pass = 0; pass < p.passes; ++pass) {
+    // A pass only enqueues work, so the device runs ahead of the host.
+    auto digitPass = [&](int pass) {
         // Local-sort kernel: histogram+scatter reads the input and
         // writes local partitions into temp (the double write models
         // the non-deterministic partition revisits of Section 7.3).
@@ -78,15 +77,15 @@ runRadixSort(System sys, const RadixParams &p,
         // prefetch re-arms it.
         discardFor(rt, sys, temp, p.data_bytes,
                    /*paired_with_prefetch=*/p.use_prefetch);
-    }
-    rt.synchronize();
-    result.elapsed = rt.now() - t0;
+    };
+    const Periods passes =
+        runPeriods(rt, auditor, p.passes, 0, true, digitPass);
 
     // ---- Post-processing: the host consumes the sorted array ----
     rt.hostTouch(input, p.data_bytes, AccessKind::kRead);
     rt.synchronize();
 
-    harvest(result, rt, auditor);
+    harvest(result, rt, auditor, passes);
     return result;
 }
 

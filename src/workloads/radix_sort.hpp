@@ -17,6 +17,7 @@
  * The paper also notes (Section 7.3 text) that UvmDiscard *without*
  * the re-arming prefetches suffers up to a 3.9x slowdown purely from
  * the extra GPU faults; `use_prefetch=false` reproduces that setup.
+ * The passes are runPeriods() periods.
  */
 
 #ifndef UVMD_WORKLOADS_RADIX_SORT_HPP

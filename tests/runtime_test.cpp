@@ -250,6 +250,35 @@ TEST_F(RuntimeTest, HostTouchRunsOnlyDispatchesDueByHostTime)
     EXPECT_GE(rt_.now(), sim::milliseconds(10));
 }
 
+TEST(RuntimeDrain, RunsQueuedWorkWithoutMovingTheHost)
+{
+    uvm::UvmConfig cfg = test::tinyConfig();
+    cfg.backed = false;  // backed state takes no digest
+    Runtime rt(cfg, test::testLink());
+    rt.mallocManaged(kBigPageSize, "a");
+    EXPECT_EQ(rt.hostCalls(), 1u);
+
+    // Issued at one and two launch costs, the second kernel waits
+    // for the first.
+    KernelDesc k;
+    k.compute = sim::milliseconds(1);
+    rt.launch(k);
+    rt.launch(k);
+    EXPECT_EQ(rt.hostCalls(), 1u) << "one stream: enqueues do not count";
+    const sim::SimTime host = rt.now();
+    EXPECT_FALSE(rt.stateDigest()) << "queued work takes no digest";
+    rt.drain();
+    EXPECT_EQ(rt.now(), host);
+    EXPECT_EQ(rt.eventQueue().executed(), 2u);
+    const sim::SimTime ready = rt.deviceReady();
+    EXPECT_EQ(ready, host - apiCost(ApiOp::kLaunch, 0) +
+                         sim::milliseconds(2));
+    EXPECT_TRUE(rt.stateDigest()) << "the streams are empty";
+    rt.synchronize();
+    EXPECT_EQ(rt.now(), ready);
+    EXPECT_EQ(rt.eventQueue().executed(), 2u);
+}
+
 TEST_F(RuntimeTest, ExecutedCountsEveryDispatchIncludingParkedWaits)
 {
     // Dispatches: kernel, record, the wait (parks: not yet recorded),
